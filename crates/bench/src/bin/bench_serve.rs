@@ -731,7 +731,7 @@ fn main() {
     let batch_rows_max = metric_value(&coal_metrics, "edm_serve_batch_rows_max").unwrap_or(0.0);
     let flushes_total = metric_sum(&coal_metrics, "edm_serve_batches_total{reason=");
     let (_, coal_trace) = get(coal_addr, "/v1/trace");
-    let trace_has_flush_probe = coal_trace.contains("serve.batch.flush_reason");
+    let trace_has_flush_probe = coal_trace.contains("serve.batch.wait_ns");
     println!(
         "coalescing: {coal_ok}/{} ok | {flushes_total:.0} flushes | {coalesced_batches:.0} \
          coalesced batches covering {coalesced_requests:.0} requests | largest flush \

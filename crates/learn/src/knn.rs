@@ -58,18 +58,6 @@ impl KnnClassifier {
         Ok(KnnClassifier { k, x: x.to_vec(), y: y.to_vec(), weighted: false })
     }
 
-    /// Consuming variant of [`KnnClassifier::fit`], kept for callers of
-    /// the pre-`edm::Predictor` signature.
-    ///
-    /// # Errors
-    ///
-    /// As for [`KnnClassifier::fit`].
-    #[doc(hidden)]
-    #[deprecated(since = "0.1.0", note = "use `fit(k, &x, &y)`, which borrows its input")]
-    pub fn fit_owned(k: usize, x: Vec<Vec<f64>>, y: Vec<i32>) -> Result<Self, LearnError> {
-        Self::fit(k, &x, &y)
-    }
-
     /// Reassembles a classifier from persisted parts — the inverse of
     /// the accessors below, used by `edm::persist`.
     pub fn from_parts(k: usize, x: Vec<Vec<f64>>, y: Vec<i32>, weighted: bool) -> Self {
@@ -158,18 +146,6 @@ impl KnnRegressor {
         }
         check_xy(x, y.len())?;
         Ok(KnnRegressor { k, x: x.to_vec(), y: y.to_vec() })
-    }
-
-    /// Consuming variant of [`KnnRegressor::fit`], kept for callers of
-    /// the pre-`edm::Predictor` signature.
-    ///
-    /// # Errors
-    ///
-    /// As for [`KnnRegressor::fit`].
-    #[doc(hidden)]
-    #[deprecated(since = "0.1.0", note = "use `fit(k, &x, &y)`, which borrows its input")]
-    pub fn fit_owned(k: usize, x: Vec<Vec<f64>>, y: Vec<f64>) -> Result<Self, LearnError> {
-        Self::fit(k, &x, &y)
     }
 
     /// Reassembles a regressor from persisted parts — the inverse of

@@ -234,18 +234,6 @@ impl KnnDistanceDetector {
         Ok(detector)
     }
 
-    /// Consuming variant of [`KnnDistanceDetector::fit`], kept for
-    /// callers of the pre-`edm::Predictor` signature.
-    ///
-    /// # Errors
-    ///
-    /// As for [`KnnDistanceDetector::fit`].
-    #[doc(hidden)]
-    #[deprecated(since = "0.1.0", note = "use `fit(&x, k, quantile)`, which borrows its input")]
-    pub fn fit_owned(x: Vec<Vec<f64>>, k: usize, quantile: f64) -> Result<Self, NoveltyError> {
-        Self::fit(&x, k, quantile)
-    }
-
     fn kth_distance(&self, p: &[f64], exclude: Option<usize>) -> f64 {
         let mut d: Vec<f64> = self
             .x
@@ -341,18 +329,6 @@ impl LofDetector {
             .collect();
         detector.threshold = stats::quantile(&scores, quantile).expect("non-empty scores");
         Ok(detector)
-    }
-
-    /// Consuming variant of [`LofDetector::fit`], kept for callers of
-    /// the pre-`edm::Predictor` signature.
-    ///
-    /// # Errors
-    ///
-    /// As for [`LofDetector::fit`].
-    #[doc(hidden)]
-    #[deprecated(since = "0.1.0", note = "use `fit(&x, k, quantile)`, which borrows its input")]
-    pub fn fit_owned(x: Vec<Vec<f64>>, k: usize, quantile: f64) -> Result<Self, NoveltyError> {
-        Self::fit(&x, k, quantile)
     }
 
     fn neighbors_of(&self, p: &[f64]) -> Vec<(f64, usize)> {

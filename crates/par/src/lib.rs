@@ -153,6 +153,35 @@ impl WorkerProbe {
 #[cfg(feature = "parallel")]
 const PAR_MIN_ELEMS: usize = 4096;
 
+/// The one fork-join worker loop behind every primitive: `workers`
+/// scoped threads (`par-worker-<w>`) pull the next job from the shared
+/// `jobs` iterator until it runs dry, each recording a [`WorkerProbe`].
+#[cfg(feature = "parallel")]
+fn run_workers<I, F>(workers: usize, jobs: I, work: F)
+where
+    I: Iterator + Send,
+    F: Fn(I::Item) + Sync,
+{
+    let jobs = Mutex::new(jobs);
+    std::thread::scope(|s| {
+        for w in 0..workers {
+            let (jobs, work) = (&jobs, &work);
+            s.spawn(move || {
+                let mut probe = WorkerProbe::start();
+                probe.name(w);
+                loop {
+                    let job = jobs.lock().expect("worker panicked holding job lock").next();
+                    match job {
+                        Some(job) => probe.job(|| work(job)),
+                        None => break,
+                    }
+                }
+                probe.finish();
+            });
+        }
+    });
+}
+
 /// Applies `f(row_index, row)` to each `row_len`-sized row of `data`.
 ///
 /// Rows are handed out dynamically to worker threads; each row is
@@ -176,37 +205,7 @@ where
         return;
     }
     assert_eq!(data.len() % row_len, 0, "data length not a multiple of row_len");
-
-    #[cfg(feature = "parallel")]
-    {
-        let rows = data.len() / row_len;
-        let workers = num_threads().min(rows);
-        if workers > 1 && data.len() >= PAR_MIN_ELEMS {
-            let jobs = Mutex::new(data.chunks_mut(row_len).enumerate());
-            std::thread::scope(|s| {
-                for w in 0..workers {
-                    let (jobs, f) = (&jobs, &f);
-                    s.spawn(move || {
-                        let mut probe = WorkerProbe::start();
-                        probe.name(w);
-                        loop {
-                            let job = jobs.lock().expect("worker panicked holding job lock").next();
-                            match job {
-                                Some((i, row)) => probe.job(|| f(i, row)),
-                                None => break,
-                            }
-                        }
-                        probe.finish();
-                    });
-                }
-            });
-            return;
-        }
-    }
-
-    for (i, row) in data.chunks_mut(row_len).enumerate() {
-        f(i, row);
-    }
+    for_each_chunk(data, row_len, f);
 }
 
 /// Applies `f(chunk_index, chunk)` to consecutive `chunk_len`-sized
@@ -232,27 +231,9 @@ where
 
     #[cfg(feature = "parallel")]
     {
-        let chunks = data.len().div_ceil(chunk_len);
-        let workers = num_threads().min(chunks);
+        let workers = num_threads().min(data.len().div_ceil(chunk_len));
         if workers > 1 && data.len() >= PAR_MIN_ELEMS {
-            let jobs = Mutex::new(data.chunks_mut(chunk_len).enumerate());
-            std::thread::scope(|s| {
-                for w in 0..workers {
-                    let (jobs, f) = (&jobs, &f);
-                    s.spawn(move || {
-                        let mut probe = WorkerProbe::start();
-                        probe.name(w);
-                        loop {
-                            let job = jobs.lock().expect("worker panicked holding job lock").next();
-                            match job {
-                                Some((i, chunk)) => probe.job(|| f(i, chunk)),
-                                None => break,
-                            }
-                        }
-                        probe.finish();
-                    });
-                }
-            });
+            run_workers(workers, data.chunks_mut(chunk_len).enumerate(), |(i, chunk)| f(i, chunk));
             return;
         }
     }
@@ -295,8 +276,9 @@ where
 /// Builds a `Vec` whose `i`-th element is `f(i)`, computing the slots
 /// in parallel but returning them in index order.
 ///
-/// Falls back to a serial loop under the same conditions as
-/// [`for_each_row`].
+/// Falls back to a serial loop when the `parallel` feature is off,
+/// only one thread is available, or `n < 2` (unlike
+/// [`for_each_chunk`], there is no minimum element count).
 ///
 /// # Panics
 ///
@@ -311,24 +293,7 @@ where
         let workers = num_threads().min(n);
         if workers > 1 {
             let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-            let jobs = Mutex::new(out.chunks_mut(1).enumerate());
-            std::thread::scope(|s| {
-                for w in 0..workers {
-                    let (jobs, f) = (&jobs, &f);
-                    s.spawn(move || {
-                        let mut probe = WorkerProbe::start();
-                        probe.name(w);
-                        loop {
-                            let job = jobs.lock().expect("worker panicked holding job lock").next();
-                            match job {
-                                Some((i, slot)) => probe.job(|| slot[0] = Some(f(i))),
-                                None => break,
-                            }
-                        }
-                        probe.finish();
-                    });
-                }
-            });
+            run_workers(workers, out.iter_mut().enumerate(), |(i, slot)| *slot = Some(f(i)));
             return out
                 .into_iter()
                 .map(|v| v.expect("every slot filled by exactly one worker"))

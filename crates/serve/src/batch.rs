@@ -22,33 +22,34 @@
 //!
 //! * **Inline fast path.** A request that finds the model idle scores
 //!   immediately on its own thread — an idle server adds *zero*
-//!   latency (`flush_reason = "inline"`).
+//!   latency (`reason = "inline"`).
 //! * **Coalescing.** Requests arriving while a score is in flight
 //!   enqueue and park. When the in-flight call finishes, the whole
 //!   queue is handed to one waiter (the promoted *leader*), which
 //!   scores every queued request in one `predict_batch` call and
 //!   distributes the per-request slices back to the parked waiters in
-//!   order (`flush_reason = "drain"`). The natural coalescing window
+//!   order (`reason = "drain"`). The natural coalescing window
 //!   is therefore one in-flight execution — bounded by the model's own
 //!   batch latency, not by a timer.
 //! * **Bounded hold.** With [`BatchConfig::max_wait`] > 0 the promoted
 //!   leader additionally holds the batch open for stragglers until the
 //!   deadline or the row cap, whichever comes first
-//!   (`flush_reason = "hold"` / `"size"`). The default is 0: flush the
+//!   (`reason = "hold"` / `"size"`). The default is 0: flush the
 //!   moment a leader is promoted, so added latency stays at most one
 //!   execution even under adversarial arrival patterns.
 //! * **Caps.** Batches are chunked at request boundaries to
 //!   [`BatchConfig::max_rows`] rows per call; a single oversized
-//!   request bypasses the queue entirely (`flush_reason = "bypass"`).
+//!   request bypasses the queue entirely (`reason = "bypass"`).
 //!
 //! Env knobs (read once per [`BatchConfig::from_env`]):
 //! `EDM_SERVE_BATCH=off` disables coalescing,
 //! `EDM_SERVE_BATCH_MAX_ROWS` caps rows per flushed call, and
 //! `EDM_SERVE_BATCH_WAIT_US` sets the leader hold budget.
 //!
-//! Every flush feeds the trace probes `serve.batch.size`,
-//! `serve.batch.wait_ns`, and `serve.batch.flush_reason` plus the
-//! always-on [`ServeMetrics`] batch families rendered on `/metrics`.
+//! Flush counts by reason and row volume are recorded once, in the
+//! always-on [`ServeMetrics`] batch families rendered on `/metrics`;
+//! `edm-trace` keeps only the distributions, the `serve.batch.size`
+//! and `serve.batch.wait_ns` histograms.
 //!
 //! # Failure containment
 //!
@@ -227,42 +228,19 @@ impl Drop for FlushGuard<'_> {
     }
 }
 
-/// Pre-resolved flush telemetry (the flush reasons form a small closed
-/// vocabulary, so every handle is resolved once at scheduler
-/// construction — the per-flush cost is atomics and short per-series
-/// locks, never the global trace registry).
+/// Flush-size and queue-wait distributions, resolved once at scheduler
+/// construction so the per-flush cost never touches the global trace
+/// registry. Flush counts by reason live in [`ServeMetrics`].
 struct BatchProbes {
     size: edm_trace::HistHandle,
     wait_ns: edm_trace::HistHandle,
-    inline_flush: edm_trace::CounterHandle,
-    drain: edm_trace::CounterHandle,
-    size_flush: edm_trace::CounterHandle,
-    hold: edm_trace::CounterHandle,
-    bypass: edm_trace::CounterHandle,
 }
 
 impl BatchProbes {
     fn resolve() -> BatchProbes {
-        let reason =
-            |r: &str| edm_trace::counter_handle("serve.batch.flush_reason", &[("reason", r)]);
         BatchProbes {
             size: edm_trace::hist_handle("serve.batch.size", &[]),
             wait_ns: edm_trace::hist_handle("serve.batch.wait_ns", &[]),
-            inline_flush: reason("inline"),
-            drain: reason("drain"),
-            size_flush: reason("size"),
-            hold: reason("hold"),
-            bypass: reason("bypass"),
-        }
-    }
-
-    fn for_reason(&self, reason: &str) -> &edm_trace::CounterHandle {
-        match reason {
-            "inline" => &self.inline_flush,
-            "drain" => &self.drain,
-            "size" => &self.size_flush,
-            "hold" => &self.hold,
-            _ => &self.bypass,
         }
     }
 }
@@ -461,7 +439,6 @@ impl BatchScheduler {
         let n_requests = followers.len().max(1);
         self.probes.size.record(rows.len() as f64);
         self.probes.wait_ns.record(wait_ns as f64);
-        self.probes.for_reason(reason).add(1);
         metrics.batch_flush(reason, n_requests, rows.len());
         let result = model.predict_batch(rows).map_err(|e| e.to_string());
         guard.armed = false;

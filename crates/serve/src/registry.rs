@@ -66,8 +66,9 @@ impl std::error::Error for RegistryError {}
 /// rejected with 503 and this tier's `Retry-After`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AdmissionTier {
-    /// Tier label, shown in `serve.tier.rejected` probes and the
-    /// `edm_serve_tier_rejected_total{tier}` metric.
+    /// Tier label, shown in the `edm_serve_tier_rejected_total{tier}`
+    /// metric that [`ServeMetrics`](crate::metrics::ServeMetrics)
+    /// records.
     pub name: String,
     /// Concurrent in-flight predict quota (≥ 1 enforced at
     /// registration).

@@ -53,16 +53,16 @@
 //!
 //! Every request gets a monotonically increasing id (echoed as an
 //! `x-request-id` header) and is classified into an `endpoint × model`
-//! pair. Each finished request feeds three sinks: the always-on
-//! [`ServeMetrics`] registry (per-status counts plus lifetime and
-//! rolling-window latency series, rendered on `/metrics`), the
-//! `edm-trace` labeled probes `serve.request.count` /
-//! `serve.request.handle_ns` (active at `EDM_TRACE=summary` and
-//! above), and an env-gated one-line access log on stderr
-//! (`EDM_SERVE_LOG=1`; requests at or above the
-//! `EDM_SERVE_SLOW_MS` threshold are always logged and counted under
-//! `serve.request.slow`). `GET /v1/trace` returns the live
-//! [`edm_trace::TraceReport`] as JSON for interactive debugging.
+//! pair. Request, micro-batch flush and tier-rejection counts live in
+//! one place, the always-on [`ServeMetrics`] registry (per-status
+//! counts plus lifetime and rolling-window latency series, rendered on
+//! `/metrics` at every trace level); `edm-trace` keeps spans, server
+//! internals and distributions. A finished request also goes to an
+//! env-gated one-line access log on stderr (`EDM_SERVE_LOG=1`;
+//! requests at or above the `EDM_SERVE_SLOW_MS` threshold are always
+//! logged and counted under `serve.request.slow`). `GET /v1/trace`
+//! returns the live [`edm_trace::TraceReport`] as JSON for interactive
+//! debugging.
 
 use std::io::{BufRead, BufReader, Read, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -656,52 +656,11 @@ fn flush_corked(stream: &TcpStream, corked: &mut Vec<u8>) {
     corked.clear();
 }
 
-/// Resolved labeled handles for one (endpoint, status, model) cell.
-type RequestHandles = (edm_trace::CounterHandle, edm_trace::HistHandle);
-/// Probe cache layout: `(endpoint, status) -> model -> handles`.
-type RequestProbeCache = std::collections::BTreeMap<
-    (&'static str, u16),
-    std::collections::BTreeMap<String, RequestHandles>,
->;
-
-thread_local! {
-    /// Per-worker cache of resolved labeled request probes. Workers are
-    /// long-lived pool threads and the label space is small (endpoints
-    /// × models × statuses), so after warmup the per-request telemetry
-    /// cost is two alloc-free map hits — no global trace-registry lock.
-    static REQUEST_PROBES: std::cell::RefCell<RequestProbeCache> =
-        const { std::cell::RefCell::new(std::collections::BTreeMap::new()) };
-}
-
-/// Feeds one finished request to the serve-local metrics registry, the
-/// labeled trace probes, and (when enabled, or when slow) the access
-/// log.
+/// Records one finished request in [`ServeMetrics`] and (when enabled,
+/// or when slow) the access log.
 fn finish_request(state: &ServeState, id: u64, routed: &Routed, latency_ns: u64) {
     let status = routed.response.status;
     state.metrics.observe(routed.endpoint, &routed.model, status, latency_ns);
-    REQUEST_PROBES.with(|cache| {
-        let mut cache = cache.borrow_mut();
-        let by_model = cache.entry((routed.endpoint, status)).or_default();
-        let (count, handle_ns) = match by_model.get(routed.model.as_str()) {
-            Some(handles) => handles,
-            None => {
-                let status_label = status.to_string();
-                let labels = [
-                    ("endpoint", routed.endpoint),
-                    ("model", routed.model.as_str()),
-                    ("status", status_label.as_str()),
-                ];
-                let count = edm_trace::counter_handle("serve.request.count", &labels);
-                let handle_ns = edm_trace::hist_handle(
-                    "serve.request.handle_ns",
-                    &[("endpoint", routed.endpoint), ("model", routed.model.as_str())],
-                );
-                by_model.entry(routed.model.clone()).or_insert((count, handle_ns))
-            }
-        };
-        count.add(1);
-        handle_ns.record(latency_ns as f64);
-    });
     let slow = latency_ns >= state.log.slow_ns;
     if slow {
         edm_trace::counter_add("serve.request.slow", 1);
@@ -1148,11 +1107,6 @@ fn predict_response(
             None => {
                 let tier = gate.tier();
                 state.metrics.tier_reject(name, &tier.name);
-                edm_trace::counter_add_labeled(
-                    "serve.tier.rejected",
-                    &[("model", name), ("tier", &tier.name)],
-                    1,
-                );
                 let mut resp = error_response(
                     503,
                     &format!("model {name:?} is saturated (tier {:?})", tier.name),
