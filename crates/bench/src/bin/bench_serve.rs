@@ -92,15 +92,15 @@ fn predict_request(path: &str, body: &str) -> String {
 
 /// Runs `f(0..n)` on `n` plain scoped threads and collects the results
 /// in index order. The load phases use this instead of
-/// `edm_par::map_indexed` on purpose: the server under test lives in
-/// this same process, and steering `EDM_NUM_THREADS` to size the
-/// client pool would also make every server-side `predict_batch` fan
-/// out across that many threads — pure spawn/join overhead per
-/// micro-batch flush on a small host, and a measurement artifact the
-/// harness must not introduce.
+/// `edm_par::map_indexed` on purpose: load clients must all start at
+/// once, while `map_indexed` runs jobs on the calling thread and forks
+/// only when its estimate says the remaining work pays for it — so
+/// clients would start one after another. (Server-side flushes run on
+/// `WorkerPool` workers and never fan out, whatever `EDM_NUM_THREADS`
+/// says.)
 fn fan_out<T: Send>(n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
     let f = &f;
-    // edm-allow(direct-thread-spawn): load clients must not share the server's edm-par pool sizing
+    // edm-allow(direct-thread-spawn): load clients must all run at once, not when a fork pays
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..n).map(|i| s.spawn(move || f(i))).collect();
         handles.into_iter().map(|h| h.join().expect("client thread panicked")).collect()

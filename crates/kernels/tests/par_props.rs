@@ -1,13 +1,20 @@
 //! Property tests pinning the determinism guarantee of the parallel
 //! Gram builders: `gram_matrix` and `gram_row` must be **bitwise**
-//! identical to serial reference loops for any input. Sizes clear the
-//! threading threshold in `edm-par`, so the worker-thread path really
-//! runs (under the default `parallel` feature).
+//! identical to serial reference loops for any input.
+//!
+//! `edm-par` forks only when the work left on the calling thread is
+//! estimated to outweigh a fork, so cheap kernels on these sizes may
+//! stay serial. `spinning_kernel_forks_and_stays_bitwise_serial` wraps
+//! the kernel in a test-only [`SpinKernel`] that spends about 1 µs per
+//! evaluation, which makes every band and row chunk cost far more
+//! than a fork: that case is certain to run the forked path (under the
+//! default `parallel` feature) and checks that it did.
 
 #[allow(deprecated)]
 use edm_kernels::gram_matrix_rows;
 use edm_kernels::{gram_matrix, gram_row, gram_rows, Kernel, LinearKernel, RbfKernel};
 use proptest::prelude::*;
+use std::time::{Duration, Instant};
 
 /// Deterministic SplitMix64 point cloud.
 fn points(seed: u64, n: usize, d: usize) -> Vec<Vec<f64>> {
@@ -41,6 +48,20 @@ fn gram_serial<K: Kernel<[f64]>>(kernel: &K, items: &[Vec<f64>]) -> Vec<u64> {
     g.iter().map(|v| v.to_bits()).collect()
 }
 
+/// Test-only kernel wrapper that busy-waits about 1 µs before each
+/// evaluation, then returns exactly what the wrapped kernel does.
+struct SpinKernel<K>(K);
+
+impl<K: Kernel<[f64]>> Kernel<[f64]> for SpinKernel<K> {
+    fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
+        let t0 = Instant::now();
+        while t0.elapsed() < Duration::from_micros(1) {
+            std::hint::spin_loop();
+        }
+        self.0.eval(a, b)
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -61,7 +82,8 @@ proptest! {
 
     #[test]
     fn parallel_gram_row_is_bitwise_serial(seed in 0u64..1_000_000) {
-        // 4200 items clears the chunking threshold.
+        // 4200 cheap items: may stay on the caller (see the spinning
+        // case below for the forked path).
         let pts = points(seed, 4200, 2);
         let probe = points(seed ^ 0x5151, 1, 2).pop().expect("one point");
         let k = LinearKernel::new();
@@ -140,6 +162,42 @@ proptest! {
                 got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 lone.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
             );
+        }
+    }
+
+    /// The forked path, made certain: with two workers, ~1 µs per
+    /// evaluation puts each Gram band (64 rows) and each 512-item row
+    /// chunk well past the fork cost, so both calls fork after their
+    /// first job — and must still match the serial references bitwise.
+    #[test]
+    #[cfg_attr(not(feature = "parallel"), ignore = "needs the parallel feature")]
+    fn spinning_kernel_forks_and_stays_bitwise_serial(
+        seed in 0u64..1_000_000,
+        gamma in 0.2f64..2.0,
+    ) {
+        std::env::set_var("EDM_NUM_THREADS", "2");
+        edm_trace::set_level(edm_trace::Level::Summary);
+        let forks = || edm_trace::collect().counter("par.forks");
+        let before = forks();
+
+        let pts = points(seed, 200, 3);
+        let k = RbfKernel::new(gamma);
+        let g = gram_matrix(&SpinKernel(k), &pts);
+        let got: Vec<u64> = (0..200)
+            .flat_map(|i| g.row(i).iter().map(|v| v.to_bits()))
+            .collect();
+        prop_assert_eq!(got, gram_serial(&k, &pts));
+
+        let items = points(seed ^ 0x7777, 4200, 2);
+        let probe = points(seed ^ 0x5151, 1, 2).pop().expect("one point");
+        let lin = LinearKernel::new();
+        let row = gram_row(&SpinKernel(lin), probe.as_slice(), &items);
+        let want: Vec<u64> = items.iter().map(|p| lin.eval(&probe, p).to_bits()).collect();
+        prop_assert_eq!(row.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), want);
+
+        if cfg!(feature = "trace") {
+            let forked = forks() - before;
+            prop_assert!(forked >= 2, "both calls must fork, saw {} forks", forked);
         }
     }
 }

@@ -42,7 +42,7 @@ pub(crate) enum Node {
 /// One tree node in the pre-order flattened form used by model
 /// persistence: a [`FlatNode::Split`] is always followed by its entire
 /// left subtree, then its entire right subtree. This keeps the
-/// recursive [`Node`] type private while letting `edm::persist` write
+/// recursive `Node` type private while letting `edm::persist` write
 /// trees as a flat record stream.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FlatNode {

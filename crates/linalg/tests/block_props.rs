@@ -127,9 +127,10 @@ fn block_env_sweep_is_bitwise_invariant() {
     assert_all_kernels_serial("EDM_BLOCK unset");
 }
 
-/// One sequential sweep over worker counts 1..=8: the parallel
-/// dispatch must reproduce the serial references bitwise at every
-/// width (band ownership is disjoint; nothing is ever re-summed).
+/// One sequential sweep over worker counts 1..=8: whether or not the
+/// fork gate splits the bands at a given width, the result must
+/// reproduce the serial references bitwise (band ownership is
+/// disjoint; nothing is ever re-summed).
 #[test]
 fn thread_env_sweep_is_bitwise_invariant() {
     for threads in 1..=8 {

@@ -2,9 +2,11 @@
 //! matrix kernels: `mat_mul`, `gram` (AᵀA), and `transpose` must be
 //! **bitwise** identical to their serial reference loops, for any input.
 //!
-//! Shapes are chosen so the outputs clear the threading threshold in
-//! `edm-par` — these runs actually exercise the worker-thread path
-//! (under the default `parallel` feature).
+//! `edm-par` forks only when the work left on the calling thread is
+//! estimated to outweigh a fork, so the small proptest shapes mostly
+//! run on the caller. `large_shapes_fork_and_stay_bitwise_serial`
+//! uses products big enough (milliseconds per band, with two workers)
+//! that the forked path runs under the default `parallel` feature.
 
 use edm_linalg::Matrix;
 use proptest::prelude::*;
@@ -132,8 +134,8 @@ proptest! {
         cols in 1usize..72,
     ) {
         // Small and awkward dims: below the default tile, not a
-        // multiple of it, single row/column. These fall back to the
-        // serial dispatch path, but still go through the blocked loops.
+        // multiple of it, single row/column. These stay on the calling
+        // thread, but still go through the blocked loops.
         let a = matrix(seed, rows, cols, 3);
         let b = matrix(seed ^ 0xF00D, cols, rows, 5);
         prop_assert_eq!(bits(&a.mat_mul(&b)), bits(&mat_mul_serial(&a, &b)));
@@ -156,4 +158,17 @@ fn tiled_kernels_cover_tile_boundary_shapes() {
         assert_eq!(bits(&a.gram()), bits(&gram_serial(&a)), "gram {rows}x{cols}");
         assert_eq!(bits(&a.transpose()), bits(&transpose_serial(&a)), "transpose {rows}x{cols}");
     }
+}
+
+/// Shapes whose bands each cost far more than a fork, so `mat_mul` and
+/// `gram` split their bands over two workers.
+#[test]
+fn large_shapes_fork_and_stay_bitwise_serial() {
+    std::env::set_var("EDM_NUM_THREADS", "2");
+    let a = matrix(0x1A2B, 256, 96, 3);
+    let b = matrix(0x3C4D, 96, 256, 5);
+    assert_eq!(bits(&a.mat_mul(&b)), bits(&mat_mul_serial(&a, &b)), "mat_mul 256x96x256");
+    let c = matrix(0x5E6F, 96, 256, 4);
+    assert_eq!(bits(&c.gram()), bits(&gram_serial(&c)), "gram 96x256");
+    assert_eq!(bits(&b.transpose()), bits(&transpose_serial(&b)), "transpose 96x256");
 }

@@ -389,10 +389,7 @@ impl ModelWriter {
     /// Appends a named section with the payload encoded in `enc`.
     /// Section order is preserved; names must be unique.
     pub fn add_section(&mut self, name: &str, enc: Enc) {
-        debug_assert!(
-            self.sections.iter().all(|(n, _)| n != name),
-            "duplicate section {name:?}"
-        );
+        debug_assert!(self.sections.iter().all(|(n, _)| n != name), "duplicate section {name:?}");
         self.sections.push((name.to_string(), enc.buf));
     }
 
@@ -696,10 +693,7 @@ mod tests {
         let n = bytes.len();
         let fixed = crc32(&bytes[..n - 4]);
         bytes[n - 4..].copy_from_slice(&fixed.to_le_bytes());
-        assert!(matches!(
-            ModelReader::from_bytes(&bytes),
-            Err(IoError::SectionChecksum { .. })
-        ));
+        assert!(matches!(ModelReader::from_bytes(&bytes), Err(IoError::SectionChecksum { .. })));
     }
 
     #[test]

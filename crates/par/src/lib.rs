@@ -13,6 +13,26 @@
 //! persistent bounded [`pool::WorkerPool`] instead of these fork-join
 //! primitives; see that module's docs for its admission protocol.
 //!
+//! **Fork only when it pays.** A fork-join costs 60–70 µs on a small
+//! host (`FORK_COST` rounds it up to 100 µs), more than many whole
+//! calls — a 60-row batch predict, a 5120-entry Q-row fill. So no
+//! primitive forks up front: the calling thread runs jobs itself, and
+//! after jobs 1, 2, 4, 8, …
+//! estimates the serial time left as the mean job time so far times
+//! the jobs left. Only when spreading that remainder over `w` threads
+//! would save more than a fork costs (`est_left × (w − 1) / w >
+//! FORK_COST`) does it spawn `w − 1` scoped helpers and keep working
+//! alongside them (each fork bumps the `par.forks` counter). Cheap
+//! calls therefore never leave the caller, and coarse ones fork after
+//! their first job.
+//!
+//! **No fan-out from owned threads.** A primitive called on a thread
+//! `edm-par` already owns — a [`pool::WorkerPool`] worker, a fork-join
+//! helper, or a caller working beside its helpers — runs the plain
+//! serial loop. The pool was sized for the cores it owns, so a server
+//! batch flush or an online `:train` never fans out on top of it, and
+//! nested primitives never multiply the thread count.
+//!
 //! **Determinism guarantee.** Work is *distributed* dynamically (a
 //! shared work-list hands out the next index to whichever thread is
 //! free) but each unit writes only its own disjoint output slot and
@@ -23,8 +43,9 @@
 //! this down.
 //!
 //! With the `parallel` feature disabled (the workspace forwards
-//! `--no-default-features` down to this crate), both primitives run the
-//! plain serial loop and no threads are ever spawned.
+//! `--no-default-features` down to this crate), or with
+//! `EDM_NUM_THREADS=1`, every primitive runs the plain serial loop and
+//! no threads are ever spawned.
 
 #![forbid(unsafe_code)]
 
@@ -43,16 +64,21 @@ pub mod pool;
 pub use edm_sync as sync;
 
 #[cfg(feature = "parallel")]
+use std::cell::Cell;
+#[cfg(feature = "parallel")]
 use std::sync::Mutex;
+#[cfg(feature = "parallel")]
+use std::time::{Duration, Instant};
 
 /// Number of worker threads the primitives will use.
 ///
 /// Reads the `EDM_NUM_THREADS` environment variable if set (useful for
-/// benchmarking scaling curves), otherwise the machine's available
-/// parallelism. Always at least 1. A value of `0` is clamped to 1 and
-/// a non-numeric value falls back to the host parallelism — both with
-/// a one-shot warning on stderr rather than a silent fallback. With
-/// the `parallel` feature disabled this is constantly 1.
+/// benchmarking scaling curves; re-read on every call), otherwise the
+/// machine's available parallelism (queried once per process). Always
+/// at least 1. A value of `0` is clamped to 1 and a non-numeric value
+/// falls back to the host parallelism — both with a one-shot warning
+/// on stderr rather than a silent fallback. With the `parallel`
+/// feature disabled this is constantly 1.
 pub fn num_threads() -> usize {
     #[cfg(feature = "parallel")]
     {
@@ -86,9 +112,13 @@ pub fn num_threads() -> usize {
     }
 }
 
+/// The host's available parallelism, queried once per process: on
+/// Linux `available_parallelism` reads cgroup quota files, ~20 µs a
+/// call on a 2-vCPU x86-64 VM — more than many whole primitive calls.
 #[cfg(feature = "parallel")]
 fn host_parallelism() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    static HOST: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *HOST.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// True when the `parallel` feature is compiled in.
@@ -96,27 +126,29 @@ pub const fn parallel_enabled() -> bool {
     cfg!(feature = "parallel")
 }
 
-/// Per-worker telemetry: chunk count and busy time, recorded into the
-/// `edm-trace` registry when the worker retires (`par.worker.jobs` /
-/// `par.worker.busy_ns` histograms — one sample per worker thread —
-/// and the `par.jobs` counter). When tracing is off (or compiled out)
-/// the cost is one relaxed atomic load per worker, and the timed and
-/// untimed paths run the exact same job closure, so telemetry can
-/// never perturb results.
+/// Per-worker telemetry of a fork-join: job count and busy time,
+/// recorded into the `edm-trace` registry when the worker retires
+/// (`par.worker.jobs` / `par.worker.busy_ns` histograms — one sample
+/// per thread, the calling thread included, which also credits the
+/// jobs it ran before forking — and the `par.jobs` counter). Runs that
+/// never fork record nothing, so a cheap call pays no registry locks.
+/// When tracing is off (or compiled out) the cost is one relaxed
+/// atomic load per worker, and the timed and untimed paths run the
+/// exact same job closure, so telemetry can never perturb results.
 #[cfg(feature = "parallel")]
 struct WorkerProbe {
     enabled: bool,
     jobs: u64,
-    busy: std::time::Duration,
+    busy: Duration,
 }
 
 #[cfg(feature = "parallel")]
 impl WorkerProbe {
     fn start() -> Self {
-        WorkerProbe { enabled: edm_trace::enabled(), jobs: 0, busy: std::time::Duration::ZERO }
+        WorkerProbe { enabled: edm_trace::enabled(), jobs: 0, busy: Duration::ZERO }
     }
 
-    /// Names this worker's timeline ring (`par-worker-<w>`) so
+    /// Names this helper's timeline ring (`par-worker-<w>`) so
     /// Chrome-trace exports label the track; free when tracing is off.
     fn name(&self, w: usize) {
         if self.enabled {
@@ -127,7 +159,7 @@ impl WorkerProbe {
     #[inline]
     fn job(&mut self, work: impl FnOnce()) {
         if self.enabled {
-            let t0 = std::time::Instant::now();
+            let t0 = Instant::now();
             work();
             self.busy += t0.elapsed();
             self.jobs += 1;
@@ -145,50 +177,144 @@ impl WorkerProbe {
     }
 }
 
-/// Minimum element count before [`for_each_row`] / [`for_each_chunk`]
-/// spawn threads. Below this, per-element work (a kernel evaluation, a
-/// dot-product step) is cheaper than thread startup, so the serial loop
-/// wins. [`map_indexed`] is exempt: its units are coarse by convention
-/// (a tree, a CV fold, a Q-row fill).
+/// What one fork costs the calling thread: spawning the scoped helpers
+/// and joining them. A two-worker fork-join of empty jobs measured
+/// 62–70 µs on a shared 2-vCPU x86-64 VM (3.7 µs for the same jobs
+/// run serially); the constant rounds that up, so a fork must save
+/// clearly more wall time than it spends.
 #[cfg(feature = "parallel")]
-const PAR_MIN_ELEMS: usize = 4096;
+const FORK_COST: Duration = Duration::from_micros(100);
 
-/// The one fork-join worker loop behind every primitive: `workers`
-/// scoped threads (`par-worker-<w>`) pull the next job from the shared
-/// `jobs` iterator until it runs dry, each recording a [`WorkerProbe`].
 #[cfg(feature = "parallel")]
-fn run_workers<I, F>(workers: usize, jobs: I, work: F)
+thread_local! {
+    /// Set on every thread `edm-par` owns — [`pool::WorkerPool`]
+    /// workers, fork-join helpers, and a calling thread while it works
+    /// beside its helpers. Those cores are already spoken for, so a
+    /// primitive called there runs its plain serial loop.
+    static PAR_OWNED: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Marks the current thread `edm-par`-owned until dropped (also on
+/// unwind), then restores the previous mark. Pool workers and
+/// fork-join helpers hold one for their whole life; a calling thread
+/// holds one while it works beside its helpers.
+#[cfg(feature = "parallel")]
+pub(crate) struct OwnedGuard(bool);
+
+#[cfg(feature = "parallel")]
+impl OwnedGuard {
+    pub(crate) fn enter() -> Self {
+        OwnedGuard(PAR_OWNED.with(|owned| owned.replace(true)))
+    }
+}
+
+#[cfg(feature = "parallel")]
+impl Drop for OwnedGuard {
+    fn drop(&mut self) {
+        PAR_OWNED.with(|owned| owned.set(self.0));
+    }
+}
+
+/// The one place that decides whether to fork, behind every primitive.
+///
+/// The calling thread runs jobs itself. After a job it estimates the
+/// serial time left as the mean job time so far times the jobs left
+/// (`size_hint`), and forks only once splitting that remainder over
+/// `w = min(workers, jobs left)` threads would save more than a fork
+/// costs: `est_left × (w − 1) / w > FORK_COST`. It then spawns `w − 1`
+/// scoped helpers (`par-worker-<h>`) and keeps pulling jobs from the
+/// shared iterator alongside them. A single thread configured
+/// (`EDM_NUM_THREADS=1`), or a call from a thread `edm-par` already
+/// owns, takes the plain serial loop.
+///
+/// The estimate is taken after jobs 1, 2, 4, 8, …, not after every
+/// job: a clock read costs ~50 ns plus a pipeline stall, and reading
+/// it after each of 60 jobs of 0.7 µs added 45% to the run. With
+/// jobs of even cost the estimate only falls as jobs finish, so the
+/// first check decides; the doubling bounds how late a run whose jobs
+/// grow costlier can fork.
+#[cfg(feature = "parallel")]
+fn run_workers<I, F>(mut jobs: I, work: F)
 where
     I: Iterator + Send,
     F: Fn(I::Item) + Sync,
 {
+    let workers = if PAR_OWNED.with(Cell::get) { 1 } else { num_threads() };
+    if workers < 2 {
+        jobs.for_each(work);
+        return;
+    }
+    let start = Instant::now();
+    let (mut done, mut check_at) = (0u64, 1u64);
+    while let Some(job) = jobs.next() {
+        work(job);
+        done += 1;
+        if done < check_at {
+            continue;
+        }
+        check_at *= 2;
+        let elapsed = start.elapsed();
+        let left = jobs.size_hint().0;
+        let w = workers.min(left);
+        // est_left × (w − 1) / w > FORK_COST, with est_left =
+        // elapsed / done × left, cleared of divisions.
+        if w > 1
+            && elapsed.as_nanos() * left as u128 * (w - 1) as u128
+                > FORK_COST.as_nanos() * u128::from(done) * w as u128
+        {
+            fork(w, jobs, &work, (done, elapsed));
+            return;
+        }
+    }
+}
+
+/// Spawns `w − 1` helpers that drain `jobs` alongside the calling
+/// thread, which has already run `ran.0` jobs in `ran.1`; the caller's
+/// probe credits those too. A panic in any job — the caller's or a
+/// helper's — propagates to the caller once every thread has stopped.
+#[cfg(feature = "parallel")]
+fn fork<I, F>(w: usize, jobs: I, work: &F, ran: (u64, Duration))
+where
+    I: Iterator + Send,
+    F: Fn(I::Item) + Sync,
+{
+    edm_trace::counter_add("par.forks", 1);
+    let mut probe = WorkerProbe { jobs: ran.0, busy: ran.1, ..WorkerProbe::start() };
     let jobs = Mutex::new(jobs);
+    let next = || jobs.lock().expect("worker panicked holding job lock").next();
     std::thread::scope(|s| {
-        for w in 0..workers {
-            let (jobs, work) = (&jobs, &work);
+        for h in 1..w {
+            let next = &next;
             s.spawn(move || {
+                let _owned = OwnedGuard::enter();
                 let mut probe = WorkerProbe::start();
-                probe.name(w);
-                loop {
-                    let job = jobs.lock().expect("worker panicked holding job lock").next();
-                    match job {
-                        Some(job) => probe.job(|| work(job)),
-                        None => break,
-                    }
+                probe.name(h);
+                while let Some(job) = next() {
+                    probe.job(|| work(job));
                 }
                 probe.finish();
             });
         }
+        let _owned = OwnedGuard::enter();
+        while let Some(job) = next() {
+            probe.job(|| work(job));
+        }
     });
+    probe.finish();
+}
+
+/// Without the `parallel` feature every primitive is its serial loop.
+#[cfg(not(feature = "parallel"))]
+fn run_workers<I: Iterator, F: Fn(I::Item)>(jobs: I, work: F) {
+    jobs.for_each(work);
 }
 
 /// Applies `f(row_index, row)` to each `row_len`-sized row of `data`.
 ///
-/// Rows are handed out dynamically to worker threads; each row is
-/// visited exactly once. `f` must confine its writes to the row it was
-/// given, which the `&mut` row slice enforces. Falls back to a serial
-/// loop when the `parallel` feature is off, only one thread is
-/// available, or there are fewer than two rows.
+/// Rows are handed out dynamically — first to the calling thread, and
+/// to helper threads once forking pays (see [`for_each_chunk`]); each
+/// row is visited exactly once. `f` must confine its writes to the row
+/// it was given, which the `&mut` row slice enforces.
 ///
 /// # Panics
 ///
@@ -215,6 +341,13 @@ where
 /// Unlike [`for_each_row`] the buffer need not divide evenly, which
 /// suits 1-D outputs such as kernel score rows.
 ///
+/// The calling thread processes chunks itself and forks helper threads
+/// only once the chunks left are estimated to take longer than a fork
+/// costs (see the [crate docs](crate)). There is no size threshold: a
+/// long buffer of cheap chunks stays on the caller, and a short one of
+/// expensive chunks is shared out after its first chunk. On a thread
+/// `edm-par` owns, or with one thread configured, it is a serial loop.
+///
 /// # Panics
 ///
 /// Panics if `chunk_len == 0` while `data` is non-empty. A panic
@@ -228,19 +361,7 @@ where
         return;
     }
     assert!(chunk_len > 0, "chunk_len must be positive");
-
-    #[cfg(feature = "parallel")]
-    {
-        let workers = num_threads().min(data.len().div_ceil(chunk_len));
-        if workers > 1 && data.len() >= PAR_MIN_ELEMS {
-            run_workers(workers, data.chunks_mut(chunk_len).enumerate(), |(i, chunk)| f(i, chunk));
-            return;
-        }
-    }
-
-    for (i, chunk) in data.chunks_mut(chunk_len).enumerate() {
-        f(i, chunk);
-    }
+    run_workers(data.chunks_mut(chunk_len).enumerate(), |(i, chunk)| f(i, chunk));
 }
 
 /// Applies `f(band_index, band)` to consecutive bands of `band_rows`
@@ -274,11 +395,12 @@ where
 }
 
 /// Builds a `Vec` whose `i`-th element is `f(i)`, computing the slots
-/// in parallel but returning them in index order.
+/// on worker threads when that pays but returning them in index order.
 ///
-/// Falls back to a serial loop when the `parallel` feature is off,
-/// only one thread is available, or `n < 2` (unlike
-/// [`for_each_chunk`], there is no minimum element count).
+/// The calling thread computes slots itself and forks helpers only
+/// once the slots left are estimated to take longer than a fork costs
+/// (see the [crate docs](crate)), so a handful of cheap slots never
+/// leaves the caller.
 ///
 /// # Panics
 ///
@@ -288,20 +410,9 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    #[cfg(feature = "parallel")]
-    {
-        let workers = num_threads().min(n);
-        if workers > 1 {
-            let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-            run_workers(workers, out.iter_mut().enumerate(), |(i, slot)| *slot = Some(f(i)));
-            return out
-                .into_iter()
-                .map(|v| v.expect("every slot filled by exactly one worker"))
-                .collect();
-        }
-    }
-
-    (0..n).map(f).collect()
+    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    run_workers(out.iter_mut().enumerate(), |(i, slot)| *slot = Some(f(i)));
+    out.into_iter().map(|v| v.expect("every slot filled by exactly one worker")).collect()
 }
 
 #[cfg(test)]
@@ -310,7 +421,8 @@ mod tests {
 
     #[test]
     fn rows_match_serial_exactly() {
-        // Big enough to clear PAR_MIN_ELEMS so the threaded path runs.
+        // Cheap rows: this usually stays on the caller; the forked
+        // path is pinned in tests/fork_gate.rs.
         let cols = 65;
         let rows = 80;
         let mut par = vec![0.0; rows * cols];

@@ -18,6 +18,13 @@
 //! therefore decide to send `503 Service Unavailable` *before*
 //! surrendering the socket to a closure.
 //!
+//! Pool workers never fan out further: every worker marks itself
+//! `edm-par`-owned, so a fork-join primitive ([`crate::map_indexed`],
+//! [`crate::for_each_chunk`], ...) called from a job runs its plain
+//! serial loop on that worker. The pool already owns the cores it was
+//! sized for; a server batch flush or an online `:train` forking on
+//! top of it would only add spawn cost and oversubscribe them.
+//!
 //! Jobs are isolated: a panicking job is caught and counted, and the
 //! worker thread survives to run the next job. [`WorkerPool::shutdown`]
 //! (also invoked on drop) stops admission, lets the workers finish
@@ -185,6 +192,7 @@ impl Drop for Permit<'_> {
 }
 
 fn worker_loop(inner: &Inner) {
+    let _owned = crate::OwnedGuard::enter();
     loop {
         let job = {
             let mut st = inner.lock();

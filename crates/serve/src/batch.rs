@@ -4,12 +4,11 @@
 //! # Why
 //!
 //! A scoring service under a high-rate stream of small requests pays
-//! the per-call overhead of `predict_batch` (dispatch, fan-out, cache
-//! warm-up) once per request, and the kernels underneath (tiled Gram,
-//! batched Q fills, `edm-par` row fan-out) never see batches large
-//! enough to win. Coalescing concurrent requests converts that
-//! per-request fan-out into the large batches the compute layer is
-//! optimized for — without changing a single scored value, because
+//! the per-call overhead of `predict_batch` (dispatch, cache warm-up)
+//! once per request, and the kernels underneath (tiled Gram, batched
+//! Q fills) never see batches large enough to win. Coalescing
+//! concurrent requests converts that per-request overhead into the
+//! large batches the compute layer is optimized for — without changing a single scored value, because
 //! every `Predictor` scores rows independently (batched output row `i`
 //! is bitwise identical to scoring row `i` alone; pinned by the
 //! `batch_props` proptests).
@@ -483,8 +482,9 @@ impl BatchScheduler {
                 Arc::clone(&slot.1)
             }
             None => {
-                let (_, mq) =
-                    queues.entry(name.to_string()).or_insert_with(|| (generation, ModelQueue::new()));
+                let (_, mq) = queues
+                    .entry(name.to_string())
+                    .or_insert_with(|| (generation, ModelQueue::new()));
                 Arc::clone(mq)
             }
         }

@@ -113,9 +113,8 @@ fn registry() -> ModelRegistry {
 fn save_demo(dir: &str) {
     let store = ModelStore::new(dir);
     for (name, model) in demo_models() {
-        let (path, checksum) = store
-            .save(name, model.as_ref())
-            .unwrap_or_else(|e| panic!("persist {name}: {e}"));
+        let (path, checksum) =
+            store.save(name, model.as_ref()).unwrap_or_else(|e| panic!("persist {name}: {e}"));
         println!("saved {} (crc32 {checksum:#010x})", path.display());
     }
 }
@@ -138,8 +137,7 @@ fn main() {
         model_dir: store.as_ref().map(|s| s.dir().to_path_buf()),
         ..ServerConfig::default()
     };
-    let server =
-        Server::start(&addr, registry(), config).expect("bind the requested address");
+    let server = Server::start(&addr, registry(), config).expect("bind the requested address");
     let bound = server.local_addr();
     println!("edm-serve listening on http://{bound}");
     if let Some(store) = &store {

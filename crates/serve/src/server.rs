@@ -36,7 +36,7 @@
 //! # Micro-batching
 //!
 //! Predict requests score through the per-server
-//! [`BatchScheduler`](crate::batch::BatchScheduler): concurrent
+//! [`BatchScheduler`]: concurrent
 //! requests for the same model coalesce into one `predict_batch` call
 //! (see the [`batch`](crate::batch) module docs for the flush policy).
 //!
@@ -301,10 +301,7 @@ impl Server {
                     report.apply(&mut generation_one);
                 }
                 Err(e) => {
-                    eprintln!(
-                        "edm-serve: model dir {} is unreadable: {e}",
-                        store.dir().display()
-                    );
+                    eprintln!("edm-serve: model dir {} is unreadable: {e}", store.dir().display());
                 }
             }
         }
@@ -839,10 +836,7 @@ fn models_response(snapshot: &RegistrySnapshot) -> Response {
                 ("family".to_string(), Value::Str(m.family.to_string())),
                 ("n_features".to_string(), Value::Number(m.n_features as f64)),
                 ("generation".to_string(), Value::Number(snapshot.generation as f64)),
-                (
-                    "loaded_from".to_string(),
-                    m.loaded_from.map_or(Value::Null, Value::Str),
-                ),
+                ("loaded_from".to_string(), m.loaded_from.map_or(Value::Null, Value::Str)),
                 (
                     "checksum".to_string(),
                     m.checksum.map_or(Value::Null, |c| Value::Number(c as f64)),
@@ -863,7 +857,10 @@ fn models_response(snapshot: &RegistrySnapshot) -> Response {
 /// they started with.
 fn reload_response(state: &ServeState) -> Response {
     let Some(store) = &state.store else {
-        return error_response(409, "no model directory configured (set model_dir or EDM_SERVE_MODEL_DIR)");
+        return error_response(
+            409,
+            "no model directory configured (set model_dir or EDM_SERVE_MODEL_DIR)",
+        );
     };
     let _span = edm_trace::span("serve.reload");
     let report = match store.scan() {
@@ -882,8 +879,7 @@ fn reload_response(state: &ServeState) -> Response {
     // lock is held only for the pointer exchange.
     let mut next = state.base.clone();
     report.apply(&mut next);
-    let loaded: Vec<Value> =
-        report.models.iter().map(|m| Value::Str(m.name.clone())).collect();
+    let loaded: Vec<Value> = report.models.iter().map(|m| Value::Str(m.name.clone())).collect();
     let errors: Vec<(String, Value)> =
         report.errors.iter().map(|(f, why)| (f.clone(), Value::Str(why.clone()))).collect();
     let generation = state.registry.swap(next);
@@ -895,10 +891,13 @@ fn reload_response(state: &ServeState) -> Response {
     Response::json(200, body.encode())
 }
 
+/// A parsed `:train` body: family name, input rows, targets.
+type TrainBody = (String, Vec<Vec<f64>>, Vec<f64>);
+
 /// Parses the `:train` body:
 /// `{"family": "...", "inputs": [[...], ...], "targets": [...]}`
 /// (`targets` optional — the one-class family ignores labels).
-fn parse_train_strict(text: &str) -> Result<(String, Vec<Vec<f64>>, Vec<f64>), Response> {
+fn parse_train_strict(text: &str) -> Result<TrainBody, Response> {
     let doc = match json::parse(text) {
         Ok(v) => v,
         Err(e) => return Err(error_response(400, &e.to_string())),
@@ -1393,8 +1392,7 @@ mod tests {
 
     #[test]
     fn reload_swaps_in_disk_models_and_bumps_the_generation() {
-        let dir =
-            std::env::temp_dir().join(format!("edm-server-reload-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("edm-server-reload-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = ModelStore::new(&dir);
         let state = test_state_with_store(registry_with_ridge(), Some(store.clone()));
@@ -1425,9 +1423,9 @@ mod tests {
     fn train_fits_persists_and_publishes() {
         let dir = std::env::temp_dir().join(format!("edm-server-train-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let state =
-            test_state_with_store(registry_with_ridge(), Some(ModelStore::new(&dir)));
-        let body = r#"{"family": "ridge", "inputs": [[0], [1], [2], [3]], "targets": [0, 3, 6, 9]}"#;
+        let state = test_state_with_store(registry_with_ridge(), Some(ModelStore::new(&dir)));
+        let body =
+            r#"{"family": "ridge", "inputs": [[0], [1], [2], [3]], "targets": [0, 3, 6, 9]}"#;
         let routed = route(&req("POST", "/v1/models/steep:train", body), &state);
         assert_eq!((routed.response.status, routed.model.as_str()), (200, "steep"));
         let doc =
@@ -1438,8 +1436,7 @@ mod tests {
         assert!(doc.get("checksum").and_then(Value::as_f64).is_some());
 
         // The new model scores immediately, against the new generation.
-        let hit =
-            route(&req("POST", "/v1/models/steep:predict", r#"{"inputs": [[2]]}"#, ), &state);
+        let hit = route(&req("POST", "/v1/models/steep:predict", r#"{"inputs": [[2]]}"#), &state);
         assert_eq!(hit.response.status, 200);
         assert_eq!(hit.response.model_generation, Some(2));
         // And it survives a reload, now loaded from disk.
@@ -1459,21 +1456,33 @@ mod tests {
         assert_eq!((routed.response.status, routed.model.as_str()), (400, "unknown"));
         // Unknown family → 400.
         let body = r#"{"family": "nope", "inputs": [[1]], "targets": [1]}"#;
-        assert_eq!(route_only(&req("POST", "/v1/models/m:train", body), &registry_with_ridge()).status, 400);
+        assert_eq!(
+            route_only(&req("POST", "/v1/models/m:train", body), &registry_with_ridge()).status,
+            400
+        );
         // Row/target mismatch → 400.
         let body = r#"{"family": "ridge", "inputs": [[1], [2]], "targets": [1]}"#;
-        assert_eq!(route_only(&req("POST", "/v1/models/m:train", body), &registry_with_ridge()).status, 400);
+        assert_eq!(
+            route_only(&req("POST", "/v1/models/m:train", body), &registry_with_ridge()).status,
+            400
+        );
         // No rows → 400.
         let body = r#"{"family": "ridge", "inputs": [], "targets": []}"#;
-        assert_eq!(route_only(&req("POST", "/v1/models/m:train", body), &registry_with_ridge()).status, 400);
+        assert_eq!(
+            route_only(&req("POST", "/v1/models/m:train", body), &registry_with_ridge()).status,
+            400
+        );
         // GET → 405.
-        assert_eq!(route_only(&req("GET", "/v1/models/m:train", ""), &registry_with_ridge()).status, 405);
+        assert_eq!(
+            route_only(&req("GET", "/v1/models/m:train", ""), &registry_with_ridge()).status,
+            405
+        );
         // Training without a store still publishes (in-memory only).
         let body = r#"{"family": "ridge", "inputs": [[0], [1]], "targets": [0, 1]}"#;
         let trained = route(&req("POST", "/v1/models/mem:train", body), &state);
         assert_eq!(trained.response.status, 200);
-        let doc = json::parse(std::str::from_utf8(&trained.response.body).expect("utf8"))
-            .expect("json");
+        let doc =
+            json::parse(std::str::from_utf8(&trained.response.body).expect("utf8")).expect("json");
         assert!(matches!(doc.get("saved_to"), Some(Value::Null)), "no store, no file");
         assert!(state.registry.snapshot().registry.get("mem").is_some());
     }

@@ -7,7 +7,7 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -66,10 +66,10 @@ fn sloped_ridge(slope: f64) -> Ridge {
     Ridge::fit(&x, &y, 1e-9).expect("ridge fits")
 }
 
-fn start_with_store(dir: &PathBuf) -> Server {
+fn start_with_store(dir: &Path) -> Server {
     let mut reg = ModelRegistry::new();
     reg.register("baseline", sloped_ridge(1.0)).expect("register baseline");
-    let config = ServerConfig { model_dir: Some(dir.clone()), ..ServerConfig::default() };
+    let config = ServerConfig { model_dir: Some(dir.to_path_buf()), ..ServerConfig::default() };
     Server::start("127.0.0.1:0", reg, config).expect("bind ephemeral port")
 }
 
@@ -84,7 +84,8 @@ fn save_serve_reload_bumps_the_generation() {
 
     // Generation 1 serves the startup scan: both models, provenance on
     // the disk one.
-    let (status, head, body) = post(addr, "/v1/models/disk-model:predict", r#"{"inputs": [[1, 1]]}"#);
+    let (status, head, body) =
+        post(addr, "/v1/models/disk-model:predict", r#"{"inputs": [[1, 1]]}"#);
     assert_eq!(status, 200, "body: {body}");
     assert_eq!(header_value(&head, "x-model-generation"), Some("1"));
     let doc = json::parse(&body).expect("json");
@@ -101,7 +102,8 @@ fn save_serve_reload_bumps_the_generation() {
     assert_eq!(doc.get("generation").and_then(Value::as_f64), Some(2.0));
 
     // Generation 2 serves the new fit; the baseline survives.
-    let (status, head, body) = post(addr, "/v1/models/disk-model:predict", r#"{"inputs": [[1, 1]]}"#);
+    let (status, head, body) =
+        post(addr, "/v1/models/disk-model:predict", r#"{"inputs": [[1, 1]]}"#);
     assert_eq!(status, 200);
     assert_eq!(header_value(&head, "x-model-generation"), Some("2"));
     let doc = json::parse(&body).expect("json");

@@ -1,4 +1,4 @@
-//! Save/load for every [`Predictor`](crate::Predictor) family — the
+//! Save/load for every [`Predictor`] family — the
 //! facade layer over [`edm_model_io`]'s binary container.
 //!
 //! Each family encodes its parts (support vectors, weights, trees, …)
@@ -105,9 +105,7 @@ fn get_kernel(d: &mut Dec<'_>) -> Result<AnyKernel, Error> {
             let gamma = d.get_f64().map_err(Error::ModelIo)?;
             let coef0 = d.get_f64().map_err(Error::ModelIo)?;
             if degree == 0 || !(gamma > 0.0) {
-                return Err(malformed(format!(
-                    "poly kernel with degree {degree}, gamma {gamma}"
-                )));
+                return Err(malformed(format!("poly kernel with degree {degree}, gamma {gamma}")));
             }
             AnyKernel::Poly(PolyKernel::new(degree, gamma, coef0))
         }
@@ -174,8 +172,7 @@ fn put_sv_model(
     coef: &[f64],
     rho: f64,
     complexity: Option<f64>,
-    iterations: usize,
-    cache: CacheStats,
+    (iterations, cache): (usize, CacheStats),
 ) {
     e.put_usize(n_features);
     e.put_rows(support);
@@ -204,8 +201,7 @@ where
             self.coefficients(),
             self.rho(),
             Some(self.complexity()),
-            self.iterations(),
-            self.cache_stats(),
+            (self.iterations(), self.cache_stats()),
         );
         write_container("svc", vec![("kernel", ke), ("model", me)], w)
     }
@@ -248,8 +244,7 @@ where
             self.coefficients(),
             self.rho(),
             Some(self.complexity()),
-            self.iterations(),
-            self.cache_stats(),
+            (self.iterations(), self.cache_stats()),
         );
         write_container("svr", vec![("kernel", ke), ("model", me)], w)
     }
@@ -292,8 +287,7 @@ where
             self.coefficients(),
             self.rho(),
             None,
-            self.iterations(),
-            self.cache_stats(),
+            (self.iterations(), self.cache_stats()),
         );
         write_container("one_class_svm", vec![("kernel", ke), ("model", me)], w)
     }
@@ -544,7 +538,7 @@ fn load_forest(r: &ModelReader) -> Result<Box<dyn PersistentPredictor + Send + S
 // ---- registry-dispatched load ------------------------------------------
 
 /// The family tags [`load_predictor`] dispatches on, in registry order —
-/// exactly the nine [`Predictor`](crate::Predictor) families.
+/// exactly the nine [`Predictor`] families.
 pub const FAMILIES: [&str; 9] = [
     "svc",
     "svr",
@@ -600,7 +594,7 @@ pub fn load_predictor_from_bytes(bytes: &[u8]) -> Result<LoadedModel, Error> {
 /// hyperparameters — the refit primitive behind `edm-serve`'s
 /// `POST /v1/models/{name}:train`.
 ///
-/// Label conventions follow [`Predictor`](crate::Predictor):
+/// Label conventions follow [`Predictor`]:
 /// classifiers cast `y` to integer labels (SVC wants `±1.0`), the
 /// one-class family ignores `y` entirely, and regressors take `y` as
 /// given. Training is deterministic (the forest uses a fixed seed).

@@ -82,9 +82,7 @@ fn truncated_container_is_a_typed_error() {
     let bytes = ridge_container();
     for keep in [bytes.len() - 1, bytes.len() / 2, 9, 3, 0] {
         match load_predictor_from_bytes(&bytes[..keep]) {
-            Err(Error::ModelIo(
-                IoError::Truncated { .. } | IoError::FileChecksum { .. },
-            )) => {}
+            Err(Error::ModelIo(IoError::Truncated { .. } | IoError::FileChecksum { .. })) => {}
             other => panic!("truncation at {keep} bytes gave {other:?}"),
         }
     }
