@@ -5,8 +5,8 @@
 //! Measurements (RBF kernel, d = 32, deterministic data):
 //!
 //! * Gram-matrix build at n ∈ {500, 2000, 8000} ({500, 1500} under
-//!   `--quick`), three ways: the **seed baseline** (the deprecated
-//!   row-sharded `gram_matrix_rows` pinned to one thread — what the
+//!   `--quick`), three ways: the **seed baseline** (a private copy of
+//!   the row-sharded `gram_matrix_rows` pinned to one thread — what the
 //!   repo shipped before the blocked rework), the tiled builder at one
 //!   thread, and the tiled builder at the parallel thread count. A
 //!   bitwise checksum comparison proves all three agree exactly.
@@ -44,10 +44,33 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-#[allow(deprecated)]
-use edm_kernels::gram_matrix_rows;
-use edm_kernels::{gram_matrix, RbfKernel};
+use edm_kernels::{gram_matrix, Kernel, RbfKernel};
+use edm_linalg::Matrix;
 use edm_svm::{SvcParams, SvcTrainer};
+
+/// The pre-tiling row-sharded Gram builder: one `for_each_row`
+/// dispatch per output row, each streaming the whole sample set, then
+/// an element-wise mirror. The seed
+/// baseline the tiled builder is measured against.
+fn gram_matrix_rows(kernel: &RbfKernel, items: &[Vec<f64>]) -> Matrix {
+    let n = items.len();
+    let mut g = Matrix::zeros(n, n);
+    if n == 0 {
+        return g;
+    }
+    // Each worker fills columns i..n of its own row i.
+    edm_par::for_each_row(g.as_mut_slice(), n, |i, row| {
+        for (j, slot) in row.iter_mut().enumerate().skip(i) {
+            *slot = kernel.eval(&items[i], &items[j]);
+        }
+    });
+    for i in 1..n {
+        for j in 0..i {
+            g[(i, j)] = g[(j, i)];
+        }
+    }
+    g
+}
 
 const DIM: usize = 32;
 const GAMMA: f64 = 0.5;
@@ -96,7 +119,7 @@ fn set_threads(n: usize) {
 
 /// FNV-1a over the bit patterns — order-sensitive, so equal checksums
 /// on row-major buffers mean bitwise-equal matrices.
-fn checksum(rows: usize, m: &edm_linalg::Matrix) -> u64 {
+fn checksum(rows: usize, m: &Matrix) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for i in 0..rows {
         for v in m.row(i) {
@@ -212,7 +235,6 @@ fn main() {
         let mut sum_par: Option<u64> = None;
         let mut f_seed = || {
             set_threads(1);
-            #[allow(deprecated)]
             let g = gram_matrix_rows(&k, &pts);
             if sum_seed.is_none() {
                 sum_seed = Some(checksum(n, &g));

@@ -279,12 +279,14 @@ impl Parser<'_> {
                     }
                 }
                 _ => {
-                    // Consume one UTF-8 scalar.
-                    let s = std::str::from_utf8(rest)
+                    // Copy the whole run up to the next quote or escape,
+                    // validating only it: time stays linear in the input.
+                    let run =
+                        rest.iter().position(|&b| b == b'"' || b == b'\\').unwrap_or(rest.len());
+                    let s = std::str::from_utf8(&rest[..run])
                         .map_err(|_| Error("invalid utf-8 in string".into()))?;
-                    let c = s.chars().next().expect("non-empty checked");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(s);
+                    self.pos += run;
                 }
             }
         }
@@ -363,6 +365,19 @@ mod tests {
     #[test]
     fn nan_is_rejected() {
         assert!(to_string(&f64::NAN).is_err());
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // Over a megabyte of runs, escapes and multi-byte chars; a
+        // per-char re-validation of the rest of the input would make
+        // this quadratic (minutes).
+        let text = "x\\\"é".repeat(1 << 18);
+        let json = to_string(&text).unwrap();
+        let start = std::time::Instant::now();
+        let back: String = from_str(&json).unwrap();
+        assert_eq!(back, text);
+        assert!(start.elapsed() < std::time::Duration::from_secs(2), "took {:?}", start.elapsed());
     }
 
     #[test]

@@ -78,39 +78,6 @@ where
     g
 }
 
-/// The pre-tiling Gram builder: one output row per dispatch, each row
-/// streaming the entire sample set, with an element-wise mirror.
-///
-/// Kept for one release as a measurement baseline — `bench_kernel_compute`
-/// quantifies the tiled [`gram_matrix`] against it — and for callers
-/// that need the old scheduling while migrating.
-#[deprecated(since = "0.1.0", note = "use `gram_matrix`, which tiles the fill for cache reuse")]
-pub fn gram_matrix_rows<S, K, I>(kernel: &K, items: &[I]) -> Matrix
-where
-    S: ?Sized,
-    K: Kernel<S> + ?Sized,
-    I: Borrow<S> + Sync,
-{
-    let n = items.len();
-    let mut g = Matrix::zeros(n, n);
-    if n == 0 {
-        return g;
-    }
-    // Each worker fills columns i..n of its own row i.
-    edm_par::for_each_row(g.as_mut_slice(), n, |i, row| {
-        let xi = items[i].borrow();
-        for (j, slot) in row.iter_mut().enumerate().skip(i) {
-            *slot = kernel.eval(xi, items[j].borrow());
-        }
-    });
-    for i in 1..n {
-        for j in 0..i {
-            g[(i, j)] = g[(j, i)];
-        }
-    }
-    g
-}
-
 /// Evaluates one row of kernel values `k(x, items[i])` — what a trained
 /// kernel model needs to score a new sample.
 ///
@@ -336,18 +303,5 @@ mod tests {
         }
         let empty: Vec<&[f64]> = vec![];
         assert!(gram_rows(&k, &empty, &items).is_empty());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_row_sharded_builder_matches_tiled_bitwise() {
-        let items = cloud();
-        let k = RbfKernel::new(0.6);
-        let tiled = gram_matrix(&k, &items);
-        let rows = gram_matrix_rows(&k, &items);
-        assert_eq!(
-            tiled.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            rows.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
     }
 }

@@ -49,8 +49,6 @@ mod vector_kernels;
 
 pub use any::AnyKernel;
 pub use composite::{NormalizedKernel, ProductKernel, ScaledKernel, SumKernel};
-#[allow(deprecated)]
-pub use gram::gram_matrix_rows;
 pub use gram::{center_gram, gram_matrix, gram_row, gram_rows, is_psd};
 pub use sequence::{SpectrumKernel, SpectrumProfile};
 pub use vector_kernels::{

@@ -10,11 +10,34 @@
 //! than a fork: that case is certain to run the forked path (under the
 //! default `parallel` feature) and checks that it did.
 
-#[allow(deprecated)]
-use edm_kernels::gram_matrix_rows;
 use edm_kernels::{gram_matrix, gram_row, gram_rows, Kernel, LinearKernel, RbfKernel};
+use edm_linalg::Matrix;
 use proptest::prelude::*;
 use std::time::{Duration, Instant};
+
+/// The pre-tiling row-sharded Gram builder: one `for_each_row`
+/// dispatch per output row, each streaming the whole sample set, then
+/// an element-wise mirror. It is the reference the tiled
+/// builder must match bitwise.
+fn gram_matrix_rows(kernel: &RbfKernel, items: &[Vec<f64>]) -> Matrix {
+    let n = items.len();
+    let mut g = Matrix::zeros(n, n);
+    if n == 0 {
+        return g;
+    }
+    // Each worker fills columns i..n of its own row i.
+    edm_par::for_each_row(g.as_mut_slice(), n, |i, row| {
+        for (j, slot) in row.iter_mut().enumerate().skip(i) {
+            *slot = kernel.eval(&items[i], &items[j]);
+        }
+    });
+    for i in 1..n {
+        for j in 0..i {
+            g[(i, j)] = g[(j, i)];
+        }
+    }
+    g
+}
 
 /// Deterministic SplitMix64 point cloud.
 fn points(seed: u64, n: usize, d: usize) -> Vec<Vec<f64>> {
@@ -117,11 +140,11 @@ proptest! {
         prop_assert_eq!(got, gram_serial(&k, &pts));
     }
 
-    /// The deprecated row-sharded builder and the tiled builder fill
+    /// The row-sharded reference and the tiled builder fill
     /// every cell with the same lone `kernel.eval` (or its mirror), so
     /// their outputs must be bitwise interchangeable.
     #[test]
-    fn tiled_gram_matches_deprecated_row_sharded(
+    fn tiled_gram_matches_row_sharded_reference(
         seed in 0u64..1_000_000,
         n in 1usize..90,
         gamma in 0.2f64..2.0,
@@ -129,7 +152,6 @@ proptest! {
         let pts = points(seed, n, 3);
         let k = RbfKernel::new(gamma);
         let tiled = gram_matrix(&k, &pts);
-        #[allow(deprecated)]
         let sharded = gram_matrix_rows(&k, &pts);
         let tb: Vec<u64> = (0..n)
             .flat_map(|i| tiled.row(i).iter().map(|v| v.to_bits()))

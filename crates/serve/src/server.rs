@@ -891,57 +891,6 @@ fn reload_response(state: &ServeState) -> Response {
     Response::json(200, body.encode())
 }
 
-/// A parsed `:train` body: family name, input rows, targets.
-type TrainBody = (String, Vec<Vec<f64>>, Vec<f64>);
-
-/// Parses the `:train` body:
-/// `{"family": "...", "inputs": [[...], ...], "targets": [...]}`
-/// (`targets` optional — the one-class family ignores labels).
-fn parse_train_strict(text: &str) -> Result<TrainBody, Response> {
-    let doc = match json::parse(text) {
-        Ok(v) => v,
-        Err(e) => return Err(error_response(400, &e.to_string())),
-    };
-    let Some(family) = doc.get("family").and_then(Value::as_str) else {
-        return Err(error_response(
-            400,
-            "body must be {\"family\": str, \"inputs\": [[f64, ...], ...], \"targets\": [f64, ...]}",
-        ));
-    };
-    let Some(raw_rows) = doc.get("inputs").and_then(Value::as_array) else {
-        return Err(error_response(400, "missing \"inputs\" array"));
-    };
-    let mut rows: Vec<Vec<f64>> = Vec::with_capacity(raw_rows.len());
-    for (i, raw_row) in raw_rows.iter().enumerate() {
-        let Some(cells) = raw_row.as_array() else {
-            return Err(error_response(400, &format!("inputs[{i}] is not an array")));
-        };
-        let mut row = Vec::with_capacity(cells.len());
-        for (j, cell) in cells.iter().enumerate() {
-            let Some(v) = cell.as_f64() else {
-                return Err(error_response(400, &format!("inputs[{i}][{j}] is not a number")));
-            };
-            row.push(v);
-        }
-        rows.push(row);
-    }
-    let targets: Vec<f64> = match doc.get("targets") {
-        None | Some(Value::Null) => Vec::new(),
-        Some(Value::Array(raw)) => {
-            let mut ys = Vec::with_capacity(raw.len());
-            for (i, cell) in raw.iter().enumerate() {
-                let Some(v) = cell.as_f64() else {
-                    return Err(error_response(400, &format!("targets[{i}] is not a number")));
-                };
-                ys.push(v);
-            }
-            ys
-        }
-        Some(_) => return Err(error_response(400, "\"targets\" is not an array")),
-    };
-    Ok((family.to_string(), rows, targets))
-}
-
 /// `POST /v1/models/{name}:train`: trains a fresh model of the
 /// requested family on the supplied data (default hyperparameters via
 /// [`edm::fit_family`]), persists it to the model directory when one
@@ -957,9 +906,9 @@ fn train_response(name: &str, body: &[u8], state: &ServeState) -> Response {
         Ok(t) => t,
         Err(_) => return error_response(400, "request body is not UTF-8"),
     };
-    let (family, rows, targets) = match parse_train_strict(text) {
+    let (family, rows, targets) = match json::parse_train(text) {
         Ok(parsed) => parsed,
-        Err(resp) => return resp,
+        Err(e) => return error_response(400, &e.to_string()),
     };
     if rows.is_empty() {
         return error_response(400, "training needs at least one input row");
@@ -1037,35 +986,6 @@ impl edm::Predictor for TrainedPredictor {
     }
 }
 
-/// The general-parser inputs path: builds the [`Value`] tree so
-/// malformed bodies get exact, offset-carrying 400s. The hot path
-/// ([`json::parse_inputs_fast`]) only handles well-formed canonical
-/// bodies and defers everything else here.
-fn parse_inputs_strict(text: &str) -> Result<Vec<Vec<f64>>, Response> {
-    let doc = match json::parse(text) {
-        Ok(v) => v,
-        Err(e) => return Err(error_response(400, &e.to_string())),
-    };
-    let Some(raw_rows) = doc.get("inputs").and_then(Value::as_array) else {
-        return Err(error_response(400, "body must be {\"inputs\": [[f64, ...], ...]}"));
-    };
-    let mut rows: Vec<Vec<f64>> = Vec::with_capacity(raw_rows.len());
-    for (i, raw_row) in raw_rows.iter().enumerate() {
-        let Some(cells) = raw_row.as_array() else {
-            return Err(error_response(400, &format!("inputs[{i}] is not an array")));
-        };
-        let mut row = Vec::with_capacity(cells.len());
-        for (j, cell) in cells.iter().enumerate() {
-            let Some(v) = cell.as_f64() else {
-                return Err(error_response(400, &format!("inputs[{i}][{j}] is not a number")));
-            };
-            row.push(v);
-        }
-        rows.push(row);
-    }
-    Ok(rows)
-}
-
 fn predict_response(
     name: &str,
     body: &[u8],
@@ -1079,12 +999,9 @@ fn predict_response(
         Ok(t) => t,
         Err(_) => return error_response(400, "request body is not UTF-8"),
     };
-    let rows = match json::parse_inputs_fast(text) {
-        Some(rows) => rows,
-        None => match parse_inputs_strict(text) {
-            Ok(rows) => rows,
-            Err(resp) => return resp,
-        },
+    let rows = match json::parse_inputs(text) {
+        Ok(rows) => rows,
+        Err(e) => return error_response(400, &e.to_string()),
     };
     // Shape pre-validation: a mismatched request must be rejected
     // *before* it can join a coalesced batch, where its Shape error
@@ -1120,25 +1037,21 @@ fn predict_response(
     match state.batcher.submit(name, snapshot.generation, &entry.model, rows, &state.metrics) {
         Ok(predictions) => {
             // Hand-rolled encoding of the success body: same bytes the
-            // `Value` tree would produce (numbers render via `{:?}`,
-            // strings via the shared escaper), without building one
-            // node per prediction.
-            use std::fmt::Write as _;
+            // `Value` tree would produce (shared number writer and
+            // escaper), without building one node per prediction.
             let mut body = String::with_capacity(96 + 24 * predictions.len());
             body.push_str("{\"model\":");
             json::write_escaped(name, &mut body);
             body.push_str(",\"family\":");
             json::write_escaped(entry.model.name(), &mut body);
-            let _ = write!(body, ",\"count\":{:?},\"predictions\":[", predictions.len() as f64);
-            for (i, p) in predictions.iter().enumerate() {
+            body.push_str(",\"count\":");
+            json::write_number(predictions.len() as f64, &mut body);
+            body.push_str(",\"predictions\":[");
+            for (i, &p) in predictions.iter().enumerate() {
                 if i > 0 {
                     body.push(',');
                 }
-                if p.is_finite() {
-                    let _ = write!(body, "{p:?}");
-                } else {
-                    body.push_str("null");
-                }
+                json::write_number(p, &mut body);
             }
             body.push_str("]}");
             Response::json(200, body)
@@ -1472,6 +1385,21 @@ mod tests {
             route_only(&req("POST", "/v1/models/m:train", body), &registry_with_ridge()).status,
             400
         );
+        // Missing, null, non-array and non-number targets → 400, each
+        // with its own message.
+        for (targets, why) in [
+            ("", "targets has 0 entries for 1 input rows"),
+            (r#", "targets": null"#, "targets has 0 entries for 1 input rows"),
+            (r#", "targets": "1""#, "\\\"targets\\\" is not an array at byte 48"),
+            (r#", "targets": [1, "2"]"#, "targets[1] is not a number at byte 52"),
+        ] {
+            let body = format!(r#"{{"family": "ridge", "inputs": [[1]]{targets}}}"#);
+            let resp =
+                route_only(&req("POST", "/v1/models/m:train", &body), &registry_with_ridge());
+            let shown = String::from_utf8(resp.body).expect("utf8");
+            assert_eq!(resp.status, 400, "{body}");
+            assert!(shown.contains(why), "{body} answered {shown}");
+        }
         // GET → 405.
         assert_eq!(
             route_only(&req("GET", "/v1/models/m:train", ""), &registry_with_ridge()).status,
@@ -1485,5 +1413,34 @@ mod tests {
             json::parse(std::str::from_utf8(&trained.response.body).expect("utf8")).expect("json");
         assert!(matches!(doc.get("saved_to"), Some(Value::Null)), "no store, no file");
         assert!(state.registry.snapshot().registry.get("mem").is_some());
+    }
+
+    #[test]
+    fn mutated_bodies_never_get_a_5xx() {
+        let reg = registry_with_ridge();
+        let seeds = [
+            ("/v1/models/plane:predict", r#"{"inputs": [[0.25, 0.5], [0.75, -0.25]]}"#),
+            (
+                "/v1/models/m:train",
+                r#"{"family": "ridge", "inputs": [[0], [1]], "targets": [0, 1]}"#,
+            ),
+        ];
+        for (target, seed) in seeds {
+            let mut bodies: Vec<Vec<u8>> =
+                (0..seed.len()).map(|end| seed.as_bytes()[..end].to_vec()).collect();
+            for at in 0..seed.len() {
+                for &b in b"\"\\[]{},:-0.e \x01\xff" {
+                    let mut bytes = seed.as_bytes().to_vec();
+                    bytes[at] = b;
+                    bodies.push(bytes);
+                }
+            }
+            for body in bodies {
+                let r =
+                    Request { method: "POST".into(), target: target.into(), body, close: false };
+                let status = route_only(&r, &reg).status;
+                assert!(status < 500, "{status} for {:?}", String::from_utf8_lossy(&r.body));
+            }
+        }
     }
 }
