@@ -46,3 +46,12 @@ impl fmt::Display for SvmError {
 }
 
 impl std::error::Error for SvmError {}
+
+/// Checks a hyperparameter that must be positive (NaN is rejected).
+pub(crate) fn check_positive(name: &'static str, value: f64) -> Result<(), SvmError> {
+    if value > 0.0 {
+        Ok(())
+    } else {
+        Err(SvmError::InvalidParameter { name, value, constraint: "must be positive" })
+    }
+}

@@ -35,11 +35,25 @@
 //! guarantee.
 //!
 //! Following the paper's Figure 4, the solvers touch training data only
-//! through a Gram matrix: every trainer has a `fit_gram` entry point that
-//! takes a precomputed kernel matrix, which is how non-vector samples
-//! (assembly programs, layout clips) are trained on; the vector `fit`
-//! entry points are convenience wrappers that build the Gram from a
+//! through kernel values. [`solve_svc`] and [`solve_one_class`] take a
+//! precomputed Gram matrix and return the dual solution, which is how
+//! non-vector samples (assembly programs, layout clips) are trained on;
+//! SVR has no Gram entry point. The vector `fit` entry points compute
+//! the same kernel values on demand from a
 //! [`Kernel<[f64]>`](edm_kernels::Kernel).
+//!
+//! # One trained model
+//!
+//! All three `fit`s return the same [`SvModel<K, F>`](SvModel): the
+//! support vectors, their coefficients `cᵢ` and the offset `ρ` of
+//! `M(x) = Σᵢ cᵢ k(x, xᵢ) − ρ`, plus training statistics. The
+//! zero-sized family marker `F` ([`Svc`], [`Svr`], [`OneClass`])
+//! implements [`SvFamily`]: a family tag and the mapping from the
+//! decision value to [`SvModel::predict`]'s output (the sign for SVC
+//! and one-class, the value itself for SVR). [`SvcModel`], [`SvrModel`]
+//! and [`OneClassModel`] are aliases of it, so scoring, batching, the
+//! accessors and [`SvModel::from_parts`] exist once, and
+//! [`SvModel::complexity`] is `Σᵢ |cᵢ|` for every family.
 //!
 //! # Example
 //!
@@ -62,6 +76,7 @@
 #![forbid(unsafe_code)]
 
 mod error;
+mod model;
 mod one_class;
 pub mod qmatrix;
 pub mod solver;
@@ -69,8 +84,40 @@ mod svc;
 mod svr;
 
 pub use error::SvmError;
-pub use one_class::{solve_one_class, OneClassModel, OneClassParams, OneClassSvm};
+pub use model::{OneClass, OneClassModel, SvFamily, SvModel, Svc, SvcModel, Svr, SvrModel};
+pub use one_class::{solve_one_class, OneClassParams, OneClassSvm};
 pub use qmatrix::{CacheStats, CachedQ, DenseQ, GramQ, KernelQ, QMatrix, QRow, QSource, SvrQ};
 pub use solver::{SolverOptions, WorkingSet};
-pub use svc::{solve_svc, SvcModel, SvcParams, SvcTrainer};
-pub use svr::{SvrModel, SvrParams, SvrTrainer};
+pub use svc::{solve_svc, SvcParams, SvcTrainer};
+pub use svr::{SvrParams, SvrTrainer};
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use edm_kernels::{gram_matrix, LinearKernel};
+
+    #[test]
+    fn non_positive_or_nan_tol_is_rejected_by_every_entry_point() {
+        let x = vec![vec![0.0], vec![0.5], vec![1.0], vec![1.5]];
+        let y = vec![-1.0, -1.0, 1.0, 1.0];
+        let gram = gram_matrix(&LinearKernel::new(), &x);
+        for tol in [f64::NAN, 0.0, -1.0] {
+            let svc = SvcParams { tol, ..SvcParams::default() };
+            let svr = SvrParams { tol, ..SvrParams::default() };
+            let one_class = OneClassParams { tol, ..OneClassParams::default() };
+            let results = [
+                ("svc fit", SvcTrainer::new(svc).fit(&x, &y).err()),
+                ("svr fit", SvrTrainer::new(svr).fit(&x, &y).err()),
+                ("one-class fit", OneClassSvm::new(one_class).fit(&x).err()),
+                ("solve_svc", solve_svc(&gram, &y, &svc).err()),
+                ("solve_one_class", solve_one_class(&gram, &one_class).err()),
+            ];
+            for (entry, err) in results {
+                assert!(
+                    matches!(err, Some(SvmError::InvalidParameter { name: "tol", .. })),
+                    "{entry} with tol = {tol}: {err:?}"
+                );
+            }
+        }
+    }
+}

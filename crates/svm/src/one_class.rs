@@ -1,10 +1,11 @@
-use edm_kernels::{gram_row, Kernel, RbfKernel};
+use edm_kernels::{Kernel, RbfKernel};
 use edm_linalg::Matrix;
 use serde::{Deserialize, Serialize};
 
-use crate::qmatrix::{CacheStats, CachedQ, DenseQ, KernelQ, QMatrix, DEFAULT_CACHE_BYTES};
+use crate::error::check_positive;
+use crate::qmatrix::{CachedQ, DenseQ, KernelQ, QMatrix, DEFAULT_CACHE_BYTES};
 use crate::solver::{solve, DualProblem, SolverOptions, WorkingSet};
-use crate::SvmError;
+use crate::{OneClassModel, SvmError};
 
 /// Hyperparameters for ν one-class SVM training (Schölkopf et al.).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -81,7 +82,7 @@ impl OneClassParams {
                 constraint: "must be in (0, 1]",
             });
         }
-        Ok(())
+        check_positive("tol", self.tol)
     }
 }
 
@@ -157,24 +158,7 @@ impl<K: Kernel<[f64]> + Clone> OneClassSvm<K> {
         let source = KernelQ::<[f64], _, _>::new(&self.kernel, x, None);
         let mut q = CachedQ::new(source, self.params.cache_bytes);
         let (alpha, rho, iterations) = solve_one_class_q(&mut q, x.len(), &self.params)?;
-        let cache = q.stats();
-        let mut support = Vec::new();
-        let mut coef = Vec::new();
-        for (i, &a) in alpha.iter().enumerate() {
-            if a > 1e-12 {
-                support.push(x[i].clone());
-                coef.push(a);
-            }
-        }
-        Ok(OneClassModel {
-            kernel: self.kernel.clone(),
-            n_features: d,
-            support,
-            coef,
-            rho,
-            iterations,
-            cache,
-        })
+        Ok(OneClassModel::from_dual(self.kernel.clone(), x, alpha, rho, iterations, q.stats()))
     }
 }
 
@@ -239,109 +223,10 @@ fn solve_one_class_q(
     Ok((sol.alpha, sol.rho, sol.iterations))
 }
 
-/// A trained one-class model: `f(x) = Σᵢ αᵢ k(x, xᵢ) − ρ`, novel iff
-/// `f(x) < 0`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct OneClassModel<K> {
-    kernel: K,
-    n_features: usize,
-    support: Vec<Vec<f64>>,
-    coef: Vec<f64>,
-    rho: f64,
-    iterations: usize,
-    cache: CacheStats,
-}
-
-impl<K: Kernel<[f64]>> OneClassModel<K> {
-    /// The decision value `f(x)`; negative means novel/outlier.
-    pub fn decision_function(&self, x: &[f64]) -> f64 {
-        let row = gram_row(&self.kernel, x, &self.support);
-        edm_linalg::dot(&row, &self.coef) - self.rho
-    }
-
-    /// Whether `x` lies outside the learned support region.
-    pub fn is_novel(&self, x: &[f64]) -> bool {
-        self.decision_function(x) < 0.0
-    }
-
-    /// Decision values for a batch of samples, one support-vector sweep
-    /// per sample distributed across worker threads; bitwise identical
-    /// to mapping [`OneClassModel::decision_function`] serially.
-    pub fn decision_function_batch(&self, xs: &[Vec<f64>]) -> Vec<f64> {
-        edm_par::map_indexed(xs.len(), |i| self.decision_function(&xs[i]))
-    }
-
-    /// Novelty flags for a batch of samples (parallel; bitwise
-    /// identical to mapping [`OneClassModel::is_novel`]).
-    pub fn is_novel_batch(&self, xs: &[Vec<f64>]) -> Vec<bool> {
-        edm_par::map_indexed(xs.len(), |i| self.is_novel(&xs[i]))
-    }
-}
-
-impl<K> OneClassModel<K> {
-    /// Reassembles a model from its persisted parts — the inverse of
-    /// the accessors below, used by `edm::persist` to reload saved
-    /// models.
-    pub fn from_parts(
-        kernel: K,
-        n_features: usize,
-        support: Vec<Vec<f64>>,
-        coef: Vec<f64>,
-        rho: f64,
-        iterations: usize,
-        cache: CacheStats,
-    ) -> Self {
-        assert_eq!(support.len(), coef.len(), "one coefficient per support vector");
-        OneClassModel { kernel, n_features, support, coef, rho, iterations, cache }
-    }
-
-    /// The kernel the model scores with.
-    pub fn kernel(&self) -> &K {
-        &self.kernel
-    }
-
-    /// The support vectors.
-    pub fn support_vectors(&self) -> &[Vec<f64>] {
-        &self.support
-    }
-
-    /// The dual coefficients `αᵢ`, aligned with
-    /// [`OneClassModel::support_vectors`].
-    pub fn coefficients(&self) -> &[f64] {
-        &self.coef
-    }
-
-    /// Number of support vectors retained.
-    pub fn n_support(&self) -> usize {
-        self.support.len()
-    }
-
-    /// Dimensionality of the training samples; every sample scored by
-    /// this model must have exactly this many features.
-    pub fn n_features(&self) -> usize {
-        self.n_features
-    }
-
-    /// The offset ρ.
-    pub fn rho(&self) -> f64 {
-        self.rho
-    }
-
-    /// SMO iterations used in training.
-    pub fn iterations(&self) -> usize {
-        self.iterations
-    }
-
-    /// Q-row cache behaviour during this model's training run.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use edm_kernels::gram_matrix;
+    use edm_kernels::{gram_matrix, gram_row};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 

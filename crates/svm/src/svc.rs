@@ -2,9 +2,10 @@ use edm_kernels::{Kernel, RbfKernel};
 use edm_linalg::Matrix;
 use serde::{Deserialize, Serialize};
 
-use crate::qmatrix::{CacheStats, CachedQ, GramQ, KernelQ, QMatrix, DEFAULT_CACHE_BYTES};
+use crate::error::check_positive;
+use crate::qmatrix::{CachedQ, GramQ, KernelQ, QMatrix, DEFAULT_CACHE_BYTES};
 use crate::solver::{solve, DualProblem, SolverOptions, WorkingSet};
-use crate::SvmError;
+use crate::{SvcModel, SvmError};
 
 /// Hyperparameters for C-SVC training.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -75,21 +76,8 @@ impl SvcParams {
     }
 
     fn validate(&self) -> Result<(), SvmError> {
-        if !(self.c > 0.0) {
-            return Err(SvmError::InvalidParameter {
-                name: "c",
-                value: self.c,
-                constraint: "must be positive",
-            });
-        }
-        if !(self.tol > 0.0) {
-            return Err(SvmError::InvalidParameter {
-                name: "tol",
-                value: self.tol,
-                constraint: "must be positive",
-            });
-        }
-        Ok(())
+        check_positive("c", self.c)?;
+        check_positive("tol", self.tol)
     }
 }
 
@@ -143,28 +131,8 @@ impl<K: Kernel<[f64]> + Clone> SvcTrainer<K> {
         let source = KernelQ::<[f64], _, _>::new(&self.kernel, x, Some(y));
         let mut q = CachedQ::new(source, self.params.cache_bytes);
         let (alpha, rho, iterations) = solve_svc_q(&mut q, y, &self.params)?;
-        let cache = q.stats();
-        // Keep only support vectors.
-        let mut support = Vec::new();
-        let mut coef = Vec::new();
-        let mut complexity = 0.0;
-        for (i, &a) in alpha.iter().enumerate() {
-            if a > 1e-12 {
-                support.push(x[i].clone());
-                coef.push(y[i] * a);
-                complexity += a;
-            }
-        }
-        Ok(SvcModel {
-            kernel: self.kernel.clone(),
-            n_features: x[0].len(),
-            support,
-            coef,
-            rho,
-            complexity,
-            iterations,
-            cache,
-        })
+        let coef = y.iter().zip(&alpha).map(|(&yi, &a)| yi * a);
+        Ok(SvcModel::from_dual(self.kernel.clone(), x, coef, rho, iterations, q.stats()))
     }
 }
 
@@ -221,123 +189,6 @@ fn solve_svc_q(
     };
     let sol = solve(q, &problem)?;
     Ok((sol.alpha, sol.rho, sol.iterations))
-}
-
-/// A trained C-SVC model: `M(x) = Σᵢ yᵢαᵢ k(x, xᵢ) − ρ` (paper Eq. 2).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SvcModel<K> {
-    kernel: K,
-    n_features: usize,
-    support: Vec<Vec<f64>>,
-    /// `yᵢ αᵢ` per support vector.
-    coef: Vec<f64>,
-    rho: f64,
-    complexity: f64,
-    iterations: usize,
-    cache: CacheStats,
-}
-
-impl<K: Kernel<[f64]>> SvcModel<K> {
-    /// The signed decision value `M(x)`; positive means class `+1`.
-    pub fn decision_function(&self, x: &[f64]) -> f64 {
-        let s: f64 =
-            self.support.iter().zip(&self.coef).map(|(sv, &c)| c * self.kernel.eval(x, sv)).sum();
-        s - self.rho
-    }
-
-    /// Predicted label: `+1.0` or `−1.0` (ties break positive).
-    pub fn predict(&self, x: &[f64]) -> f64 {
-        if self.decision_function(x) >= 0.0 {
-            1.0
-        } else {
-            -1.0
-        }
-    }
-
-    /// Decision values for a batch of samples, one support-vector sweep
-    /// per sample distributed across worker threads. Each sample's
-    /// value is computed exactly as [`SvcModel::decision_function`]
-    /// would (serial accumulation over support vectors), so the result
-    /// is bitwise identical to the serial loop regardless of thread
-    /// count.
-    pub fn decision_function_batch(&self, xs: &[Vec<f64>]) -> Vec<f64> {
-        edm_par::map_indexed(xs.len(), |i| self.decision_function(&xs[i]))
-    }
-
-    /// Predicts a batch of samples (parallel; bitwise identical to
-    /// mapping [`SvcModel::predict`] over `xs`).
-    pub fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<f64> {
-        edm_par::map_indexed(xs.len(), |i| self.predict(&xs[i]))
-    }
-}
-
-impl<K> SvcModel<K> {
-    /// Reassembles a model from its persisted parts — the inverse of
-    /// the accessors below, used by `edm::persist` to reload saved
-    /// models. The parts are stored verbatim, so a model rebuilt from
-    /// its own accessors scores bitwise identically.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_parts(
-        kernel: K,
-        n_features: usize,
-        support: Vec<Vec<f64>>,
-        coef: Vec<f64>,
-        rho: f64,
-        complexity: f64,
-        iterations: usize,
-        cache: CacheStats,
-    ) -> Self {
-        assert_eq!(support.len(), coef.len(), "one coefficient per support vector");
-        SvcModel { kernel, n_features, support, coef, rho, complexity, iterations, cache }
-    }
-
-    /// The kernel the model scores with.
-    pub fn kernel(&self) -> &K {
-        &self.kernel
-    }
-
-    /// The dual coefficients `yᵢ αᵢ`, aligned with
-    /// [`SvcModel::support_vectors`].
-    pub fn coefficients(&self) -> &[f64] {
-        &self.coef
-    }
-
-    /// Number of support vectors retained.
-    pub fn n_support(&self) -> usize {
-        self.support.len()
-    }
-
-    /// Dimensionality of the training samples; every sample scored by
-    /// this model must have exactly this many features.
-    pub fn n_features(&self) -> usize {
-        self.n_features
-    }
-
-    /// The support vectors.
-    pub fn support_vectors(&self) -> &[Vec<f64>] {
-        &self.support
-    }
-
-    /// The model complexity `Σᵢ αᵢ` — the measure the paper's §2.3 uses
-    /// to explain regularization and overfitting (Fig. 5).
-    pub fn complexity(&self) -> f64 {
-        self.complexity
-    }
-
-    /// The offset `ρ`.
-    pub fn rho(&self) -> f64 {
-        self.rho
-    }
-
-    /// SMO iterations used in training.
-    pub fn iterations(&self) -> usize {
-        self.iterations
-    }
-
-    /// Q-row cache behaviour during this model's training run.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache
-    }
 }
 
 pub(crate) fn validate_labels(x: &[Vec<f64>], y: &[f64]) -> Result<(), SvmError> {

@@ -1,9 +1,10 @@
 use edm_kernels::{Kernel, RbfKernel};
 use serde::{Deserialize, Serialize};
 
-use crate::qmatrix::{CacheStats, CachedQ, SvrQ, DEFAULT_CACHE_BYTES};
+use crate::error::check_positive;
+use crate::qmatrix::{CachedQ, SvrQ, DEFAULT_CACHE_BYTES};
 use crate::solver::{solve, DualProblem, SolverOptions, WorkingSet};
-use crate::SvmError;
+use crate::{SvmError, SvrModel};
 
 /// Hyperparameters for ε-SVR training.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -81,13 +82,7 @@ impl SvrParams {
     }
 
     fn validate(&self) -> Result<(), SvmError> {
-        if !(self.c > 0.0) {
-            return Err(SvmError::InvalidParameter {
-                name: "c",
-                value: self.c,
-                constraint: "must be positive",
-            });
-        }
+        check_positive("c", self.c)?;
         if !(self.epsilon >= 0.0) {
             return Err(SvmError::InvalidParameter {
                 name: "epsilon",
@@ -95,7 +90,7 @@ impl SvrParams {
                 constraint: "must be non-negative",
             });
         }
-        Ok(())
+        check_positive("tol", self.tol)
     }
 }
 
@@ -196,130 +191,9 @@ impl<K: Kernel<[f64]> + Clone> SvrTrainer<K> {
             opts: self.params.solver_opts(),
         };
         let sol = solve(&mut q, &problem)?;
-        let cache = q.stats();
-
         // β_i = α_i − α*_i; keep nonzero coefficients.
-        let mut support = Vec::new();
-        let mut coef = Vec::new();
-        let mut complexity = 0.0;
-        for i in 0..m {
-            let beta = sol.alpha[i] - sol.alpha[i + m];
-            if beta.abs() > 1e-12 {
-                support.push(x[i].clone());
-                coef.push(beta);
-                complexity += beta.abs();
-            }
-        }
-        Ok(SvrModel {
-            kernel: self.kernel.clone(),
-            n_features: d,
-            support,
-            coef,
-            rho: sol.rho,
-            complexity,
-            iterations: sol.iterations,
-            cache,
-        })
-    }
-}
-
-/// A trained ε-SVR model: `f(x) = Σᵢ βᵢ k(x, xᵢ) − ρ`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SvrModel<K> {
-    kernel: K,
-    n_features: usize,
-    support: Vec<Vec<f64>>,
-    coef: Vec<f64>,
-    rho: f64,
-    complexity: f64,
-    iterations: usize,
-    cache: CacheStats,
-}
-
-impl<K: Kernel<[f64]>> SvrModel<K> {
-    /// Predicts the continuous target for `x`.
-    pub fn predict(&self, x: &[f64]) -> f64 {
-        let s: f64 =
-            self.support.iter().zip(&self.coef).map(|(sv, &c)| c * self.kernel.eval(x, sv)).sum();
-        s - self.rho
-    }
-
-    /// Predicts a batch of samples, one support-vector sweep per sample
-    /// distributed across worker threads. Each sample is evaluated
-    /// exactly as [`SvrModel::predict`] would (serial accumulation over
-    /// support vectors), so the result is bitwise identical to the
-    /// serial loop regardless of thread count.
-    pub fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<f64> {
-        edm_par::map_indexed(xs.len(), |i| self.predict(&xs[i]))
-    }
-}
-
-impl<K> SvrModel<K> {
-    /// Reassembles a model from its persisted parts — the inverse of
-    /// the accessors below, used by `edm::persist` to reload saved
-    /// models.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_parts(
-        kernel: K,
-        n_features: usize,
-        support: Vec<Vec<f64>>,
-        coef: Vec<f64>,
-        rho: f64,
-        complexity: f64,
-        iterations: usize,
-        cache: CacheStats,
-    ) -> Self {
-        assert_eq!(support.len(), coef.len(), "one coefficient per support vector");
-        SvrModel { kernel, n_features, support, coef, rho, complexity, iterations, cache }
-    }
-
-    /// The kernel the model scores with.
-    pub fn kernel(&self) -> &K {
-        &self.kernel
-    }
-
-    /// The support vectors.
-    pub fn support_vectors(&self) -> &[Vec<f64>] {
-        &self.support
-    }
-
-    /// The dual coefficients `βᵢ`, aligned with
-    /// [`SvrModel::support_vectors`].
-    pub fn coefficients(&self) -> &[f64] {
-        &self.coef
-    }
-
-    /// The offset `ρ`.
-    pub fn rho(&self) -> f64 {
-        self.rho
-    }
-
-    /// Number of support vectors retained.
-    pub fn n_support(&self) -> usize {
-        self.support.len()
-    }
-
-    /// Dimensionality of the training samples; every sample scored by
-    /// this model must have exactly this many features. (A wide-tube
-    /// SVR can retain zero support vectors, so this is recorded at fit
-    /// time rather than derived from them.)
-    pub fn n_features(&self) -> usize {
-        self.n_features
-    }
-
-    /// Model complexity `Σᵢ |βᵢ|` (paper §2.3).
-    pub fn complexity(&self) -> f64 {
-        self.complexity
-    }
-
-    /// SMO iterations used in training.
-    pub fn iterations(&self) -> usize {
-        self.iterations
-    }
-
-    /// Q-row cache behaviour during this model's training run.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache
+        let beta = (0..m).map(|i| sol.alpha[i] - sol.alpha[i + m]);
+        Ok(SvrModel::from_dual(self.kernel.clone(), x, beta, sol.rho, sol.iterations, q.stats()))
     }
 }
 

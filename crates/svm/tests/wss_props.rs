@@ -9,11 +9,18 @@
 //! * on three-variable problems the solver matches a brute-force grid
 //!   enumeration of the feasible polytope;
 //! * batch prediction is bitwise identical to one-at-a-time prediction
-//!   (the parallel fan-out cannot change results).
+//!   (the parallel fan-out cannot change results);
+//! * one-class scoring through the shared support-vector loop is
+//!   bitwise the kernel-row dot product it replaced.
 
-use edm_kernels::RbfKernel;
+use edm_kernels::{
+    gram_row, AnyKernel, Chi2Kernel, HistogramIntersectionKernel, LinearKernel, PolyKernel,
+    RbfKernel, SigmoidKernel,
+};
 use edm_svm::solver::{solve, DualProblem, DualSolution, SolverOptions, WorkingSet};
-use edm_svm::{CachedQ, KernelQ, QSource, SvcParams, SvcTrainer, SvmError};
+use edm_svm::{
+    CacheStats, CachedQ, KernelQ, OneClassModel, QSource, SvcParams, SvcTrainer, SvmError,
+};
 use proptest::prelude::*;
 
 /// Deterministic SplitMix64 point cloud in `[-1, 1]^d`.
@@ -42,6 +49,30 @@ fn two_clusters(seed: u64, n: usize, offset: f64) -> (Vec<Vec<f64>>, Vec<f64>) {
         y.push(s);
     }
     (x, y)
+}
+
+/// One-class scoring as it was computed before SVC, SVR and one-class
+/// shared one model: a materialized kernel row dotted with the
+/// coefficients.
+fn one_class_reference(
+    k: &AnyKernel,
+    x: &[f64],
+    support: &[Vec<f64>],
+    coef: &[f64],
+    rho: f64,
+) -> f64 {
+    edm_linalg::dot(&gram_row(k, x, support), coef) - rho
+}
+
+fn any_kernel(kind: usize, gamma: f64) -> AnyKernel {
+    match kind {
+        0 => RbfKernel::new(gamma).into(),
+        1 => PolyKernel::new(3, gamma, 0.5).into(),
+        2 => LinearKernel::new().into(),
+        3 => SigmoidKernel::new(gamma, -0.25).into(),
+        4 => HistogramIntersectionKernel::new().into(),
+        _ => Chi2Kernel::new(gamma).into(),
+    }
 }
 
 fn svc_options(working_set: WorkingSet, shrinking: bool) -> SolverOptions {
@@ -246,6 +277,39 @@ proptest! {
         for (i, qp) in queries.iter().enumerate() {
             prop_assert_eq!(batch_dec[i].to_bits(), model.decision_function(qp).to_bits());
             prop_assert_eq!(batch_lbl[i].to_bits(), model.predict(qp).to_bits());
+        }
+    }
+
+    /// The shared serial scoring loop sums `cᵢ·k(x, xᵢ)` in support
+    /// order, which is bitwise the old `dot(gram_row(..), coef) − ρ`
+    /// (commuted products, same order), for any kernel and any parts.
+    #[test]
+    fn one_class_scores_match_the_kernel_row_dot_product(
+        seed in 0u64..1_000_000,
+        n_support in 0usize..40,
+        d in 1usize..6,
+        kind in 0usize..6,
+        gamma in 0.05f64..3.0,
+        rho in -2.0f64..2.0,
+    ) {
+        // Non-negative samples keep the histogram kernels in their domain.
+        let nonneg = |rows: Vec<Vec<f64>>| -> Vec<Vec<f64>> {
+            rows.into_iter().map(|r| r.into_iter().map(|v| 0.5 * (v + 1.0)).collect()).collect()
+        };
+        let support = nonneg(points(seed, n_support, d));
+        let coef: Vec<f64> = points(seed ^ 0xC0EF, n_support, 1).into_iter().map(|r| r[0]).collect();
+        let kernel = any_kernel(kind, gamma);
+        let model = OneClassModel::from_parts(
+            kernel, d, support.clone(), coef.clone(), rho, 0, CacheStats::default(),
+        );
+        let queries = nonneg(points(seed ^ 0xBEEF, 16, d));
+        let batch = model.decision_function_batch(&queries);
+        let novel = model.is_novel_batch(&queries);
+        for (i, q) in queries.iter().enumerate() {
+            let want = one_class_reference(&kernel, q, &support, &coef, rho);
+            prop_assert_eq!(model.decision_function(q).to_bits(), want.to_bits());
+            prop_assert_eq!(batch[i].to_bits(), want.to_bits());
+            prop_assert_eq!(novel[i], want < 0.0);
         }
     }
 }

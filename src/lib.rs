@@ -257,52 +257,18 @@ fn check_batch(xs: &[Vec<f64>], expected: usize) -> Result<(), Error> {
     Ok(())
 }
 
-impl<K: kernels::Kernel<[f64]>> Predictor for svm::SvcModel<K> {
+impl<K: kernels::Kernel<[f64]>, F: svm::SvFamily> Predictor for svm::SvModel<K, F> {
     fn predict_batch(&self, xs: &[Vec<f64>]) -> Result<Vec<f64>, Error> {
         check_batch(xs, self.n_features())?;
-        Ok(svm::SvcModel::predict_batch(self, xs))
+        Ok(svm::SvModel::predict_batch(self, xs))
     }
 
     fn n_features(&self) -> usize {
-        svm::SvcModel::n_features(self)
+        svm::SvModel::n_features(self)
     }
 
     fn name(&self) -> &'static str {
-        "svc"
-    }
-}
-
-impl<K: kernels::Kernel<[f64]>> Predictor for svm::SvrModel<K> {
-    fn predict_batch(&self, xs: &[Vec<f64>]) -> Result<Vec<f64>, Error> {
-        check_batch(xs, self.n_features())?;
-        Ok(svm::SvrModel::predict_batch(self, xs))
-    }
-
-    fn n_features(&self) -> usize {
-        svm::SvrModel::n_features(self)
-    }
-
-    fn name(&self) -> &'static str {
-        "svr"
-    }
-}
-
-impl<K: kernels::Kernel<[f64]>> Predictor for svm::OneClassModel<K> {
-    fn predict_batch(&self, xs: &[Vec<f64>]) -> Result<Vec<f64>, Error> {
-        check_batch(xs, self.n_features())?;
-        Ok(self
-            .decision_function_batch(xs)
-            .into_iter()
-            .map(|d| if d < 0.0 { -1.0 } else { 1.0 })
-            .collect())
-    }
-
-    fn n_features(&self) -> usize {
-        svm::OneClassModel::n_features(self)
-    }
-
-    fn name(&self) -> &'static str {
-        "one_class_svm"
+        F::TAG
     }
 }
 

@@ -28,7 +28,7 @@ use crate::learn::linreg::{LeastSquares, Ridge};
 use crate::learn::tree::{DecisionTreeClassifier, FlatNode};
 use crate::linalg::{Cholesky, Matrix};
 use crate::model_io::{Dec, Enc, IoError, ModelReader, ModelWriter};
-use crate::svm::{CacheStats, OneClassModel, SvcModel, SvrModel};
+use crate::svm::{CacheStats, OneClass, SvFamily, SvModel, Svc, Svr};
 use crate::{Error, Predictor};
 
 /// A [`Predictor`] that can serialize itself into the workspace's
@@ -165,49 +165,41 @@ fn write_container(
 
 // ---- support-vector machines -------------------------------------------
 
-fn put_sv_model(
-    e: &mut Enc,
-    n_features: usize,
-    support: &[Vec<f64>],
-    coef: &[f64],
-    rho: f64,
-    complexity: Option<f64>,
-    (iterations, cache): (usize, CacheStats),
-) {
-    e.put_usize(n_features);
-    e.put_rows(support);
-    e.put_f64s(coef);
-    e.put_f64(rho);
-    if let Some(c) = complexity {
-        e.put_f64(c);
-    }
-    e.put_usize(iterations);
-    put_cache_stats(e, cache);
+// Model section: n_features, support rows, coefficients, ρ, the
+// complexity Σ|cᵢ| (svc and svr containers only — one-class containers
+// never carried it), iterations, cache stats.
+
+/// Whether `F`'s containers carry the complexity slot.
+fn stores_complexity<F: SvFamily>() -> bool {
+    F::TAG != OneClass::TAG
 }
 
-impl<K> PersistentPredictor for SvcModel<K>
+impl<K, F> PersistentPredictor for SvModel<K, F>
 where
     K: crate::kernels::Kernel<[f64]> + Clone,
     AnyKernel: From<K>,
+    F: SvFamily,
 {
     fn save(&self, w: &mut dyn Write) -> Result<(), Error> {
         let mut ke = Enc::new();
         put_kernel(&mut ke, &AnyKernel::from(self.kernel().clone()));
         let mut me = Enc::new();
-        put_sv_model(
-            &mut me,
-            Predictor::n_features(self),
-            self.support_vectors(),
-            self.coefficients(),
-            self.rho(),
-            Some(self.complexity()),
-            (self.iterations(), self.cache_stats()),
-        );
-        write_container("svc", vec![("kernel", ke), ("model", me)], w)
+        me.put_usize(self.n_features());
+        me.put_rows(self.support_vectors());
+        me.put_f64s(self.coefficients());
+        me.put_f64(self.rho());
+        if stores_complexity::<F>() {
+            me.put_f64(self.complexity());
+        }
+        me.put_usize(self.iterations());
+        put_cache_stats(&mut me, self.cache_stats());
+        write_container(F::TAG, vec![("kernel", ke), ("model", me)], w)
     }
 }
 
-fn load_svc(r: &ModelReader) -> Result<Box<dyn PersistentPredictor + Send + Sync>, Error> {
+fn load_sv<F: SvFamily>(
+    r: &ModelReader,
+) -> Result<Box<dyn PersistentPredictor + Send + Sync>, Error> {
     let mut kd = r.section("kernel").map_err(Error::ModelIo)?;
     let kernel = get_kernel(&mut kd)?;
     kd.finish().map_err(Error::ModelIo)?;
@@ -216,101 +208,28 @@ fn load_svc(r: &ModelReader) -> Result<Box<dyn PersistentPredictor + Send + Sync
     let support = d.get_rows().map_err(Error::ModelIo)?;
     let coef = d.get_f64s().map_err(Error::ModelIo)?;
     let rho = d.get_f64().map_err(Error::ModelIo)?;
-    let complexity = d.get_f64().map_err(Error::ModelIo)?;
+    let complexity =
+        if stores_complexity::<F>() { Some(d.get_f64().map_err(Error::ModelIo)?) } else { None };
     let iterations = d.get_usize().map_err(Error::ModelIo)?;
     let cache = get_cache_stats(&mut d)?;
     d.finish().map_err(Error::ModelIo)?;
     if support.len() != coef.len() {
         return Err(malformed("support/coefficient length mismatch".into()));
     }
-    Ok(Box::new(SvcModel::from_parts(
-        kernel, n_features, support, coef, rho, complexity, iterations, cache,
-    )))
-}
-
-impl<K> PersistentPredictor for SvrModel<K>
-where
-    K: crate::kernels::Kernel<[f64]> + Clone,
-    AnyKernel: From<K>,
-{
-    fn save(&self, w: &mut dyn Write) -> Result<(), Error> {
-        let mut ke = Enc::new();
-        put_kernel(&mut ke, &AnyKernel::from(self.kernel().clone()));
-        let mut me = Enc::new();
-        put_sv_model(
-            &mut me,
-            Predictor::n_features(self),
-            self.support_vectors(),
-            self.coefficients(),
-            self.rho(),
-            Some(self.complexity()),
-            (self.iterations(), self.cache_stats()),
-        );
-        write_container("svr", vec![("kernel", ke), ("model", me)], w)
-    }
-}
-
-fn load_svr(r: &ModelReader) -> Result<Box<dyn PersistentPredictor + Send + Sync>, Error> {
-    let mut kd = r.section("kernel").map_err(Error::ModelIo)?;
-    let kernel = get_kernel(&mut kd)?;
-    kd.finish().map_err(Error::ModelIo)?;
-    let mut d = r.section("model").map_err(Error::ModelIo)?;
-    let n_features = d.get_usize().map_err(Error::ModelIo)?;
-    let support = d.get_rows().map_err(Error::ModelIo)?;
-    let coef = d.get_f64s().map_err(Error::ModelIo)?;
-    let rho = d.get_f64().map_err(Error::ModelIo)?;
-    let complexity = d.get_f64().map_err(Error::ModelIo)?;
-    let iterations = d.get_usize().map_err(Error::ModelIo)?;
-    let cache = get_cache_stats(&mut d)?;
-    d.finish().map_err(Error::ModelIo)?;
-    if support.len() != coef.len() {
-        return Err(malformed("support/coefficient length mismatch".into()));
-    }
-    Ok(Box::new(SvrModel::from_parts(
-        kernel, n_features, support, coef, rho, complexity, iterations, cache,
-    )))
-}
-
-impl<K> PersistentPredictor for OneClassModel<K>
-where
-    K: crate::kernels::Kernel<[f64]> + Clone,
-    AnyKernel: From<K>,
-{
-    fn save(&self, w: &mut dyn Write) -> Result<(), Error> {
-        let mut ke = Enc::new();
-        put_kernel(&mut ke, &AnyKernel::from(self.kernel().clone()));
-        let mut me = Enc::new();
-        put_sv_model(
-            &mut me,
-            Predictor::n_features(self),
-            self.support_vectors(),
-            self.coefficients(),
-            self.rho(),
-            None,
-            (self.iterations(), self.cache_stats()),
-        );
-        write_container("one_class_svm", vec![("kernel", ke), ("model", me)], w)
-    }
-}
-
-fn load_one_class(r: &ModelReader) -> Result<Box<dyn PersistentPredictor + Send + Sync>, Error> {
-    let mut kd = r.section("kernel").map_err(Error::ModelIo)?;
-    let kernel = get_kernel(&mut kd)?;
-    kd.finish().map_err(Error::ModelIo)?;
-    let mut d = r.section("model").map_err(Error::ModelIo)?;
-    let n_features = d.get_usize().map_err(Error::ModelIo)?;
-    let support = d.get_rows().map_err(Error::ModelIo)?;
-    let coef = d.get_f64s().map_err(Error::ModelIo)?;
-    let rho = d.get_f64().map_err(Error::ModelIo)?;
-    let iterations = d.get_usize().map_err(Error::ModelIo)?;
-    let cache = get_cache_stats(&mut d)?;
-    d.finish().map_err(Error::ModelIo)?;
-    if support.len() != coef.len() {
-        return Err(malformed("support/coefficient length mismatch".into()));
-    }
-    Ok(Box::new(OneClassModel::from_parts(
+    let model = SvModel::<AnyKernel, F>::from_parts(
         kernel, n_features, support, coef, rho, iterations, cache,
-    )))
+    );
+    // The slot is derived data: a value other than the coefficients'
+    // Σ|cᵢ| means the section was not written by `save`.
+    if let Some(stored) = complexity {
+        if stored.to_bits() != model.complexity().to_bits() {
+            return Err(malformed(format!(
+                "stored complexity {stored} is not the coefficients' sum {}",
+                model.complexity()
+            )));
+        }
+    }
+    Ok(Box::new(model))
 }
 
 // ---- linear models ------------------------------------------------------
@@ -540,9 +459,9 @@ fn load_forest(r: &ModelReader) -> Result<Box<dyn PersistentPredictor + Send + S
 /// The family tags [`load_predictor`] dispatches on, in registry order —
 /// exactly the nine [`Predictor`] families.
 pub const FAMILIES: [&str; 9] = [
-    "svc",
-    "svr",
-    "one_class_svm",
+    Svc::TAG,
+    Svr::TAG,
+    OneClass::TAG,
     "least_squares",
     "ridge",
     "gp_regressor",
@@ -574,9 +493,9 @@ pub fn load_predictor_from_bytes(bytes: &[u8]) -> Result<LoadedModel, Error> {
     let _span = edm_trace::span("model_io.load");
     let reader = ModelReader::from_bytes(bytes).map_err(Error::ModelIo)?;
     let model = match reader.family() {
-        "svc" => load_svc(&reader)?,
-        "svr" => load_svr(&reader)?,
-        "one_class_svm" => load_one_class(&reader)?,
+        Svc::TAG => load_sv::<Svc>(&reader)?,
+        Svr::TAG => load_sv::<Svr>(&reader)?,
+        OneClass::TAG => load_sv::<OneClass>(&reader)?,
         "least_squares" => load_least_squares(&reader)?,
         "ridge" => load_ridge(&reader)?,
         "gp_regressor" => load_gp(&reader)?,
@@ -611,19 +530,19 @@ pub fn fit_family(
     use rand::SeedableRng;
     let knn_k = |n: usize| 5usize.min(n.max(1));
     match family {
-        "svc" => {
+        Svc::TAG => {
             let m = crate::svm::SvcTrainer::new(crate::svm::SvcParams::default())
                 .kernel(AnyKernel::from(RbfKernel::new(1.0)))
                 .fit(x, y)?;
             Ok(Box::new(m))
         }
-        "svr" => {
+        Svr::TAG => {
             let m = crate::svm::SvrTrainer::new(crate::svm::SvrParams::default())
                 .kernel(AnyKernel::from(RbfKernel::new(1.0)))
                 .fit(x, y)?;
             Ok(Box::new(m))
         }
-        "one_class_svm" => {
+        OneClass::TAG => {
             let m = crate::svm::OneClassSvm::new(crate::svm::OneClassParams::default())
                 .kernel(AnyKernel::from(RbfKernel::new(1.0)))
                 .fit(x)?;

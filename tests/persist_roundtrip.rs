@@ -127,3 +127,132 @@ fn wrong_magic_is_not_a_model_file() {
         other => panic!("bad magic gave {other:?}"),
     }
 }
+
+// ---- containers pinned across versions ----------------------------------
+
+/// The fixed training set behind `tests/fixtures/*.edm`: eight 2-D
+/// points, their SVC labels, and an SVR target `2x₀ − x₁ + 0.25`
+/// (the one-class family ignores targets).
+fn fixture_data() -> (Vec<Vec<f64>>, Vec<f64>, Vec<f64>) {
+    let x = vec![
+        vec![0.0, 0.1],
+        vec![0.2, 0.0],
+        vec![0.1, 0.3],
+        vec![0.9, 1.0],
+        vec![1.1, 0.8],
+        vec![1.0, 1.2],
+        vec![0.5, 0.6],
+        vec![0.4, 0.5],
+    ];
+    let labels = vec![-1.0, -1.0, -1.0, 1.0, 1.0, 1.0, 1.0, -1.0];
+    let targets = x.iter().map(|r| 2.0 * r[0] - r[1] + 0.25).collect();
+    (x, labels, targets)
+}
+
+fn fixture_probes() -> Vec<Vec<f64>> {
+    vec![vec![0.05, 0.1], vec![0.45, 0.55], vec![1.0, 1.0], vec![3.0, -2.0], vec![0.7, 0.2]]
+}
+
+/// Each fixture family with the `f64` bit patterns its model predicted
+/// for [`fixture_probes`] in the build that wrote the container.
+const FIXTURES: [(&str, [u64; 5]); 3] = [
+    (
+        "svc",
+        [
+            0xbff0000000000000,
+            0xbff0000000000000,
+            0x3ff0000000000000,
+            0x3ff0000000000000,
+            0xbff0000000000000,
+        ],
+    ),
+    (
+        "svr",
+        [
+            0x3fd1bea13aa5b3fa,
+            0x3fe42808682b4dbe,
+            0x3ff38204d70328ae,
+            0x3fe8fc58d52ddea8,
+            0x3fec9ff70e2169dd,
+        ],
+    ),
+    (
+        "one_class_svm",
+        [
+            0x3ff0000000000000,
+            0x3ff0000000000000,
+            0x3ff0000000000000,
+            0xbff0000000000000,
+            0xbff0000000000000,
+        ],
+    ),
+];
+
+fn fixture_bytes(family: &str) -> Vec<u8> {
+    let path = format!("{}/tests/fixtures/{family}.edm", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
+#[test]
+fn pinned_containers_load_predict_and_resave_byte_identically() {
+    let (x, labels, targets) = fixture_data();
+    for (family, bits) in FIXTURES {
+        let bytes = fixture_bytes(family);
+        let loaded = load_predictor_from_bytes(&bytes)
+            .unwrap_or_else(|e| panic!("{family}: pinned container failed to load: {e}"));
+        assert_eq!(loaded.model.name(), family);
+        assert_eq!(loaded.model.n_features(), 2);
+        let got = loaded.model.predict_batch(&fixture_probes()).expect("fixture predictions");
+        let got: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(got, bits, "{family} predictions drifted from the pinned bits");
+        assert_eq!(save_to_vec(loaded.model.as_ref()), bytes, "{family} re-save diverged");
+        // Training the same data again writes the same bytes.
+        let y = if family == "svr" { &targets } else { &labels };
+        let refit = fit_family(family, &x, y).expect("fixture data trains");
+        assert_eq!(save_to_vec(refit.as_ref()), bytes, "{family} refit diverged");
+    }
+}
+
+/// Rebuilds a pinned SV container with its complexity slot replaced by
+/// `complexity(stored)`; section and file CRCs are recomputed, so only
+/// the loader's own check can catch a wrong value.
+fn reseal_complexity(family: &str, complexity: impl Fn(f64) -> f64) -> Vec<u8> {
+    use edm::model_io::{Enc, ModelReader, ModelWriter};
+    let bytes = fixture_bytes(family);
+    let r = ModelReader::from_bytes(&bytes).expect("fixture opens");
+    let mut kd = r.section("kernel").unwrap();
+    let mut ke = Enc::new();
+    ke.put_str(&kd.get_str().unwrap());
+    ke.put_f64(kd.get_f64().unwrap());
+    kd.finish().unwrap();
+    let mut d = r.section("model").unwrap();
+    let mut me = Enc::new();
+    me.put_usize(d.get_usize().unwrap());
+    me.put_rows(&d.get_rows().unwrap());
+    me.put_f64s(&d.get_f64s().unwrap());
+    me.put_f64(d.get_f64().unwrap());
+    me.put_f64(complexity(d.get_f64().unwrap()));
+    me.put_usize(d.get_usize().unwrap());
+    for _ in 0..3 {
+        me.put_u64(d.get_u64().unwrap());
+    }
+    d.finish().unwrap();
+    let mut w = ModelWriter::new(family);
+    w.add_section("kernel", ke);
+    w.add_section("model", me);
+    w.to_bytes().unwrap()
+}
+
+#[test]
+fn complexity_slot_that_disagrees_with_the_coefficients_is_malformed() {
+    for family in ["svc", "svr"] {
+        assert_eq!(reseal_complexity(family, |c| c), fixture_bytes(family), "{family} reseal");
+        let flipped = reseal_complexity(family, |c| f64::from_bits(c.to_bits() ^ 1));
+        match load_predictor_from_bytes(&flipped) {
+            Err(Error::ModelIo(IoError::Malformed { detail })) => {
+                assert!(detail.contains("complexity"), "{family}: {detail}");
+            }
+            other => panic!("{family}: flipped complexity slot gave {other:?}"),
+        }
+    }
+}
