@@ -15,8 +15,11 @@
 //! | `fig12_difficult_case` | Fig. 12 — the escapes |
 //! | `tune_coverage` | (diagnostic) coverage profile of a template |
 //!
-//! `benches/experiments.rs` holds Criterion microbenchmarks of each
-//! experiment's computational core.
+//! `bench_kernel_compute` times the Gram build's thread scaling and
+//! tile sweep. End-to-end and per-layer timing lives in the stand-alone
+//! `perfbench/` package; the claims the older timing harnesses made
+//! (bitwise serving, solver iteration cuts, trace invariance) are exact
+//! tests in the crates they describe.
 //!
 //! Every binary is seeded and deterministic; all print plain-text tables
 //! mirroring the rows/series the paper reports, and exit non-zero if the

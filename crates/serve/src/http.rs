@@ -138,7 +138,7 @@ pub fn read_request<R: BufRead>(reader: &mut R, max_body: usize) -> Result<Reque
     // HTTP/1.0 closes by default; 1.1 and later keep the connection.
     let mut close = version == "HTTP/1.0";
 
-    let mut content_length: usize = 0;
+    let mut content_length: Option<usize> = None;
     for i in 0.. {
         if i >= MAX_HEADERS {
             return Err(HttpError::Malformed("too many headers".into()));
@@ -151,10 +151,18 @@ pub fn read_request<R: BufRead>(reader: &mut R, max_body: usize) -> Result<Reque
             return Err(HttpError::Malformed("header without a colon".into()));
         };
         if name.eq_ignore_ascii_case("content-length") {
-            content_length = value
-                .trim()
-                .parse()
-                .map_err(|_| HttpError::Malformed("unparseable content-length".into()))?;
+            // RFC 9112 §6.3: `1*DIGIT`, so no sign (which `usize`
+            // parsing would accept), and a repeat must not differ.
+            let value = value.trim();
+            let digits = value.bytes().all(|b| b.is_ascii_digit());
+            let parsed = digits
+                .then(|| value.parse().ok())
+                .flatten()
+                .ok_or_else(|| HttpError::Malformed("unparseable content-length".into()))?;
+            if content_length.is_some_and(|seen| seen != parsed) {
+                return Err(HttpError::Malformed("conflicting content-length headers".into()));
+            }
+            content_length = Some(parsed);
         } else if name.eq_ignore_ascii_case("connection") {
             // `connection` is a comma-separated option list; only the
             // persistence tokens matter to this server.
@@ -171,6 +179,7 @@ pub fn read_request<R: BufRead>(reader: &mut R, max_body: usize) -> Result<Reque
         // for a scoring endpoint.
     }
 
+    let content_length = content_length.unwrap_or(0);
     if content_length > max_body {
         return Err(HttpError::TooLarge { limit: max_body });
     }
@@ -374,6 +383,20 @@ mod tests {
             parse("GET /x HTTP/1.1\r\nno-colon-here\r\n\r\n"),
             Err(HttpError::Malformed(_))
         ));
+        // RFC 9112 §6.3: the value is 1*DIGIT, and differing repeats
+        // are a 400 rather than last-one-wins.
+        for raw in [
+            "POST /x HTTP/1.1\r\ncontent-length: +5\r\n\r\nhello",
+            "POST /x HTTP/1.1\r\ncontent-length: -0\r\n\r\n",
+            "POST /x HTTP/1.1\r\ncontent-length: \r\n\r\n",
+            "POST /x HTTP/1.1\r\ncontent-length: 5\r\ncontent-length: 3\r\n\r\nhello",
+            "POST /x HTTP/1.1\r\ncontent-length: 3\r\nContent-Length: 5\r\n\r\nhello",
+        ] {
+            assert!(matches!(parse(raw), Err(HttpError::Malformed(_))), "{raw:?}");
+        }
+        let same = parse("POST /x HTTP/1.1\r\ncontent-length: 5\r\ncontent-length: 5\r\n\r\nhello")
+            .expect("identical repeats are accepted");
+        assert_eq!(same.body, b"hello");
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! End-to-end tests against a live server on an ephemeral port: the
-//! scoring round trip, every error status, OpenMetrics framing,
-//! deterministic queue-full backpressure, and graceful shutdown.
+//! scoring round trip, pipelined requests, every error status,
+//! OpenMetrics framing, the trace endpoint, deterministic queue-full
+//! backpressure, and graceful shutdown.
 //!
 //! Clients are raw `std::net::TcpStream`s writing HTTP/1.1 by hand —
 //! the server must interoperate with the wire format, not just with
@@ -190,6 +191,65 @@ fn keep_alive_serves_many_requests_on_one_connection() {
     let mut rest = Vec::new();
     stream.read_to_end(&mut rest).expect("read to EOF");
     assert!(rest.is_empty(), "server must close after connection: close");
+    server.shutdown();
+}
+
+#[test]
+fn pipelined_requests_in_one_write_are_answered_in_order() {
+    let (server, ridge) = start_default();
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(20))).expect("timeout");
+
+    // Sixteen predicts with distinct inputs, sent in a single write
+    // before any response is read (HTTP/1.1 pipelining).
+    let queries: Vec<Vec<f64>> =
+        (0..16).map(|i| vec![0.1 * i as f64, 2.0 - 0.1 * i as f64]).collect();
+    let expected = ridge.predict_batch(&queries);
+    let mut raw = String::new();
+    for q in &queries {
+        let body = format!("{{\"inputs\": [[{:?}, {:?}]]}}", q[0], q[1]);
+        raw += &format!(
+            "POST /v1/models/ridge:predict HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\n\r\n{body}",
+            body.len()
+        );
+    }
+    stream.write_all(raw.as_bytes()).expect("send the pipelined burst");
+
+    for (i, want) in expected.iter().enumerate() {
+        let (status, _, body) = read_framed(&mut stream);
+        assert_eq!(status, 200, "pipelined request {i}: {body}");
+        let doc = json::parse(&body).expect("predict response json");
+        let served = doc.get("predictions").and_then(Value::as_array).expect("predictions")[0]
+            .as_f64()
+            .expect("number");
+        assert_eq!(served.to_bits(), want.to_bits(), "response {i} answered out of order");
+    }
+    server.shutdown();
+}
+
+#[test]
+fn trace_endpoint_serves_a_live_report() {
+    // Summary level so the scheduler's flush probe records; no other
+    // test in this binary depends on the trace level.
+    edm::trace::set_level(edm::trace::Level::Summary);
+    let (server, _) = start_default();
+    let addr = server.local_addr();
+    assert_eq!(post(addr, "/v1/models/ridge:predict", "{\"inputs\": [[0.1, 0.2]]}").0, 200);
+    let (status, head, body) = get(addr, "/v1/trace");
+    assert_eq!(status, 200, "trace endpoint: {body}");
+    assert!(head.contains("content-type: application/json"), "head was {head}");
+    let doc = json::parse(&body).expect("the server's own JSON reader accepts the report");
+    assert!(doc.get("level").and_then(Value::as_str).is_some(), "no level in {body}");
+    assert!(doc.get("dropped_events").and_then(Value::as_f64).is_some(), "no dropped_events");
+    if edm::trace::compiled() {
+        let histograms = doc.get("histograms").and_then(Value::as_array).expect("histograms");
+        assert!(
+            histograms
+                .iter()
+                .any(|h| h.get("name").and_then(Value::as_str) == Some("serve.batch.wait_ns")),
+            "the predict's flush probe is missing from {body}"
+        );
+    }
     server.shutdown();
 }
 

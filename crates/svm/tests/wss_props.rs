@@ -190,7 +190,7 @@ proptest! {
 
     /// On separable problems the second-order rule does not take more
     /// SMO iterations than the first-order rule — the mechanism behind
-    /// the convergence speedup measured in `bench_smo_convergence`. The
+    /// the iteration cuts pinned by the root `tests/smo_convergence.rs`. The
     /// bound is over a batch of random problems per case: on a tiny
     /// individual instance either rule can get lucky by a step or two,
     /// but WSS2 wins in aggregate.

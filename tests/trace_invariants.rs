@@ -5,14 +5,21 @@
 //! the algorithms already computed and never reorder a floating-point
 //! operation.
 //!
-//! The trace level is process-global, so a concurrently running test
-//! may flip it mid-train. That is fine here — the property under test
-//! is precisely that the level cannot affect results, so interference
-//! can only make the test *more* demanding, never flaky.
+//! The trace level and registry are process-global, so every test
+//! that sets the level holds `LEVEL_LOCK`: the `off` test below must
+//! not see probes recorded while another test runs at `full`.
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use proptest::prelude::*;
 
 use edm::trace::Level;
+
+static LEVEL_LOCK: Mutex<()> = Mutex::new(());
+
+fn lock_level() -> MutexGuard<'static, ()> {
+    LEVEL_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn small_vec(len: usize) -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(-5.0..5.0f64, len)
@@ -25,6 +32,7 @@ fn point_cloud(n: usize, d: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
 /// Runs `f` twice — once at `off`, once at `full` — and returns both
 /// results, leaving the level at `off` afterwards.
 fn at_both_levels<T>(mut f: impl FnMut() -> T) -> (T, T) {
+    let _level = lock_level();
     edm::trace::set_level(Level::Off);
     let off = f();
     edm::trace::set_level(Level::Full);
@@ -95,4 +103,29 @@ proptest! {
         // equality), inertia, and iteration count.
         prop_assert_eq!(off, full);
     }
+}
+
+/// At `off`, a full SVC fit records nothing: no span, counter or
+/// histogram series, and no ring event, kept or dropped.
+#[test]
+fn svc_fit_at_off_leaves_no_trace() {
+    use edm::kernels::RbfKernel;
+    use edm::svm::{SvcParams, SvcTrainer};
+    let x: Vec<Vec<f64>> = (0..40)
+        .map(|i| vec![(i % 7) as f64 * 0.3, (i % 5) as f64 * 0.4 + (i % 2) as f64])
+        .collect();
+    let y: Vec<f64> = (0..40).map(|i| if i % 2 == 0 { -1.0 } else { 1.0 }).collect();
+
+    let _level = lock_level();
+    edm::trace::set_level(Level::Off);
+    edm::trace::reset();
+    let model = SvcTrainer::new(SvcParams::default()).kernel(RbfKernel::new(0.5)).fit(&x, &y);
+    assert!(model.expect("svc trains").iterations() > 0);
+    let report = edm::trace::collect();
+    assert_eq!(report.level, "off");
+    assert!(report.spans.is_empty(), "spans at off: {:?}", report.spans);
+    assert!(report.counters.is_empty(), "counters at off: {:?}", report.counters);
+    assert!(report.histograms.is_empty(), "histograms at off: {:?}", report.histograms);
+    assert!(report.timeline.is_empty(), "ring events at off: {}", report.timeline.len());
+    assert_eq!(report.dropped_events, 0);
 }
