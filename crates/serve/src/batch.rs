@@ -29,21 +29,12 @@
 //!   distributes the per-request slices back to the parked waiters in
 //!   order (`reason = "drain"`). The natural coalescing window
 //!   is therefore one in-flight execution — bounded by the model's own
-//!   batch latency, not by a timer.
-//! * **Bounded hold.** With [`BatchConfig::max_wait`] > 0 the promoted
-//!   leader additionally holds the batch open for stragglers until the
-//!   deadline or the row cap, whichever comes first
-//!   (`reason = "hold"` / `"size"`). The default is 0: flush the
-//!   moment a leader is promoted, so added latency stays at most one
-//!   execution even under adversarial arrival patterns.
+//!   batch latency, not by a timer — so added latency stays at most
+//!   one execution even under adversarial arrival patterns.
 //! * **Caps.** Batches are chunked at request boundaries to
-//!   [`BatchConfig::max_rows`] rows per call; a single oversized
-//!   request bypasses the queue entirely (`reason = "bypass"`).
-//!
-//! Env knobs (read once per [`BatchConfig::from_env`]):
-//! `EDM_SERVE_BATCH=off` disables coalescing,
-//! `EDM_SERVE_BATCH_MAX_ROWS` caps rows per flushed call, and
-//! `EDM_SERVE_BATCH_WAIT_US` sets the leader hold budget.
+//!   [`BatchConfig::max_rows`] rows per call (`reason = "size"` for
+//!   every chunk but the last); a single oversized request bypasses
+//!   the queue entirely (`reason = "bypass"`).
 //!
 //! Flush counts by reason and row volume are recorded once, in the
 //! always-on [`ServeMetrics`] batch families rendered on `/metrics`;
@@ -61,7 +52,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use edm_par::sync::{DbgCondvar, DbgMutex, DbgMutexGuard};
 
@@ -71,45 +62,15 @@ use crate::registry::ServedModel;
 /// Tunables for the [`BatchScheduler`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchConfig {
-    /// Master switch; `false` scores every request inline, unbatched.
-    pub enabled: bool,
     /// Most rows per flushed `predict_batch` call; batches are chunked
     /// at request boundaries to stay under this. Requests carrying
     /// `max_rows` or more rows bypass the queue.
     pub max_rows: usize,
-    /// How long a promoted leader may hold its batch open waiting for
-    /// more arrivals. Zero (the default) flushes immediately on
-    /// promotion, so coalescing never *adds* latency beyond one
-    /// in-flight execution.
-    pub max_wait: Duration,
 }
 
 impl Default for BatchConfig {
     fn default() -> Self {
-        BatchConfig { enabled: true, max_rows: 512, max_wait: Duration::ZERO }
-    }
-}
-
-impl BatchConfig {
-    /// The defaults with `EDM_SERVE_BATCH` / `EDM_SERVE_BATCH_MAX_ROWS`
-    /// / `EDM_SERVE_BATCH_WAIT_US` environment overrides applied.
-    pub fn from_env() -> Self {
-        let mut cfg = BatchConfig::default();
-        if let Ok(v) = std::env::var("EDM_SERVE_BATCH") {
-            cfg.enabled =
-                !(v == "0" || v.eq_ignore_ascii_case("off") || v.eq_ignore_ascii_case("false"));
-        }
-        if let Some(rows) =
-            std::env::var("EDM_SERVE_BATCH_MAX_ROWS").ok().and_then(|v| v.parse::<usize>().ok())
-        {
-            cfg.max_rows = rows.max(1);
-        }
-        if let Some(us) =
-            std::env::var("EDM_SERVE_BATCH_WAIT_US").ok().and_then(|v| v.parse::<u64>().ok())
-        {
-            cfg.max_wait = Duration::from_micros(us);
-        }
-        cfg
+        BatchConfig { max_rows: 512 }
     }
 }
 
@@ -167,15 +128,12 @@ struct QState {
 
 struct ModelQueue {
     state: DbgMutex<QState>,
-    /// Signaled on every enqueue; a holding leader waits here.
-    arrivals: DbgCondvar,
 }
 
 impl ModelQueue {
     fn new() -> Arc<ModelQueue> {
         Arc::new(ModelQueue {
             state: DbgMutex::new("serve.batch.queue", QState { active: false, queue: Vec::new() }),
-            arrivals: DbgCondvar::new(),
         })
     }
 
@@ -267,11 +225,6 @@ impl BatchScheduler {
         }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &BatchConfig {
-        &self.config
-    }
-
     /// Scores `rows` against `model`, coalescing with any concurrent
     /// submissions for the same `name` *and* `generation`. Blocks
     /// until this request's results are ready. Row `i` of the return
@@ -295,9 +248,6 @@ impl BatchScheduler {
         rows: Vec<Vec<f64>>,
         metrics: &ServeMetrics,
     ) -> ScoreResult {
-        if !self.config.enabled {
-            return model.predict_batch(&rows).map_err(|e| e.to_string());
-        }
         if rows.len() >= self.config.max_rows {
             return self.score_chunk(model, &[], &rows, "bypass", Instant::now(), metrics);
         }
@@ -310,7 +260,6 @@ impl BatchScheduler {
                 let slot = Slot::new();
                 st.queue.push(Pending { rows, enqueued, slot: Arc::clone(&slot) });
                 drop(st);
-                mq.arrivals.notify_one();
                 return self.wait_or_lead(&mq, &slot, model, metrics);
             }
             st.active = true;
@@ -347,24 +296,19 @@ impl BatchScheduler {
         }
     }
 
-    /// Leader duty: optionally hold for stragglers, then flush the
-    /// batch in `max_rows`-bounded chunks, delivering every request's
-    /// slice. Returns this leader's own result. The leader's
-    /// [`ActiveGuard`] promotes the next leader (or goes idle) on exit
-    /// — including on panic.
+    /// Leader duty: flush the batch in `max_rows`-bounded chunks,
+    /// delivering every request's slice. Returns this leader's own
+    /// result. The leader's [`ActiveGuard`] promotes the next leader
+    /// (or goes idle) on exit — including on panic.
     fn lead(
         &self,
         mq: &ModelQueue,
         own: &Arc<Slot>,
-        mut batch: Vec<Pending>,
+        batch: Vec<Pending>,
         model: &ServedModel,
         metrics: &ServeMetrics,
     ) -> ScoreResult {
         let _release = ActiveGuard { mq };
-        let mut reason = "drain";
-        if !self.config.max_wait.is_zero() {
-            reason = self.hold_for_stragglers(mq, &mut batch);
-        }
         let mut own_result: ScoreResult = Err("leader lost its own result".to_string());
         let mut start = 0;
         while start < batch.len() {
@@ -377,7 +321,7 @@ impl BatchScheduler {
                 end += 1;
             }
             let chunk = &batch[start..end];
-            let chunk_reason = if end < batch.len() { "size" } else { reason };
+            let chunk_reason = if end < batch.len() { "size" } else { "drain" };
             let all_rows: Vec<Vec<f64>> =
                 chunk.iter().flat_map(|p| p.rows.iter().cloned()).collect();
             let oldest = chunk.iter().map(|p| p.enqueued).min().unwrap_or_else(Instant::now);
@@ -394,30 +338,6 @@ impl BatchScheduler {
             start = end;
         }
         own_result
-    }
-
-    /// Holds the freshly promoted leader's batch open until the row cap
-    /// or [`BatchConfig::max_wait`] elapses, absorbing new arrivals.
-    /// Returns the flush reason.
-    fn hold_for_stragglers(&self, mq: &ModelQueue, batch: &mut Vec<Pending>) -> &'static str {
-        let deadline = Instant::now() + self.config.max_wait;
-        let mut st = mq.lock();
-        loop {
-            batch.append(&mut st.queue);
-            let rows: usize = batch.iter().map(|p| p.rows.len()).sum();
-            if rows >= self.config.max_rows {
-                return "size";
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return "hold";
-            }
-            let (guard, _) = mq
-                .arrivals
-                .wait_timeout(st, deadline - now)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            st = guard;
-        }
     }
 
     /// Scores one flushed chunk (`followers` may be empty for the
@@ -530,22 +450,11 @@ mod tests {
     #[test]
     fn oversized_requests_bypass_the_queue() {
         let model = plane();
-        let sched = BatchScheduler::new(BatchConfig { max_rows: 2, ..BatchConfig::default() });
+        let sched = BatchScheduler::new(BatchConfig { max_rows: 2 });
         let metrics = ServeMetrics::new();
         let rows = vec![vec![0.0, 0.0], vec![1.0, 1.0], vec![0.5, 0.5]];
         let out = sched.submit("plane", 1, &model, rows, &metrics).expect("bypass path");
         assert_eq!(out.len(), 3);
-    }
-
-    #[test]
-    fn disabled_scheduler_is_a_passthrough() {
-        let model = plane();
-        let sched = BatchScheduler::new(BatchConfig { enabled: false, ..BatchConfig::default() });
-        let metrics = ServeMetrics::new();
-        let out =
-            sched.submit("plane", 1, &model, vec![vec![0.5, 0.5]], &metrics).expect("passthrough");
-        assert_eq!(out.len(), 1);
-        assert_eq!(metrics.batch_snapshot().flushes, 0, "no batch telemetry when disabled");
     }
 
     #[test]

@@ -105,15 +105,16 @@ fn read_line<R: BufRead>(reader: &mut R) -> Result<String, HttpError> {
             }
         };
         reader.consume(used);
+        // Checked first, so the cap holds however the line was buffered.
+        if buf.len() > MAX_LINE_BYTES {
+            return Err(HttpError::Malformed("header line too long".into()));
+        }
         if found_newline {
             if buf.last() == Some(&b'\r') {
                 buf.pop();
             }
             return String::from_utf8(buf)
                 .map_err(|_| HttpError::Malformed("non-UTF-8 header line".into()));
-        }
-        if buf.len() > MAX_LINE_BYTES {
-            return Err(HttpError::Malformed("header line too long".into()));
         }
     }
 }
@@ -152,8 +153,9 @@ pub fn read_request<R: BufRead>(reader: &mut R, max_body: usize) -> Result<Reque
         };
         if name.eq_ignore_ascii_case("content-length") {
             // RFC 9112 §6.3: `1*DIGIT`, so no sign (which `usize`
-            // parsing would accept), and a repeat must not differ.
-            let value = value.trim();
+            // parsing would accept), and a repeat must not differ. OWS
+            // is SP / HTAB only (RFC 9110 §5.6.3), unlike `str::trim`.
+            let value = value.trim_matches([' ', '\t']);
             let digits = value.bytes().all(|b| b.is_ascii_digit());
             let parsed = digits
                 .then(|| value.parse().ok())
@@ -391,12 +393,19 @@ mod tests {
             "POST /x HTTP/1.1\r\ncontent-length: \r\n\r\n",
             "POST /x HTTP/1.1\r\ncontent-length: 5\r\ncontent-length: 3\r\n\r\nhello",
             "POST /x HTTP/1.1\r\ncontent-length: 3\r\nContent-Length: 5\r\n\r\nhello",
+            // OWS is SP / HTAB only: other whitespace is not trimmed.
+            "POST /x HTTP/1.1\r\ncontent-length:\x0c5\r\n\r\nhello",
+            "POST /x HTTP/1.1\r\ncontent-length:\x0b5\r\n\r\nhello",
+            "POST /x HTTP/1.1\r\ncontent-length:\u{3000}5\r\n\r\nhello",
         ] {
             assert!(matches!(parse(raw), Err(HttpError::Malformed(_))), "{raw:?}");
         }
         let same = parse("POST /x HTTP/1.1\r\ncontent-length: 5\r\ncontent-length: 5\r\n\r\nhello")
             .expect("identical repeats are accepted");
         assert_eq!(same.body, b"hello");
+        let ows = parse("POST /x HTTP/1.1\r\ncontent-length:\t5 \t\r\n\r\nhello")
+            .expect("SP and HTAB around the value are OWS");
+        assert_eq!(ows.body, b"hello");
     }
 
     #[test]

@@ -148,7 +148,7 @@ impl Series {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BatchSnapshot {
     /// Total flushed `predict_batch` calls through the scheduler
-    /// (inline, drain, hold, size, and bypass flushes alike).
+    /// (inline, drain, size, and bypass flushes alike).
     pub flushes: u64,
     /// Total rows scored across all flushes.
     pub batched_rows: u64,
@@ -158,8 +158,8 @@ pub struct BatchSnapshot {
     pub coalesced_requests: u64,
     /// Largest single flush, in rows.
     pub max_batch_rows: u64,
-    /// Flush counts keyed by reason (`inline`, `drain`, `hold`,
-    /// `size`, `bypass`).
+    /// Flush counts keyed by reason (`inline`, `drain`, `size`,
+    /// `bypass`).
     pub flush_reasons: BTreeMap<String, u64>,
 }
 

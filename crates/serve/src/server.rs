@@ -100,8 +100,7 @@ pub struct ServerConfig {
     /// Requests served on one connection before the server closes it
     /// (`connection: close` on the final response).
     pub max_requests_per_conn: usize,
-    /// Micro-batch scheduler tunables (see
-    /// [`BatchConfig::from_env`] for the env-driven variant).
+    /// Micro-batch scheduler tunables.
     pub batch: BatchConfig,
     /// Largest accepted request body, in bytes (413 beyond this).
     pub max_body_bytes: usize,
@@ -426,13 +425,31 @@ const IDLE_POLL: Duration = Duration::from_millis(100);
 /// until `deadline`, then surfaced as `TimedOut`. One read is always
 /// attempted, so an already-expired deadline still drains buffered
 /// bytes and acts as a single poll tick.
+///
+/// It also owns the connection's *cork* (responses held while the next
+/// request is already buffered) and writes it out before every socket
+/// read, so no response is ever held across a socket wait.
 struct DeadlineReader<'a> {
     stream: &'a TcpStream,
     deadline: Instant,
+    corked: Vec<u8>,
+}
+
+impl DeadlineReader<'_> {
+    /// Writes the cork, ignoring socket errors: the client may be gone,
+    /// and a failed write must not take the worker down.
+    fn flush_corked(&mut self) {
+        if !self.corked.is_empty() {
+            let mut stream = self.stream;
+            let _ = stream.write_all(&self.corked);
+            self.corked.clear();
+        }
+    }
 }
 
 impl Read for DeadlineReader<'_> {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.flush_corked();
         loop {
             let mut stream = self.stream;
             match stream.read(buf) {
@@ -491,78 +508,6 @@ fn wait_for_request(
     }
 }
 
-/// Scans digits out of a header value estimate (blanks skipped, stops
-/// at the first non-digit) — only used by [`holds_complete_request`],
-/// whose answer merely decides write corking; the authoritative parse
-/// stays in `http::read_request`.
-fn sniff_uint(bytes: &[u8]) -> usize {
-    let mut v = 0usize;
-    let mut seen = false;
-    for &b in bytes {
-        match b {
-            b'0'..=b'9' => {
-                v = v.saturating_mul(10).saturating_add((b - b'0') as usize);
-                seen = true;
-            }
-            b' ' | b'\t' if !seen => {}
-            _ => break,
-        }
-    }
-    v
-}
-
-/// True when `buf` starts with one complete HTTP request: a terminated
-/// header section plus any declared `content-length` body. When this
-/// holds, the next loop iteration is guaranteed not to touch the
-/// socket, so the current response may stay corked (buffered) and ride
-/// the next write.
-fn holds_complete_request(buf: &[u8]) -> bool {
-    let mut line_start = 0usize;
-    for (i, &b) in buf.iter().enumerate() {
-        if b != b'\n' {
-            continue;
-        }
-        let mut line_end = i;
-        if line_end > line_start && buf[line_end - 1] == b'\r' {
-            line_end -= 1;
-        }
-        let line = &buf[line_start..line_end];
-        if line.is_empty() {
-            // Header section ends after this blank line; the body (if
-            // any) must already be buffered in full. Later
-            // `content-length` duplicates are ignored here, but the
-            // authoritative parser rejects none of them either (last
-            // one wins there too, via overwrite).
-            let body_len = scan_content_length(&buf[..line_start]);
-            return buf.len() - (i + 1) >= body_len;
-        }
-        line_start = i + 1;
-    }
-    false
-}
-
-/// `content-length` value within a buffered header section (0 when
-/// absent), matching the authoritative parser's last-one-wins behavior.
-fn scan_content_length(head: &[u8]) -> usize {
-    let mut value = 0usize;
-    let mut line_start = 0usize;
-    for (i, &b) in head.iter().enumerate() {
-        if b != b'\n' {
-            continue;
-        }
-        let line = &head[line_start..i];
-        if line.len() > 15 && line[..15].eq_ignore_ascii_case(b"content-length:") {
-            value = sniff_uint(&line[15..]);
-        }
-        line_start = i + 1;
-    }
-    let tail = &head[line_start..];
-    if tail.len() > 15 && tail[..15].eq_ignore_ascii_case(b"content-length:") {
-        value = sniff_uint(&tail[15..]);
-    }
-    value
-}
-
 /// Most response bytes held corked before forcing a flush.
 const MAX_CORKED_BYTES: usize = 64 * 1024;
 
@@ -570,19 +515,22 @@ const MAX_CORKED_BYTES: usize = 64 * 1024;
 /// read deadline per request and closes on `connection: close`, idle
 /// timeout, the per-connection request cap, parse errors, or shutdown.
 ///
-/// Responses are *corked* under pipelining: while the reader's buffer
-/// already holds the next complete request, response bytes accumulate
-/// and go out in one `write` once the pipeline drains (or the cork
-/// cap is hit) — one syscall for a whole burst instead of one per
-/// response. A response is never corked across a socket wait.
+/// Responses are *corked* under pipelining: while bytes of the next
+/// request have already arrived, response bytes accumulate in the
+/// [`DeadlineReader`] and go out in one `write` when the next socket
+/// read begins (or the cork cap is hit) — one syscall for a whole burst
+/// instead of one per response.
 fn handle_connection(stream: &TcpStream, state: &ServeState) {
     state.probes.connections.add(1);
     let mut reader = BufReader::with_capacity(
         32 * 1024,
-        DeadlineReader { stream, deadline: Instant::now() + state.conn.read_timeout },
+        DeadlineReader {
+            stream,
+            deadline: Instant::now() + state.conn.read_timeout,
+            corked: Vec::new(),
+        },
     );
     let mut served = 0usize;
-    let mut corked: Vec<u8> = Vec::new();
     while wait_for_request(&mut reader, state, served > 0) {
         // Fresh per-request read budget: a slow request N+1 cannot
         // ride whatever deadline request N left on the socket.
@@ -620,37 +568,22 @@ fn handle_connection(stream: &TcpStream, state: &ServeState) {
             client_close || served >= state.conn.max_requests || state.stop.load(Ordering::SeqCst);
         routed.response.request_id = Some(id);
         routed.response.close = close;
+        let pipelined = !reader.buffer().is_empty();
+        let out = reader.get_mut();
         if drain {
-            flush_corked(stream, &mut corked);
+            out.flush_corked();
             respond_and_drain(stream, &routed.response, state.conn.max_body);
-        } else if !close
-            && corked.len() < MAX_CORKED_BYTES
-            && holds_complete_request(reader.buffer())
-        {
-            corked.extend_from_slice(&routed.response.to_bytes());
-        } else if corked.is_empty() {
-            respond(stream, &routed.response);
         } else {
-            corked.extend_from_slice(&routed.response.to_bytes());
-            flush_corked(stream, &mut corked);
+            out.corked.extend_from_slice(&routed.response.to_bytes());
+            if close || !pipelined || out.corked.len() >= MAX_CORKED_BYTES {
+                out.flush_corked();
+            }
         }
         finish_request(state, id, &routed, (t0.elapsed().as_secs_f64() * 1e9) as u64);
         if close {
             return;
         }
     }
-    flush_corked(stream, &mut corked);
-}
-
-/// Writes any corked response bytes, ignoring socket errors like
-/// [`respond`].
-fn flush_corked(stream: &TcpStream, corked: &mut Vec<u8>) {
-    if corked.is_empty() {
-        return;
-    }
-    let mut stream = stream;
-    let _ = stream.write_all(corked);
-    corked.clear();
 }
 
 /// Records one finished request in [`ServeMetrics`] and (when enabled,
@@ -671,12 +604,6 @@ fn finish_request(state: &ServeState, id: u64, routed: &Routed, latency_ns: u64)
             latency_ns as f64 / 1e6,
         );
     }
-}
-
-/// Writes `resp`, ignoring socket errors — the client may already be
-/// gone, and a failed write must not take the worker down.
-fn respond(mut stream: &TcpStream, resp: &Response) {
-    let _ = resp.write_to(&mut stream);
 }
 
 /// How much unread request the draining close will consume before

@@ -2,7 +2,7 @@
 //! coalesced scoring is **bitwise identical** to per-request scoring,
 //! and every response maps back to the request that asked for it —
 //! across interleaved models, mixed per-request batch sizes, forced
-//! coalescing, bounded-hold mode, and keep-alive connection reuse.
+//! coalescing, and keep-alive connection reuse.
 //!
 //! Coalescing is made deterministic with a gate: the first submission
 //! parks inside `predict_batch`, follow-up submissions queue behind it
@@ -182,43 +182,6 @@ proptest! {
             "no coalesced flush despite {} parked followers (calls: {:?})",
             n_requests, calls.lock().unwrap()
         );
-    }
-
-    /// Bounded-hold mode (`max_wait > 0`) under free-running concurrent
-    /// submitters: coalescing opportunistic, correctness unconditional.
-    #[test]
-    fn hold_mode_scoring_stays_bitwise(
-        seed in 0u64..1_000_000,
-        n_requests in 2usize..7,
-        wait_us in 1u64..800,
-    ) {
-        let inner = fit_plane(seed);
-        let model: edm_serve::ServedModel = Arc::new(inner.clone());
-        let sched = Arc::new(BatchScheduler::new(BatchConfig {
-            max_wait: Duration::from_micros(wait_us),
-            ..BatchConfig::default()
-        }));
-        let metrics = Arc::new(ServeMetrics::new());
-        let handles: Vec<_> = (0..n_requests)
-            .map(|i| {
-                let sched = Arc::clone(&sched);
-                let model = Arc::clone(&model);
-                let metrics = Arc::clone(&metrics);
-                let rows = request_rows(seed, i, 1 + i % 4);
-                (i, rows.clone(), std::thread::spawn(move || {
-                    sched.submit("solo", 1, &model, rows, &metrics)
-                }))
-            })
-            .collect();
-        for (i, rows, handle) in handles {
-            let got = handle.join().expect("submitter thread").expect("clean scoring");
-            let expected =
-                (&inner as &dyn Predictor).predict_batch(&rows).expect("reference scoring");
-            prop_assert_eq!(got.len(), expected.len());
-            for (g, e) in got.iter().zip(&expected) {
-                prop_assert_eq!(g.to_bits(), e.to_bits(), "request {} rescored under hold", i);
-            }
-        }
     }
 }
 

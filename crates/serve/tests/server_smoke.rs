@@ -227,6 +227,77 @@ fn pipelined_requests_in_one_write_are_answered_in_order() {
     server.shutdown();
 }
 
+/// Sends one predict plus the head of a second request whose body has
+/// not been sent, in one write, and returns the stream once the
+/// predict's 200 is read — asserting it arrived within 1 s, not after
+/// the server's 5 s read timeout.
+fn predict_then_head(addr: SocketAddr, head: &str) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(20))).expect("timeout");
+    let body = "{\"inputs\": [[0.15, 0.2]]}";
+    let raw = format!(
+        "POST /v1/models/ridge:predict HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\n\r\n{body}{head}",
+        body.len()
+    );
+    let t0 = Instant::now();
+    stream.write_all(raw.as_bytes()).expect("send predict and head");
+    let (status, _, body) = read_framed(&mut stream);
+    assert_eq!(status, 200, "predict: {body}");
+    assert!(t0.elapsed() < Duration::from_secs(1), "the 200 took {:?}", t0.elapsed());
+    stream
+}
+
+#[test]
+fn response_is_not_held_behind_a_head_with_a_form_feed_length() {
+    let (server, _) = start_default();
+    let head = "POST /v1/models/ridge:predict HTTP/1.1\r\nhost: t\r\ncontent-length:\x0c5\r\n\r\n";
+    let mut stream = predict_then_head(server.local_addr(), head);
+    let (status, head, body) = read_framed(&mut stream);
+    assert_eq!(status, 400, "a form feed is not OWS: {body}");
+    assert!(head.contains("connection: close"), "head was {head}");
+    server.shutdown();
+}
+
+#[test]
+fn response_is_flushed_before_waiting_for_the_next_body() {
+    let (server, _) = start_default();
+    let head = "GET /healthz HTTP/1.1\r\nhost: t\r\ncontent-length: 5\r\n\r\n";
+    let mut stream = predict_then_head(server.local_addr(), head);
+    stream.write_all(b"hello").expect("send the body");
+    let (status, _, body) = read_framed(&mut stream);
+    assert_eq!((status, body.as_str()), (200, "ok\n"), "same connection, second request");
+    server.shutdown();
+}
+
+#[test]
+fn garbage_after_a_valid_request_gets_200_then_400_and_frees_the_worker() {
+    let (x, y) = training_data();
+    let mut reg = ModelRegistry::new();
+    reg.register("ridge", Ridge::fit(&x, &y, 0.05).expect("fits")).expect("register");
+    let config = ServerConfig { workers: 1, ..ServerConfig::default() };
+    let server = Server::start("127.0.0.1:0", reg, config).expect("bind");
+    let addr = server.local_addr();
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(20))).expect("timeout");
+    let body = "{\"inputs\": [[0.15, 0.2]]}";
+    let raw = format!(
+        "POST /v1/models/ridge:predict HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\n\r\n{body}\x00garbage\r\n\r\n",
+        body.len()
+    );
+    stream.write_all(raw.as_bytes()).expect("send predict and garbage");
+    let (status, _, body) = read_framed(&mut stream);
+    assert_eq!(status, 200, "the valid request is answered first: {body}");
+    let (status, head, body) = read_framed(&mut stream);
+    assert_eq!(status, 400, "garbage is a client error: {body}");
+    assert!(head.contains("connection: close"), "head was {head}");
+    let mut rest = Vec::new();
+    stream.read_to_end(&mut rest).expect("read to EOF");
+    assert!(rest.is_empty(), "nothing after the 400");
+    // The only worker is free again: a fresh connection is answered.
+    assert_eq!(get(addr, "/healthz").0, 200);
+    server.shutdown();
+}
+
 #[test]
 fn trace_endpoint_serves_a_live_report() {
     // Summary level so the scheduler's flush probe records; no other
