@@ -134,21 +134,19 @@ pub fn emit_trace(name: &str, seed: u64) {
         if let Err(e) = std::fs::write(&folded, manifest.report.to_collapsed_stacks()) {
             eprintln!("could not write {}: {e}", folded.display());
         } else {
-            println!("collapsed stacks: {}", folded.display());
+            eprintln!("collapsed stacks: {}", folded.display());
         }
         let chrome = std::path::Path::new("results").join(format!("{name}.chrome.json"));
         if let Err(e) = std::fs::write(&chrome, manifest.report.to_chrome_trace()) {
             eprintln!("could not write {}: {e}", chrome.display());
         } else {
-            println!("chrome trace: {}", chrome.display());
+            eprintln!("chrome trace: {}", chrome.display());
         }
     }
+    // The manifest lines go to stderr, so a harness's stdout holds only
+    // its figure.
     match write {
-        // Span counts are thread-invariant; counter/histogram counts are
-        // not (worker probes only fire on parallel dispatch), so only the
-        // former is printed — harness stdout must stay bitwise identical
-        // across EDM_NUM_THREADS values.
-        Ok(()) => println!(
+        Ok(()) => eprintln!(
             "trace manifest: {} ({} spans, level {})",
             path.display(),
             manifest.summary.span_count,

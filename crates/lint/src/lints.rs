@@ -315,14 +315,14 @@ pub fn collect_probes(ws: &Workspace) -> Vec<(String, &'static str, String, u32)
     out
 }
 
-/// Maps a probe call identifier to its registry section. Labeled
-/// variants share their base call's section: a labeled counter is
-/// still a counter.
+/// Maps a probe call identifier to its registry section. A handle
+/// shares its by-name call's section: a counter handle is still a
+/// counter.
 fn probe_section(call: &str) -> Option<&'static str> {
     match call {
         "span" | "span_handle" => Some("spans"),
-        "counter_add" | "counter_add_labeled" | "counter_handle" => Some("counters"),
-        "record" | "record_full" | "record_labeled" | "hist_handle" => Some("histograms"),
+        "counter_add" | "counter_handle" => Some("counters"),
+        "record" | "record_full" | "hist_handle" => Some("histograms"),
         _ => None,
     }
 }

@@ -58,8 +58,8 @@ fn probe_registry_catches_every_rot_mode() {
     assert!(typo[0].file.ends_with("crates/alpha/src/lib.rs"));
     // Wrong section: registered as span, emitted as counter.
     assert_eq!(find(&r, "probe-registry", "used as a counters probe").len(), 1);
-    // Mislabeled metric-label probe: registered as a counter, emitted
-    // through the labeled histogram call.
+    // Wrong-kind handle probe: registered as a counter, resolved
+    // through the histogram handle call.
     let mislabeled = find(&r, "probe-registry", "\"alpha.labeled_wrongkind\"");
     assert_eq!(mislabeled.len(), 1, "{}", r.render_human());
     assert!(mislabeled[0].message.contains("used as a histograms probe"));
@@ -73,7 +73,7 @@ fn probe_registry_catches_every_rot_mode() {
     assert_eq!(find(&r, "probe-registry", "duplicate probe").len(), 1);
     // Missing description.
     assert_eq!(find(&r, "probe-registry", "has no description").len(), 1);
-    // The correctly used probes (plain and labeled) are not flagged.
+    // The correctly used probes (by name and by handle) are not flagged.
     assert!(find(&r, "probe-registry", "\"alpha.flow\"").is_empty());
     assert!(find(&r, "probe-registry", "\"alpha.labeled\"").is_empty());
 }

@@ -23,8 +23,8 @@ pub fn probes() {
     let _span = edm_trace::span("alpha.flow");
     let _oops = edm_trace::span("alpha.typo_flow");
     edm_trace::counter_add("alpha.wrongkind", 1);
-    edm_trace::counter_add_labeled("alpha.labeled", &[("model", "m")], 1);
-    edm_trace::record_labeled("alpha.labeled_wrongkind", &[("model", "m")], 1.0);
+    edm_trace::counter_handle("alpha.labeled").add(1);
+    edm_trace::hist_handle("alpha.labeled_wrongkind").record(1.0);
 }
 
 pub fn unwraps(v: Option<u32>) -> u32 {

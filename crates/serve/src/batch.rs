@@ -196,8 +196,8 @@ struct BatchProbes {
 impl BatchProbes {
     fn resolve() -> BatchProbes {
         BatchProbes {
-            size: edm_trace::hist_handle("serve.batch.size", &[]),
-            wait_ns: edm_trace::hist_handle("serve.batch.wait_ns", &[]),
+            size: edm_trace::hist_handle("serve.batch.size"),
+            wait_ns: edm_trace::hist_handle("serve.batch.wait_ns"),
         }
     }
 }

@@ -1,8 +1,9 @@
 //! Hand-rolled JSON for the scoring endpoints: one reader, one writer.
 //!
-//! The serving crate is zero-dependency by design (the workspace's
-//! `serde_json` stand-in is a dev-only compat shim), so this module
-//! implements just enough of RFC 8259 for the wire format.
+//! The scoring wire format is read and written here, not through the
+//! workspace's `serde_json` stand-in, which only serializes the
+//! `/v1/trace` report (inside `edm-trace`'s `TraceReport::to_json`).
+//! This module implements just enough of RFC 8259 for the wire format.
 //!
 //! Every parse goes through one private byte reader: [`parse`] builds a
 //! [`Value`] tree, while [`parse_inputs`] and [`parse_train`] read the

@@ -176,8 +176,8 @@ struct ConnConfig {
 
 /// Hot-path trace probes, pre-resolved once at server start so the
 /// per-request cost is an atomic add (counters) or one short
-/// per-series lock (span), not a global-registry lock plus label
-/// allocations.
+/// per-series lock (span), not a global-registry lock and a name
+/// lookup.
 struct HotProbes {
     connections: edm_trace::CounterHandle,
     requests: edm_trace::CounterHandle,
@@ -187,8 +187,8 @@ struct HotProbes {
 impl HotProbes {
     fn resolve() -> HotProbes {
         HotProbes {
-            connections: edm_trace::counter_handle("serve.http.connections", &[]),
-            requests: edm_trace::counter_handle("serve.http.requests", &[]),
+            connections: edm_trace::counter_handle("serve.http.connections"),
+            requests: edm_trace::counter_handle("serve.http.requests"),
             request_span: edm_trace::span_handle("serve.request"),
         }
     }

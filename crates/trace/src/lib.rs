@@ -1,8 +1,8 @@
 //! # edm-trace — telemetry for the edm workspace
 //!
 //! Zero-external-dependency instrumentation: hierarchical **spans**
-//! (RAII guards with monotonic timing), atomic **counters** (optionally
-//! labeled), fixed-bucket (power-of-two) **histograms**, and a bounded
+//! (RAII guards with monotonic timing), atomic **counters**,
+//! fixed-bucket (power-of-two) **histograms**, and a bounded
 //! per-thread **timeline event ring**, aggregated in a global
 //! thread-safe registry and exportable as a JSON [`TraceReport`].
 //!
@@ -20,8 +20,8 @@
 //!
 //! ## Timeline ring
 //!
-//! At `full`, every span begin/end and every unlabeled counter update
-//! appends a timestamped event to the calling thread's ring buffer.
+//! At `full`, every span begin/end and every counter update appends a
+//! timestamped event to the calling thread's ring buffer.
 //! Rings are bounded (default [`EVENT_CAP`] events per thread,
 //! override with `EDM_TRACE_EVENTS` or [`set_event_capacity`]) and
 //! **drop-oldest**: a full ring discards its oldest event and counts
@@ -43,11 +43,9 @@
 //! ## Probe taxonomy
 //!
 //! Names are dot-separated `crate.component.metric` (e.g.
-//! `svm.smo.iterations`, `par.worker.busy_ns`); span paths additionally
-//! nest by call structure with `/` (e.g. `fig05/train/svm.smo.solve`).
-//! Labeled forms ([`counter_add_labeled`], [`record_labeled`]) attach
-//! `key="value"` dimensions (e.g. per-model, per-endpoint) that
-//! surface as OpenMetrics labels.
+//! `svm.smo.iterations`, `par.worker.busy_ns`), and each name is one
+//! series; span paths additionally nest by call structure with `/`
+//! (e.g. `fig05/train/svm.smo.solve`).
 //!
 //! ## Adding a probe
 //!
@@ -55,7 +53,12 @@
 //! let _span = edm_trace::span("myflow.stage");   // timed until drop
 //! edm_trace::counter_add("myflow.widgets", 3);
 //! edm_trace::record("myflow.latency_ns", 1234.0);
-//! edm_trace::counter_add_labeled("myflow.requests", &[("model", "svc")], 1);
+//!
+//! // Hot paths resolve a handle once and skip the registry lock after.
+//! let requests = edm_trace::counter_handle("myflow.requests");
+//! requests.add(1);
+//! let request = edm_trace::span_handle("myflow.request");
+//! let _timed = request.start();
 //! ```
 //!
 //! Probes must never perturb numerics: they may observe values but not
@@ -115,29 +118,22 @@ pub struct SpanStat {
     pub max_ns: u64,
 }
 
-/// One named monotonic counter (one row per distinct label set).
+/// One named monotonic counter.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CounterStat {
     /// Probe name (`crate.component.metric`).
     pub name: String,
-    /// Label dimensions as `(key, value)` pairs, sorted by key; empty
-    /// for unlabeled counters.
-    pub labels: Vec<(String, String)>,
     /// Accumulated value.
     pub value: u64,
 }
 
 /// One fixed-bucket histogram: buckets are powers of two, bucket
 /// exponent `e` covering `[2^e, 2^(e+1))`, clamped to `e ∈ [−32, 31]`
-/// (non-positive samples land in the lowest bucket). One row per
-/// distinct label set.
+/// (non-positive samples land in the lowest bucket).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HistogramStat {
     /// Probe name.
     pub name: String,
-    /// Label dimensions as `(key, value)` pairs, sorted by key; empty
-    /// for unlabeled histograms.
-    pub labels: Vec<(String, String)>,
     /// Samples recorded.
     pub count: u64,
     /// Sum of samples.
@@ -206,9 +202,9 @@ pub struct TraceReport {
     pub compiled: bool,
     /// Span aggregates, sorted by path.
     pub spans: Vec<SpanStat>,
-    /// Counters, sorted by name then labels.
+    /// Counters, sorted by name.
     pub counters: Vec<CounterStat>,
-    /// Histograms, sorted by name then labels.
+    /// Histograms, sorted by name.
     pub histograms: Vec<HistogramStat>,
     /// Timeline ring contents ([`Level::Full`] only), ordered by
     /// thread id, then append order (timestamps are monotone
@@ -246,10 +242,9 @@ impl TraceReport {
         serde_json::to_string(self)
     }
 
-    /// The value of counter `name` summed across its label sets, or 0
-    /// if it never fired.
+    /// The value of counter `name`, or 0 if it never fired.
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.iter().filter(|c| c.name == name).map(|c| c.value).sum()
+        self.counters.iter().find(|c| c.name == name).map_or(0, |c| c.value)
     }
 
     /// Sum of `count` over spans whose path's last `/`-segment equals
@@ -308,44 +303,27 @@ impl TraceReport {
     ///   always well-formed. Unclosed `B`s (spans still open at
     ///   snapshot time) are legal in the format and kept.
     ///
-    /// Output is deterministic for a given report.
+    /// Names are written as JSON strings by `serde_json`. Output is
+    /// deterministic for a given report.
     pub fn to_chrome_trace(&self) -> String {
-        fn esc(s: &str) -> String {
-            let mut out = String::with_capacity(s.len());
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\r' => out.push_str("\\r"),
-                    '\t' => out.push_str("\\t"),
-                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => out.push(c),
-                }
-            }
-            out
+        fn quote(s: &str) -> String {
+            serde_json::to_string(s).expect("a string always serializes")
         }
         let mut events: Vec<String> = Vec::with_capacity(self.threads.len() + self.timeline.len());
         for t in &self.threads {
             events.push(format!(
                 "{{\"ph\":\"M\",\"pid\":1,\"tid\":{},\"name\":\"thread_name\",\
-                 \"args\":{{\"name\":\"{}\"}}}}",
+                 \"args\":{{\"name\":{}}}}}",
                 t.tid,
-                esc(&t.name)
+                quote(&t.name)
             ));
         }
         let mut depth: std::collections::BTreeMap<u64, u64> = std::collections::BTreeMap::new();
         for e in &self.timeline {
-            let ts_us = e.ts_ns as f64 / 1000.0;
-            match e.ph {
+            let (ph, args) = match e.ph {
                 EventKind::B => {
                     *depth.entry(e.tid).or_insert(0) += 1;
-                    events.push(format!(
-                        "{{\"ph\":\"B\",\"pid\":1,\"tid\":{},\"ts\":{:.3},\"name\":\"{}\"}}",
-                        e.tid,
-                        ts_us,
-                        esc(&e.name)
-                    ));
+                    ("B", String::new())
                 }
                 EventKind::E => {
                     let d = depth.entry(e.tid).or_insert(0);
@@ -355,24 +333,16 @@ impl TraceReport {
                         continue;
                     }
                     *d -= 1;
-                    events.push(format!(
-                        "{{\"ph\":\"E\",\"pid\":1,\"tid\":{},\"ts\":{:.3},\"name\":\"{}\"}}",
-                        e.tid,
-                        ts_us,
-                        esc(&e.name)
-                    ));
+                    ("E", String::new())
                 }
-                EventKind::C => {
-                    events.push(format!(
-                        "{{\"ph\":\"C\",\"pid\":1,\"tid\":{},\"ts\":{:.3},\"name\":\"{}\",\
-                         \"args\":{{\"value\":{}}}}}",
-                        e.tid,
-                        ts_us,
-                        esc(&e.name),
-                        e.value
-                    ));
-                }
-            }
+                EventKind::C => ("C", format!(",\"args\":{{\"value\":{}}}", e.value)),
+            };
+            events.push(format!(
+                "{{\"ph\":\"{ph}\",\"pid\":1,\"tid\":{},\"ts\":{:.3},\"name\":{}{args}}}",
+                e.tid,
+                e.ts_ns as f64 / 1000.0,
+                quote(&e.name)
+            ));
         }
         format!("{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[{}]}}", events.join(","))
     }
@@ -384,12 +354,11 @@ impl TraceReport {
     /// is the self-terminating form.
     ///
     /// * Counters map directly: probe `svm.smo.iterations` becomes the
-    ///   family `edm_svm_smo_iterations` with one `_total` sample per
-    ///   label set (`# TYPE` emitted once per family).
+    ///   family `edm_svm_smo_iterations` with one `_total` sample.
     /// * Power-of-two histograms map to cumulative `le` buckets: the
     ///   bucket with exponent `e` covers `[2^e, 2^(e+1))`, so its upper
     ///   bound is `le="2^(e+1)"`; `_sum`, `_count`, and the mandatory
-    ///   `le="+Inf"` bucket follow. Probe labels precede `le`.
+    ///   `le="+Inf"` bucket follow.
     /// * Span aggregates become two labeled counter families,
     ///   `edm_span_activations` and `edm_span_time_ns`, with the
     ///   hierarchical path as the `path` label.
@@ -408,49 +377,25 @@ impl TraceReport {
         fn label_value(path: &str) -> String {
             path.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
         }
-        fn label_set(labels: &[(String, String)]) -> String {
-            if labels.is_empty() {
-                return String::new();
-            }
-            let inner: Vec<String> =
-                labels.iter().map(|(k, v)| format!("{k}=\"{}\"", label_value(v))).collect();
-            format!("{{{}}}", inner.join(","))
-        }
-        fn labels_with_le(labels: &[(String, String)], le: &str) -> String {
-            let mut inner: Vec<String> =
-                labels.iter().map(|(k, v)| format!("{k}=\"{}\"", label_value(v))).collect();
-            inner.push(format!("le=\"{le}\""));
-            format!("{{{}}}", inner.join(","))
-        }
         let mut out = String::new();
-        for (i, c) in self.counters.iter().enumerate() {
+        for c in &self.counters {
             let name = metric_name(&c.name);
-            if i == 0 || self.counters[i - 1].name != c.name {
-                out.push_str(&format!("# TYPE {name} counter\n"));
-            }
-            out.push_str(&format!("{name}_total{} {}\n", label_set(&c.labels), c.value));
+            out.push_str(&format!("# TYPE {name} counter\n{name}_total {}\n", c.value));
         }
-        for (i, h) in self.histograms.iter().enumerate() {
+        for h in &self.histograms {
             let name = metric_name(&h.name);
-            if i == 0 || self.histograms[i - 1].name != h.name {
-                out.push_str(&format!("# TYPE {name} histogram\n"));
-            }
+            out.push_str(&format!("# TYPE {name} histogram\n"));
             let mut cumulative = 0u64;
             for &(exponent, count) in &h.buckets {
                 cumulative += count;
                 let le = 2f64.powi(exponent as i32 + 1);
-                out.push_str(&format!(
-                    "{name}_bucket{} {cumulative}\n",
-                    labels_with_le(&h.labels, &le.to_string())
-                ));
+                out.push_str(&format!("{name}_bucket{{le=\"{le}\"}} {cumulative}\n"));
             }
             out.push_str(&format!(
-                "{name}_bucket{} {}\n",
-                labels_with_le(&h.labels, "+Inf"),
-                h.count
+                "{name}_bucket{{le=\"+Inf\"}} {count}\n{name}_sum {}\n{name}_count {count}\n",
+                h.sum,
+                count = h.count
             ));
-            let set = label_set(&h.labels);
-            out.push_str(&format!("{name}_sum{set} {}\n{name}_count{set} {}\n", h.sum, h.count));
         }
         if !self.spans.is_empty() {
             out.push_str("# TYPE edm_span_activations counter\n");
@@ -638,15 +583,6 @@ mod imp {
         }
     }
 
-    /// Canonical label key: owned pairs sorted by key so call-site
-    /// argument order never splits a series.
-    fn canonical_labels(labels: &[(&str, &str)]) -> Vec<(String, String)> {
-        let mut owned: Vec<(String, String)> =
-            labels.iter().map(|&(k, v)| (k.to_string(), v.to_string())).collect();
-        owned.sort();
-        owned
-    }
-
     #[derive(Clone, Copy)]
     struct RingEvent {
         ph: EventKind,
@@ -666,8 +602,6 @@ mod imp {
         ring: Mutex<RingBuf>,
     }
 
-    type ProbeKey = (&'static str, Vec<(String, String)>);
-
     // Registry cells are `Arc`'d so pre-resolved probe handles
     // ([`counter_handle`] & co.) can update a series with one atomic or
     // one short per-series lock instead of taking the global registry
@@ -675,8 +609,8 @@ mod imp {
     struct Registry {
         epoch: Instant,
         spans: DbgMutex<HashMap<String, Arc<Mutex<SpanAgg>>>>,
-        counters: DbgMutex<HashMap<ProbeKey, Arc<AtomicU64>>>,
-        hists: DbgMutex<HashMap<ProbeKey, Arc<Mutex<Hist>>>>,
+        counters: DbgMutex<HashMap<&'static str, Arc<AtomicU64>>>,
+        hists: DbgMutex<HashMap<&'static str, Arc<Mutex<Hist>>>>,
         shards: DbgMutex<Vec<Arc<Shard>>>,
         next_tid: AtomicU64,
     }
@@ -767,32 +701,34 @@ mod imp {
     }
 
     struct ActiveSpan {
-        path: String,
+        agg: Arc<Mutex<SpanAgg>>,
         name: &'static str,
         depth: usize,
         start: Instant,
     }
 
-    /// RAII span guard: times from creation to drop and records under
-    /// the hierarchical path current at creation. Obtain via [`span`].
+    /// RAII span guard: times from creation to drop and records into
+    /// the series it resolved when it opened. Obtain via [`span`] or
+    /// [`SpanHandle::start`].
     pub struct Span(Option<ActiveSpan>);
 
-    fn span_agg_update(agg: &Mutex<SpanAgg>, dur_ns: u64) {
-        let mut agg = agg.lock().expect("span series poisoned");
-        if agg.count == 0 {
-            agg.min_ns = dur_ns;
-            agg.max_ns = dur_ns;
-        } else {
-            agg.min_ns = agg.min_ns.min(dur_ns);
-            agg.max_ns = agg.max_ns.max(dur_ns);
+    impl Span {
+        /// Pushes `name` onto this thread's span stack and starts the
+        /// clock; `series` picks the aggregate cell from the stack.
+        fn open(
+            name: &'static str,
+            series: impl FnOnce(&[&'static str]) -> Arc<Mutex<SpanAgg>>,
+        ) -> Span {
+            let (agg, depth) = SPAN_STACK.with(|s| {
+                let mut s = s.borrow_mut();
+                s.push(name);
+                (series(&s), s.len())
+            });
+            if full_enabled() {
+                push_event(EventKind::B, name, now_ns(registry()), 0.0);
+            }
+            Span(Some(ActiveSpan { agg, name, depth, start: Instant::now() }))
         }
-        agg.count += 1;
-        agg.total_ns += dur_ns;
-    }
-
-    fn span_cell(path: String) -> Arc<Mutex<SpanAgg>> {
-        let mut spans = registry().spans.lock().expect("span registry poisoned");
-        Arc::clone(spans.entry(path).or_default())
     }
 
     impl Drop for Span {
@@ -803,11 +739,26 @@ mod imp {
                 let mut s = s.borrow_mut();
                 s.truncate(active.depth.saturating_sub(1));
             });
-            span_agg_update(&span_cell(active.path), dur_ns);
+            let mut agg = active.agg.lock().expect("span series poisoned");
+            if agg.count == 0 {
+                agg.min_ns = dur_ns;
+                agg.max_ns = dur_ns;
+            } else {
+                agg.min_ns = agg.min_ns.min(dur_ns);
+                agg.max_ns = agg.max_ns.max(dur_ns);
+            }
+            agg.count += 1;
+            agg.total_ns += dur_ns;
+            drop(agg);
             if full_enabled() {
                 push_event(EventKind::E, active.name, now_ns(registry()), 0.0);
             }
         }
+    }
+
+    fn span_cell(path: String) -> Arc<Mutex<SpanAgg>> {
+        let mut spans = registry().spans.lock().expect("span registry poisoned");
+        Arc::clone(spans.entry(path).or_default())
     }
 
     /// Opens a span named `name`, nested under any span already open on
@@ -816,154 +767,14 @@ mod imp {
         if !enabled() {
             return Span(None);
         }
-        let (path, depth) = SPAN_STACK.with(|s| {
-            let mut s = s.borrow_mut();
-            s.push(name);
-            (s.join("/"), s.len())
-        });
-        if full_enabled() {
-            push_event(EventKind::B, name, now_ns(registry()), 0.0);
-        }
-        Span(Some(ActiveSpan { path, name, depth, start: Instant::now() }))
-    }
-
-    /// Adds `delta` to counter `name`. Off-level cost: one relaxed
-    /// atomic load. At [`Level::Full`] also appends a timeline event
-    /// carrying the new cumulative value.
-    pub fn counter_add(name: &'static str, delta: u64) {
-        if !enabled() {
-            return;
-        }
-        let reg = registry();
-        let cell = {
-            let mut counters = reg.counters.lock().expect("counter registry poisoned");
-            Arc::clone(counters.entry((name, Vec::new())).or_default())
-        };
-        let cumulative = cell.fetch_add(delta, Ordering::Relaxed) + delta;
-        if full_enabled() {
-            push_event(EventKind::C, name, now_ns(reg), cumulative as f64);
-        }
-    }
-
-    /// Adds `delta` to counter `name` under the given label set (e.g.
-    /// `&[("model", "svc"), ("endpoint", "predict")]`). Label order is
-    /// canonicalized, so call sites may list keys in any order.
-    /// Labeled counters do not emit timeline events.
-    pub fn counter_add_labeled(name: &'static str, labels: &[(&str, &str)], delta: u64) {
-        if !enabled() {
-            return;
-        }
-        let key = canonical_labels(labels);
-        let cell = {
-            let mut counters = registry().counters.lock().expect("counter registry poisoned");
-            Arc::clone(counters.entry((name, key)).or_default())
-        };
-        cell.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// Records `value` into histogram `name`. Off-level cost: one
-    /// relaxed atomic load.
-    pub fn record(name: &'static str, value: f64) {
-        if !enabled() {
-            return;
-        }
-        record_inner(name, Vec::new(), value);
-    }
-
-    /// Records `value` into histogram `name` under the given label set.
-    /// Label order is canonicalized, so call sites may list keys in any
-    /// order.
-    pub fn record_labeled(name: &'static str, labels: &[(&str, &str)], value: f64) {
-        if !enabled() {
-            return;
-        }
-        record_inner(name, canonical_labels(labels), value);
-    }
-
-    /// Records `value` into histogram `name` only at [`Level::Full`] —
-    /// for high-frequency probes (per-iteration trajectories) too hot
-    /// for `summary` runs.
-    pub fn record_full(name: &'static str, value: f64) {
-        if !full_enabled() {
-            return;
-        }
-        record_inner(name, Vec::new(), value);
-    }
-
-    fn hist_update(cell: &Mutex<Hist>, value: f64) {
-        if !value.is_finite() {
-            return;
-        }
-        let mut h = cell.lock().expect("histogram series poisoned");
-        h.count += 1;
-        h.sum += value;
-        h.min = h.min.min(value);
-        h.max = h.max.max(value);
-        h.buckets[bucket_index(value)] += 1;
-    }
-
-    fn hist_cell(name: &'static str, labels: Vec<(String, String)>) -> Arc<Mutex<Hist>> {
-        let mut hists = registry().hists.lock().expect("histogram registry poisoned");
-        Arc::clone(hists.entry((name, labels)).or_insert_with(|| Arc::new(Mutex::new(Hist::new()))))
-    }
-
-    fn record_inner(name: &'static str, labels: Vec<(String, String)>, value: f64) {
-        hist_update(&hist_cell(name, labels), value);
-    }
-
-    /// Pre-resolved counter series: [`CounterHandle::add`] is one
-    /// relaxed atomic add — no registry lock, no label allocation. For
-    /// hot paths (per-request serving loops); resolve once, reuse.
-    ///
-    /// The handle stays wired to [`collect`] reports for its lifetime.
-    /// [`reset`] zeroes the series in place when a handle is live.
-    #[derive(Clone)]
-    pub struct CounterHandle(Arc<AtomicU64>);
-
-    impl CounterHandle {
-        /// Adds `delta` when tracing is enabled (one atomic add).
-        #[inline]
-        pub fn add(&self, delta: u64) {
-            if enabled() {
-                self.0.fetch_add(delta, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Resolves a [`CounterHandle`] for `name` + `labels` (one registry
-    /// lock, here, once).
-    pub fn counter_handle(name: &'static str, labels: &[(&str, &str)]) -> CounterHandle {
-        let key = canonical_labels(labels);
-        let mut counters = registry().counters.lock().expect("counter registry poisoned");
-        CounterHandle(Arc::clone(counters.entry((name, key)).or_default()))
-    }
-
-    /// Pre-resolved histogram series: [`HistHandle::record`] takes one
-    /// short per-series lock — no registry lock, no label allocation.
-    #[derive(Clone)]
-    pub struct HistHandle(Arc<Mutex<Hist>>);
-
-    impl HistHandle {
-        /// Records `value` when tracing is enabled.
-        #[inline]
-        pub fn record(&self, value: f64) {
-            if enabled() {
-                hist_update(&self.0, value);
-            }
-        }
-    }
-
-    /// Resolves a [`HistHandle`] for `name` + `labels` (one registry
-    /// lock, here, once).
-    pub fn hist_handle(name: &'static str, labels: &[(&str, &str)]) -> HistHandle {
-        HistHandle(hist_cell(name, canonical_labels(labels)))
+        Span::open(name, |stack| span_cell(stack.join("/")))
     }
 
     /// Pre-resolved span series for a *top-level* hot-path span (the
     /// recorded path is `name` alone, with no parent prefix — resolve
     /// handles only for spans opened at the top of a thread's stack,
     /// e.g. a server worker's per-request span). Children opened inside
-    /// a running [`HandleSpan`] still nest under `name` normally.
+    /// a running handle span still nest under `name` normally.
     #[derive(Clone)]
     pub struct SpanHandle {
         name: &'static str,
@@ -972,24 +783,11 @@ mod imp {
 
     impl SpanHandle {
         /// Opens the span; timing stops when the guard drops.
-        pub fn start(&self) -> HandleSpan {
+        pub fn start(&self) -> Span {
             if !enabled() {
-                return HandleSpan(None);
+                return Span(None);
             }
-            let depth = SPAN_STACK.with(|s| {
-                let mut s = s.borrow_mut();
-                s.push(self.name);
-                s.len()
-            });
-            if full_enabled() {
-                push_event(EventKind::B, self.name, now_ns(registry()), 0.0);
-            }
-            HandleSpan(Some(ActiveHandleSpan {
-                agg: Arc::clone(&self.agg),
-                name: self.name,
-                depth,
-                start: Instant::now(),
-            }))
+            Span::open(self.name, |_| Arc::clone(&self.agg))
         }
     }
 
@@ -998,28 +796,96 @@ mod imp {
         SpanHandle { name, agg: span_cell(name.to_string()) }
     }
 
-    struct ActiveHandleSpan {
-        agg: Arc<Mutex<SpanAgg>>,
+    /// Pre-resolved counter series: [`CounterHandle::add`] is one
+    /// relaxed atomic add — no registry lock. For hot paths
+    /// (per-request serving loops); resolve once, reuse.
+    /// [`counter_add`] goes through a handle too.
+    ///
+    /// The handle stays wired to [`collect`] reports for its lifetime.
+    /// [`reset`] zeroes the series in place when a handle is live.
+    #[derive(Clone)]
+    pub struct CounterHandle {
         name: &'static str,
-        depth: usize,
-        start: Instant,
+        cell: Arc<AtomicU64>,
     }
 
-    /// RAII guard for a [`SpanHandle`] span.
-    pub struct HandleSpan(Option<ActiveHandleSpan>);
-
-    impl Drop for HandleSpan {
-        fn drop(&mut self) {
-            let Some(active) = self.0.take() else { return };
-            let dur_ns = active.start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            SPAN_STACK.with(|s| {
-                let mut s = s.borrow_mut();
-                s.truncate(active.depth.saturating_sub(1));
-            });
-            span_agg_update(&active.agg, dur_ns);
-            if full_enabled() {
-                push_event(EventKind::E, active.name, now_ns(registry()), 0.0);
+    impl CounterHandle {
+        /// Adds `delta` when tracing is enabled (one atomic add). At
+        /// [`Level::Full`] also appends a timeline event carrying the
+        /// new cumulative value.
+        #[inline]
+        pub fn add(&self, delta: u64) {
+            if !enabled() {
+                return;
             }
+            let cumulative = self.cell.fetch_add(delta, Ordering::Relaxed) + delta;
+            if full_enabled() {
+                push_event(EventKind::C, self.name, now_ns(registry()), cumulative as f64);
+            }
+        }
+    }
+
+    /// Resolves a [`CounterHandle`] for `name` (one registry lock,
+    /// here, once).
+    pub fn counter_handle(name: &'static str) -> CounterHandle {
+        let mut counters = registry().counters.lock().expect("counter registry poisoned");
+        CounterHandle { name, cell: Arc::clone(counters.entry(name).or_default()) }
+    }
+
+    /// Adds `delta` to counter `name`. Off-level cost: one relaxed
+    /// atomic load. At [`Level::Full`] also appends a timeline event
+    /// carrying the new cumulative value.
+    pub fn counter_add(name: &'static str, delta: u64) {
+        if enabled() {
+            counter_handle(name).add(delta);
+        }
+    }
+
+    /// Pre-resolved histogram series: [`HistHandle::record`] takes one
+    /// short per-series lock — no registry lock. [`record`] and
+    /// [`record_full`] go through a handle too.
+    #[derive(Clone)]
+    pub struct HistHandle(Arc<Mutex<Hist>>);
+
+    impl HistHandle {
+        /// Records `value` when tracing is enabled.
+        #[inline]
+        pub fn record(&self, value: f64) {
+            if !enabled() || !value.is_finite() {
+                return;
+            }
+            let mut h = self.0.lock().expect("histogram series poisoned");
+            h.count += 1;
+            h.sum += value;
+            h.min = h.min.min(value);
+            h.max = h.max.max(value);
+            h.buckets[bucket_index(value)] += 1;
+        }
+    }
+
+    /// Resolves a [`HistHandle`] for `name` (one registry lock, here,
+    /// once).
+    pub fn hist_handle(name: &'static str) -> HistHandle {
+        let mut hists = registry().hists.lock().expect("histogram registry poisoned");
+        HistHandle(Arc::clone(
+            hists.entry(name).or_insert_with(|| Arc::new(Mutex::new(Hist::new()))),
+        ))
+    }
+
+    /// Records `value` into histogram `name`. Off-level cost: one
+    /// relaxed atomic load.
+    pub fn record(name: &'static str, value: f64) {
+        if enabled() {
+            hist_handle(name).record(value);
+        }
+    }
+
+    /// Records `value` into histogram `name` only at [`Level::Full`] —
+    /// for high-frequency probes (per-iteration trajectories) too hot
+    /// for `summary` runs.
+    pub fn record_full(name: &'static str, value: f64) {
+        if full_enabled() {
+            hist_handle(name).record(value);
         }
     }
 
@@ -1095,9 +961,8 @@ mod imp {
             .lock()
             .expect("counter registry poisoned")
             .iter()
-            .map(|((name, labels), cell)| CounterStat {
+            .map(|(name, cell)| CounterStat {
                 name: name.to_string(),
-                labels: labels.clone(),
                 value: cell.load(Ordering::Relaxed),
             })
             .collect();
@@ -1106,11 +971,10 @@ mod imp {
             .lock()
             .expect("histogram registry poisoned")
             .iter()
-            .map(|((name, labels), cell)| {
+            .map(|(name, cell)| {
                 let h = cell.lock().expect("histogram series poisoned");
                 HistogramStat {
                     name: name.to_string(),
-                    labels: labels.clone(),
                     count: h.count,
                     sum: h.sum,
                     min: if h.count == 0 { 0.0 } else { h.min },
@@ -1126,7 +990,7 @@ mod imp {
             })
             .filter(|h| h.count > 0)
             .collect();
-        histograms.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
+        histograms.sort_by(|a, b| a.name.cmp(&b.name));
         let (timeline, threads, dropped_events) = {
             let mut shards: Vec<Arc<Shard>> =
                 reg.shards.lock().expect("shard registry poisoned").clone();
@@ -1157,11 +1021,10 @@ mod imp {
         if dropped_events > 0 {
             counters.push(CounterStat {
                 name: "trace.ring.dropped".to_string(),
-                labels: Vec::new(),
                 value: dropped_events,
             });
         }
-        counters.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
+        counters.sort_by(|a, b| a.name.cmp(&b.name));
         TraceReport {
             level: level().as_str().to_string(),
             compiled: true,
@@ -1220,15 +1083,7 @@ mod imp {
 
     /// No-op (probes compiled out).
     #[inline(always)]
-    pub fn counter_add_labeled(_name: &'static str, _labels: &[(&str, &str)], _delta: u64) {}
-
-    /// No-op (probes compiled out).
-    #[inline(always)]
     pub fn record(_name: &'static str, _value: f64) {}
-
-    /// No-op (probes compiled out).
-    #[inline(always)]
-    pub fn record_labeled(_name: &'static str, _labels: &[(&str, &str)], _value: f64) {}
 
     /// No-op (probes compiled out).
     #[inline(always)]
@@ -1246,7 +1101,7 @@ mod imp {
 
     /// No-op handle (probes compiled out).
     #[inline(always)]
-    pub fn counter_handle(_name: &'static str, _labels: &[(&str, &str)]) -> CounterHandle {
+    pub fn counter_handle(_name: &'static str) -> CounterHandle {
         CounterHandle(())
     }
 
@@ -1262,7 +1117,7 @@ mod imp {
 
     /// No-op handle (probes compiled out).
     #[inline(always)]
-    pub fn hist_handle(_name: &'static str, _labels: &[(&str, &str)]) -> HistHandle {
+    pub fn hist_handle(_name: &'static str) -> HistHandle {
         HistHandle(())
     }
 
@@ -1273,8 +1128,8 @@ mod imp {
     impl SpanHandle {
         /// No-op (probes compiled out).
         #[inline(always)]
-        pub fn start(&self) -> HandleSpan {
-            HandleSpan(())
+        pub fn start(&self) -> Span {
+            Span(())
         }
     }
 
@@ -1283,9 +1138,6 @@ mod imp {
     pub fn span_handle(_name: &'static str) -> SpanHandle {
         SpanHandle(())
     }
-
-    /// Compiled-out span guard: a zero-sized no-op.
-    pub struct HandleSpan(());
 
     /// No-op (probes compiled out).
     #[inline(always)]
@@ -1313,10 +1165,9 @@ mod imp {
 }
 
 pub use imp::{
-    collect, counter_add, counter_add_labeled, counter_handle, enabled, event_capacity,
-    full_enabled, hist_handle, init_from_env_or, level, name_thread, record, record_full,
-    record_labeled, reset, set_event_capacity, set_level, span, span_handle, CounterHandle,
-    HandleSpan, HistHandle, Span, SpanHandle,
+    collect, counter_add, counter_handle, enabled, event_capacity, full_enabled, hist_handle,
+    init_from_env_or, level, name_thread, record, record_full, reset, set_event_capacity,
+    set_level, span, span_handle, CounterHandle, HistHandle, Span, SpanHandle,
 };
 
 #[cfg(test)]
@@ -1431,8 +1282,8 @@ mod openmetrics_tests {
     fn counters_map_directly() {
         let mut r = TraceReport::empty();
         r.counters = vec![
-            CounterStat { name: "svm.smo.iterations".to_string(), labels: vec![], value: 42 },
-            CounterStat { name: "svm.qcache.hits".to_string(), labels: vec![], value: 7 },
+            CounterStat { name: "svm.smo.iterations".to_string(), value: 42 },
+            CounterStat { name: "svm.qcache.hits".to_string(), value: 7 },
         ];
         assert_eq!(
             r.to_openmetrics(),
@@ -1444,44 +1295,14 @@ mod openmetrics_tests {
         );
     }
 
-    /// Label sets render as `{k="v",...}` selectors; rows of the same
-    /// family share one `# TYPE` header.
-    #[test]
-    fn labeled_counters_share_a_family() {
-        let mut r = TraceReport::empty();
-        let lbl = |m: &str, e: &str| {
-            vec![("endpoint".to_string(), e.to_string()), ("model".to_string(), m.to_string())]
-        };
-        r.counters = vec![
-            CounterStat {
-                name: "serve.request.count".to_string(),
-                labels: lbl("knn", "predict"),
-                value: 3,
-            },
-            CounterStat {
-                name: "serve.request.count".to_string(),
-                labels: lbl("svc", "predict"),
-                value: 9,
-            },
-        ];
-        assert_eq!(
-            r.to_openmetrics(),
-            "# TYPE edm_serve_request_count counter\n\
-             edm_serve_request_count_total{endpoint=\"predict\",model=\"knn\"} 3\n\
-             edm_serve_request_count_total{endpoint=\"predict\",model=\"svc\"} 9\n\
-             # EOF\n"
-        );
-    }
-
     /// Power-of-two buckets become cumulative `le` buckets at the
     /// bucket's upper bound `2^(e+1)`, closed by `+Inf`, `_sum`,
-    /// `_count`; probe labels precede `le`.
+    /// `_count`.
     #[test]
     fn histogram_buckets_are_cumulative_le() {
         let mut r = TraceReport::empty();
         r.histograms = vec![HistogramStat {
             name: "t.hist".to_string(),
-            labels: vec![],
             count: 4,
             sum: 1035.0,
             min: 0.25,
@@ -1498,32 +1319,6 @@ mod openmetrics_tests {
              edm_t_hist_bucket{le=\"+Inf\"} 4\n\
              edm_t_hist_sum 1035\n\
              edm_t_hist_count 4\n\
-             # EOF\n"
-        );
-    }
-
-    /// Labeled histograms put probe labels before `le` and suffix
-    /// `_sum`/`_count` with the plain label set.
-    #[test]
-    fn labeled_histograms_interleave_le() {
-        let mut r = TraceReport::empty();
-        r.histograms = vec![HistogramStat {
-            name: "serve.request.handle_ns".to_string(),
-            labels: vec![("model".to_string(), "svc".to_string())],
-            count: 2,
-            sum: 6.0,
-            min: 2.0,
-            max: 4.0,
-            buckets: vec![(1, 1), (2, 1)],
-        }];
-        assert_eq!(
-            r.to_openmetrics(),
-            "# TYPE edm_serve_request_handle_ns histogram\n\
-             edm_serve_request_handle_ns_bucket{model=\"svc\",le=\"4\"} 1\n\
-             edm_serve_request_handle_ns_bucket{model=\"svc\",le=\"8\"} 2\n\
-             edm_serve_request_handle_ns_bucket{model=\"svc\",le=\"+Inf\"} 2\n\
-             edm_serve_request_handle_ns_sum{model=\"svc\"} 6\n\
-             edm_serve_request_handle_ns_count{model=\"svc\"} 2\n\
              # EOF\n"
         );
     }
@@ -1560,7 +1355,7 @@ mod openmetrics_tests {
     #[test]
     fn body_composes_with_eof() {
         let mut r = TraceReport::empty();
-        r.counters = vec![CounterStat { name: "a.b".to_string(), labels: vec![], value: 1 }];
+        r.counters = vec![CounterStat { name: "a.b".to_string(), value: 1 }];
         let body = r.openmetrics_body();
         assert!(!body.contains("# EOF"));
         assert_eq!(r.to_openmetrics(), format!("{body}# EOF\n"));
@@ -1588,7 +1383,6 @@ mod tests {
         {
             let _s = span("off.span");
             counter_add("off.counter", 5);
-            counter_add_labeled("off.labeled", &[("k", "v")], 5);
             record("off.hist", 1.0);
         }
         let r = collect();
@@ -1604,11 +1398,8 @@ mod tests {
                 let _inner = span("inner");
                 counter_add("t.count", 2);
                 counter_add("t.count", 3);
-                counter_add_labeled("t.labeled", &[("model", "svc"), ("endpoint", "p")], 4);
-                counter_add_labeled("t.labeled", &[("endpoint", "p"), ("model", "svc")], 1);
                 record("t.hist", 3.5); // exponent 1
                 record("t.hist", 1024.0); // exponent 10
-                record_labeled("t.lhist", &[("model", "svc")], 2.0);
                 record_full("t.hot", 1.0); // full-only: must not record
             }
             {
@@ -1617,18 +1408,6 @@ mod tests {
         }
         let r = collect();
         assert_eq!(r.counter("t.count"), 5);
-        // Key order at the call site never splits a labeled series.
-        let labeled = r.counters.iter().find(|c| c.name == "t.labeled").expect("labeled counter");
-        assert_eq!(labeled.value, 5);
-        assert_eq!(
-            labeled.labels,
-            vec![
-                ("endpoint".to_string(), "p".to_string()),
-                ("model".to_string(), "svc".to_string())
-            ]
-        );
-        let lh = r.histograms.iter().find(|h| h.name == "t.lhist").expect("labeled histogram");
-        assert_eq!(lh.labels, vec![("model".to_string(), "svc".to_string())]);
         assert_eq!(r.span_count("inner"), 2);
         let outer = r.spans.iter().find(|s| s.path == "outer").expect("outer span");
         assert_eq!(outer.count, 1);
@@ -1646,40 +1425,48 @@ mod tests {
 
         // Pre-resolved handles: same series as the by-name calls, and
         // an unused handle never surfaces an all-zero span/histogram.
-        let hc = counter_handle("t.count", &[]);
+        let hc = counter_handle("t.count");
         hc.add(10);
-        let hl = counter_handle("t.labeled", &[("endpoint", "p"), ("model", "svc")]);
-        hl.add(5);
-        let hh = hist_handle("t.hist", &[]);
+        let hh = hist_handle("t.hist");
         hh.record(3.5);
         let hs = span_handle("h.span");
-        drop(hs.start());
-        let idle_hist = hist_handle("h.idle", &[]);
+        {
+            let _top = hs.start();
+            let _child = span("child");
+        }
+        let idle_hist = hist_handle("h.idle");
         let idle_span = span_handle("h.idle.span");
         let r = collect();
         assert_eq!(r.counter("t.count"), 15, "handle adds join the by-name series");
-        let labeled = r.counters.iter().find(|c| c.name == "t.labeled").expect("labeled counter");
-        assert_eq!(labeled.value, 10, "labeled handle joins the canonicalized series");
         assert_eq!(r.histograms.iter().find(|h| h.name == "t.hist").map(|h| h.count), Some(3));
         assert_eq!(r.span_count("h.span"), 1);
+        let child = r.spans.iter().find(|s| s.path == "h.span/child");
+        assert_eq!(child.map(|s| s.count), Some(1), "a span inside a handle span nests under it");
         assert!(r.histograms.iter().all(|h| h.name != "h.idle"), "idle hist handle hidden");
         assert!(r.spans.iter().all(|s| s.path != "h.idle.span"), "idle span handle hidden");
-        // Reset keeps handle-held series wired (zeroed, not detached).
+        // Reset keeps handle-held series wired (zeroed, not detached),
+        // and so does an open span: it records once into the new window.
+        let straddling = span("straddle");
         reset();
         hc.add(2);
         hh.record(1.0);
+        drop(straddling);
         let r = collect();
         assert_eq!(r.counter("t.count"), 2, "post-reset handle still reports");
         assert_eq!(r.histograms.iter().find(|h| h.name == "t.hist").map(|h| h.count), Some(1));
-        assert!(r.spans.is_empty(), "unreferenced span series dropped by reset");
+        let straddle: Vec<_> = r.spans.iter().filter(|s| s.path == "straddle").collect();
+        assert_eq!(straddle.len(), 1, "a span open across reset appears once: {:?}", r.spans);
+        assert_eq!(straddle[0].count, 1);
+        assert_eq!(r.spans.len(), 1, "unreferenced span series dropped by reset");
         // Dropped handles release their series for the next reset.
-        drop((hc, hl, hh, hs, idle_hist, idle_span));
+        drop((hc, hh, hs, idle_hist, idle_span));
 
         // Full: timeline events appear; record_full records.
         set_level(Level::Full);
         {
             let _s = span("full.span");
             counter_add("full.count", 7);
+            counter_handle("t.handle").add(3);
             record_full("t.hot", 2.0);
         }
         let r = collect();
@@ -1696,6 +1483,13 @@ mod tests {
             .find(|e| e.ph == EventKind::C && e.name == "full.count")
             .expect("counter timeline event");
         assert_eq!(c_ev.value, 7.0, "C event carries cumulative value");
+        let handle_ev = r.timeline.iter().find(|e| e.ph == EventKind::C && e.name == "t.handle");
+        assert_eq!(
+            handle_ev.map(|e| e.value),
+            Some(3.0),
+            "no C event for a handle add in {:?}",
+            r.timeline
+        );
         assert!(!r.threads.is_empty(), "recording thread listed");
         assert_eq!(r.histograms.iter().find(|h| h.name == "t.hot").map(|h| h.count), Some(1));
 
