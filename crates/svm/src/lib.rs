@@ -86,7 +86,7 @@ mod svr;
 pub use error::SvmError;
 pub use model::{OneClass, OneClassModel, SvFamily, SvModel, Svc, SvcModel, Svr, SvrModel};
 pub use one_class::{solve_one_class, OneClassParams, OneClassSvm};
-pub use qmatrix::{CacheStats, CachedQ, DenseQ, GramQ, KernelQ, QMatrix, QRow, QSource, SvrQ};
+pub use qmatrix::{CacheStats, CachedQ, DenseQ, KernelQ, QMatrix, QRow, QSource, SvrQ};
 pub use solver::{SolverOptions, WorkingSet};
 pub use svc::{solve_svc, SvcParams, SvcTrainer};
 pub use svr::{SvrParams, SvrTrainer};
@@ -118,6 +118,20 @@ mod tests {
                     "{entry} with tol = {tol}: {err:?}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn labels_outside_plus_minus_one_are_rejected_by_both_svc_entry_points() {
+        let x = vec![vec![0.0], vec![0.5], vec![1.0], vec![1.5]];
+        let gram = gram_matrix(&LinearKernel::new(), &x);
+        let want = SvmError::InvalidInput("labels must be +1.0 or -1.0".into());
+        for y in [[-1.0, 0.5, 1.0, 1.0], [-1.0, -1.0, 2.0, 1.0], [-1.0, f64::NAN, 1.0, 1.0]] {
+            let params = SvcParams::default();
+            let fit = SvcTrainer::new(params).fit(&x, &y).err();
+            assert_eq!(fit, Some(want.clone()), "svc fit with y = {y:?}");
+            let gram_path = solve_svc(&gram, &y, &params).err();
+            assert_eq!(gram_path, Some(want.clone()), "solve_svc with y = {y:?}");
         }
     }
 }

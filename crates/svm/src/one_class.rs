@@ -190,7 +190,7 @@ pub fn solve_one_class(
     // Q = K exactly, so rows are borrowed zero-copy from the caller's
     // matrix — no cache needed (shrinking swaps switch the view to
     // gathered rows without copying the matrix).
-    let mut q = DenseQ::new(gram);
+    let mut q = DenseQ::new(gram, None);
     solve_one_class_q(&mut q, n, params)
 }
 
@@ -283,15 +283,26 @@ mod tests {
 
     #[test]
     fn gram_only_path_scores_like_model() {
-        let x = cluster(40, 4);
         let k = RbfKernel::new(1.5);
         let params = OneClassParams::default().with_nu(0.15);
-        let model = OneClassSvm::new(params).kernel(k).fit(&x).unwrap();
-        let gram = gram_matrix(&k, &x);
-        let (alpha, rho, _) = solve_one_class(&gram, &params).unwrap();
-        let probe = vec![0.9, 0.1];
-        let row = gram_row(&k, probe.as_slice(), &x);
-        let f = edm_linalg::dot(&row, &alpha) - rho;
-        assert!((f - model.decision_function(&probe)).abs() < 1e-9);
+        // The original cluster plus seeded clusters of n = 30..80.
+        let sizes = [40, 30, 37, 44, 51, 58, 65, 72, 79];
+        for (seed, &n) in (4u64..).zip(&sizes) {
+            let x = cluster(n, seed);
+            let model = OneClassSvm::new(params).kernel(k).fit(&x).unwrap();
+            let gram = gram_matrix(&k, &x);
+            let (alpha, rho, iterations) = solve_one_class(&gram, &params).unwrap();
+            // The Gram path solves the same dual bit for bit.
+            assert_eq!(rho.to_bits(), model.rho().to_bits());
+            assert_eq!(iterations, model.iterations());
+            let kept: Vec<u64> =
+                alpha.iter().filter(|a| a.abs() > 1e-12).map(|a| a.to_bits()).collect();
+            let want: Vec<u64> = model.coefficients().iter().map(|c| c.to_bits()).collect();
+            assert_eq!(kept, want);
+            let probe = vec![0.9, 0.1];
+            let row = gram_row(&k, probe.as_slice(), &x);
+            let f = edm_linalg::dot(&row, &alpha) - rho;
+            assert!((f - model.decision_function(&probe)).abs() < 1e-9);
+        }
     }
 }

@@ -8,29 +8,32 @@
 //! update reads `Q(t, i)` for *all* `t` at a fixed `i` — and this module
 //! provides the implementations:
 //!
-//! * [`DenseQ`] — zero-copy rows borrowed from an already-materialized
-//!   [`Matrix`] (the precomputed-Gram entry points, tests);
+//! * [`DenseQ`] — rows read from an already-materialized [`Matrix`],
+//!   with optional label signs (`Q(i, j) = sᵢ sⱼ K(i, j)`); unsigned,
+//!   unpermuted rows are borrowed zero-copy (the precomputed-Gram entry
+//!   points, tests);
 //! * [`CachedQ`] — the workhorse: wraps any [`QSource`] in an LRU row
 //!   cache bounded by a byte budget, so the working set of an SMO run
 //!   (typically a small fraction of all rows) is computed once.
 //!
-//! Row *sources* (the `fill_row` strategies) are:
+//! A [`QSource`] computes `Q` values from scratch through one gathered,
+//! batched fill, [`QSource::fill_rows`]:
 //!
-//! * [`GramQ`] — rows read from a materialized Gram matrix, sign-adjusted;
-//! * [`KernelQ`] — rows computed on demand from a kernel and the raw
+//! * [`KernelQ`] — values computed on demand from a kernel and the raw
 //!   samples, never materializing the n×n matrix (LIBSVM's mode);
 //! * [`SvrQ`] — the 2m×2m SVR block structure over m samples, computing
-//!   each underlying kernel row once and mirroring it with signs.
+//!   each underlying kernel value at most once per row and mirroring it
+//!   with signs.
 //!
-//! On a cache miss, [`KernelQ`] and [`SvrQ`] fill rows with worker
-//! threads (under the `parallel` feature), and multi-row requests
-//! ([`QMatrix::rows_prefix`]) batch all missing rows into *one*
-//! sample-major pass over the data ([`QSource::fill_rows`]), so each
-//! item is loaded once per batch instead of once per row. Every entry
-//! is one independent kernel evaluation, so serial, parallel, and
-//! batched fills are bitwise identical, and a cached row is bitwise
-//! identical to a recomputed one — caching can change solver timings
-//! but never results.
+//! On a cache miss, [`CachedQ`] hands all missing rows of a
+//! [`QMatrix::rows_prefix`] request to `fill_rows` together, which
+//! evaluates them in *one* sample-major pass over the data (each item
+//! is loaded once per batch instead of once per row) on worker threads
+//! (under the `parallel` feature). Every entry is one independent
+//! kernel evaluation, so serial, parallel, batched and gathered fills
+//! are bitwise identical, and a cached row is bitwise identical to a
+//! recomputed one — caching can change solver timings but never
+//! results.
 
 use std::borrow::Borrow;
 use std::cell::RefCell;
@@ -77,14 +80,13 @@ impl Deref for QRow<'_> {
 ///
 /// The solver fetches the two working-set rows once per iteration and
 /// streams them through its gradient update; `Q(i, j)` point access is
-/// just `row(i)[j]`.
+/// just `row_prefix(i, j + 1)[j]`.
 ///
 /// The shrinking heuristic renumbers variables so the active set is
 /// always a prefix `0..active_size`. [`QMatrix::swap_index`] applies
 /// that renumbering to the matrix view (and to any resident cache
-/// rows), and [`QMatrix::row_prefix`] lets the solver ask for only the
-/// active prefix of a row so shrunk iterations never pay for inactive
-/// columns.
+/// rows), and row fetches ask for only the active prefix of a row so
+/// shrunk iterations never pay for inactive columns.
 pub trait QMatrix {
     /// Problem size (Q is `n × n`).
     fn n(&self) -> usize;
@@ -92,46 +94,34 @@ pub trait QMatrix {
     /// The precomputed diagonal `Q(i, i)`.
     fn diag(&self) -> &[f64];
 
-    /// Row `i` of `Q`. The returned slice has at least `self.n()`
-    /// valid entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.n()`.
-    fn row(&self, i: usize) -> QRow<'_>;
-
     /// Row `i` of `Q` with at least the first `len` entries valid; the
     /// returned slice may be shorter than `self.n()` but never shorter
-    /// than `len`. The default just returns the full row.
+    /// than `len`. A one-row [`QMatrix::rows_prefix`].
     ///
     /// # Panics
     ///
     /// Panics if `i >= self.n()` or `len > self.n()`.
     fn row_prefix(&self, i: usize, len: usize) -> QRow<'_> {
-        assert!(len <= self.n(), "prefix {len} out of bounds for n = {}", self.n());
-        self.row(i)
+        self.rows_prefix(&[i], len).pop().expect("one row requested, one row returned")
     }
 
     /// Several row prefixes at once: slot `r` of the result is row
     /// `idxs[r]` with at least the first `len` entries valid.
     ///
-    /// The default loops [`QMatrix::row_prefix`]. [`CachedQ`] overrides
-    /// it to materialize all rows missing from its cache in *one*
-    /// batched pass over the data (the hot case: WSS2's two working-set
-    /// rows per iteration, and the solver's gradient-initialization and
-    /// reconstruction sweeps). Batching never changes a row's contents
-    /// — each returned row is bitwise identical to a lone
-    /// `row_prefix` fetch.
+    /// [`CachedQ`] materializes all rows missing from its cache in
+    /// *one* batched pass over the data (the hot case: WSS2's two
+    /// working-set rows per iteration, and the solver's
+    /// gradient-initialization and reconstruction sweeps). Batching
+    /// never changes a row's contents — each returned row is bitwise
+    /// identical to a lone `row_prefix` fetch.
     ///
     /// # Panics
     ///
     /// Panics if any index is `>= self.n()` or `len > self.n()`.
-    fn rows_prefix(&self, idxs: &[usize], len: usize) -> Vec<QRow<'_>> {
-        idxs.iter().map(|&i| self.row_prefix(i, len)).collect()
-    }
+    fn rows_prefix(&self, idxs: &[usize], len: usize) -> Vec<QRow<'_>>;
 
     /// Renumbers variables `a` and `b` (rows *and* columns swap, since
-    /// `Q` is symmetric): after the call, `row(a)` is the old `row(b)`
+    /// `Q` is symmetric): after the call, row `a` is the old row `b`
     /// with entries `a`/`b` exchanged, and `diag()` reflects the new
     /// order. Used by the solver's shrinking heuristic to keep the
     /// active set a contiguous prefix.
@@ -144,7 +134,7 @@ pub trait QMatrix {
     fn swap_index(&mut self, a: usize, b: usize);
 }
 
-/// A strategy for computing rows of `Q` from scratch — what [`CachedQ`]
+/// A strategy for computing `Q` values from scratch — what [`CachedQ`]
 /// calls on a cache miss.
 pub trait QSource {
     /// Problem size.
@@ -153,74 +143,62 @@ pub trait QSource {
     /// Computes the diagonal `Q(i, i)` for all `i`.
     fn diag(&self) -> Vec<f64>;
 
-    /// Writes row `i` of `Q` into `out` (`out.len() == self.n()`).
-    fn fill_row(&self, i: usize, out: &mut [f64]);
-
-    /// Computes the single entry `Q(i, j)`.
+    /// Writes `outs[r][t] = Q(rows[r], cols[t])`: the `cols` entries of
+    /// every batch row, in one pass.
     ///
-    /// Must be bitwise identical to what [`QSource::fill_row`] writes
-    /// at position `j` — [`CachedQ`] mixes contiguous fills, gathered
-    /// fills, and prefix extensions within one row.
-    fn entry(&self, i: usize, j: usize) -> f64;
-
-    /// Writes `out[t] = Q(i, idx[t])` — a gathered row fill used by
-    /// [`CachedQ`] once shrinking has permuted variables. Each entry is
-    /// an independent [`QSource::entry`] evaluation, so gather order
-    /// never changes results.
-    fn fill_row_gather(&self, i: usize, idx: &[usize], out: &mut [f64]) {
-        for (v, &j) in out.iter_mut().zip(idx) {
-            *v = self.entry(i, j);
-        }
-    }
-
-    /// Writes several full rows at once: `outs[r]` receives row
-    /// `rows[r]`, exactly as [`QSource::fill_row`] would.
-    ///
-    /// The default loops `fill_row`. Sources that stream the underlying
-    /// data ([`KernelQ`], [`SvrQ`]) override it to compute *all* batch
-    /// rows against each sample while it is cache-hot, so a B-row batch
-    /// costs one pass over the data instead of B. Every cell is the
-    /// same single evaluation either way — batched, looped, serial, and
-    /// parallel fills are all bitwise identical.
+    /// Sources that stream the underlying data ([`KernelQ`], [`SvrQ`])
+    /// compute *all* batch rows against each sample while it is
+    /// cache-hot, so a B-row batch costs one pass over the data instead
+    /// of B. Every cell is one independent evaluation, so batch
+    /// composition, column order, and serial or parallel execution
+    /// never change a value.
     ///
     /// # Panics
     ///
-    /// Panics if `rows.len() != outs.len()`.
-    fn fill_rows(&self, rows: &[usize], outs: &mut [&mut [f64]]) {
-        assert_eq!(rows.len(), outs.len(), "one output slice per batch row");
-        for (&i, out) in rows.iter().zip(outs.iter_mut()) {
-            self.fill_row(i, out);
-        }
-    }
+    /// Panics if `rows.len() != outs.len()` or any output slice is not
+    /// `cols.len()` long.
+    fn fill_rows(&self, rows: &[usize], cols: &[usize], outs: &mut [&mut [f64]]);
+}
 
-    /// Gathered form of [`QSource::fill_rows`]: `outs[r][t] =
-    /// Q(rows[r], idx[t])`, exactly as [`QSource::fill_row_gather`]
-    /// would produce.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows.len() != outs.len()`.
-    fn fill_rows_gather(&self, rows: &[usize], idx: &[usize], outs: &mut [&mut [f64]]) {
-        assert_eq!(rows.len(), outs.len(), "one output slice per batch row");
-        for (&i, out) in rows.iter().zip(outs.iter_mut()) {
-            self.fill_row_gather(i, idx, out);
+/// `block[t * xs.len() + r] = k(xs[r], items[cols[t]])`: the
+/// sample-major kernel block behind both sources' fills. Each column's
+/// item is loaded once and evaluated against every batch row while
+/// cache-hot, and a parallel chunk is a contiguous run of whole
+/// columns.
+fn kernel_block<S, K, I>(kernel: &K, items: &[I], xs: &[&S], cols: &[usize], block: &mut [f64])
+where
+    S: Sync + ?Sized,
+    K: Kernel<S>,
+    I: Borrow<S> + Sync,
+{
+    let b = xs.len();
+    debug_assert_eq!(block.len(), cols.len() * b);
+    edm_par::for_each_chunk(block, Q_ROW_CHUNK * b, |c, chunk| {
+        let t0 = c * Q_ROW_CHUNK;
+        for (dt, cell) in chunk.chunks_exact_mut(b).enumerate() {
+            let xt = items[cols[t0 + dt]].borrow();
+            for (v, xi) in cell.iter_mut().zip(xs) {
+                *v = kernel.eval(xi, xt);
+            }
         }
-    }
+    });
 }
 
 // ---------------------------------------------------------------------
-// DenseQ: zero-copy rows over a materialized matrix.
+// DenseQ: rows over a materialized matrix.
 // ---------------------------------------------------------------------
 
-/// [`QMatrix`] over an already-materialized symmetric matrix: rows are
-/// borrowed, never copied, so no cache is needed.
+/// [`QMatrix`] over an already-materialized symmetric matrix `K`, with
+/// optional label signs: `Q(i, j) = sᵢ sⱼ K(i, j)`, or plain `K` when
+/// `signs` is `None`. No cache is needed.
 ///
-/// Used by solver tests and anywhere a small `Q` already exists in
-/// memory. Rows stay zero-copy until the first [`QMatrix::swap_index`];
-/// after that, rows are gathered through the permutation (an O(n)
-/// copy per fetch, still no O(n²) duplicate of the matrix).
+/// Unsigned rows are borrowed zero-copy until the first
+/// [`QMatrix::swap_index`]; after that, and always when signed, a
+/// fetch gathers the requested prefix through the permutation (an
+/// O(len) copy per fetch, still no O(n²) duplicate of the matrix).
 pub struct DenseQ<'a> {
     m: &'a Matrix,
+    signs: Option<&'a [f64]>,
     diag: Vec<f64>,
     /// `perm[view index] = backing-matrix index`.
     perm: Vec<usize>,
@@ -228,15 +206,20 @@ pub struct DenseQ<'a> {
 }
 
 impl<'a> DenseQ<'a> {
-    /// Wraps a square matrix.
+    /// Wraps a square matrix; `signs`, when given, must be `±1` per
+    /// row.
     ///
     /// # Panics
     ///
-    /// Panics if `m` is not square.
-    pub fn new(m: &'a Matrix) -> Self {
+    /// Panics if `m` is not square or `signs` has the wrong length.
+    pub fn new(m: &'a Matrix, signs: Option<&'a [f64]>) -> Self {
         assert!(m.is_square(), "Q must be square, got {}x{}", m.rows(), m.cols());
+        if let Some(s) = signs {
+            assert_eq!(s.len(), m.rows(), "signs length must match Q");
+        }
+        // Signs are ±1, so sᵢ² = 1 and the diagonal is K's.
         let diag = (0..m.rows()).map(|i| m[(i, i)]).collect();
-        DenseQ { m, diag, perm: (0..m.rows()).collect(), permuted: false }
+        DenseQ { m, signs, diag, perm: (0..m.rows()).collect(), permuted: false }
     }
 }
 
@@ -249,19 +232,21 @@ impl QMatrix for DenseQ<'_> {
         &self.diag
     }
 
-    fn row(&self, i: usize) -> QRow<'_> {
-        self.row_prefix(i, self.m.rows())
-    }
-
-    fn row_prefix(&self, i: usize, len: usize) -> QRow<'_> {
+    fn rows_prefix(&self, idxs: &[usize], len: usize) -> Vec<QRow<'_>> {
         let n = self.m.rows();
-        assert!(i < n, "row {i} out of bounds for n = {n}");
         assert!(len <= n, "prefix {len} out of bounds for n = {n}");
-        if !self.permuted {
-            return QRow::Borrowed(self.m.row(i));
-        }
-        let src = self.m.row(self.perm[i]);
-        QRow::Shared(self.perm[..len].iter().map(|&t| src[t]).collect())
+        let cols = &self.perm[..len];
+        let row = |i: usize| {
+            assert!(i < n, "row {i} out of bounds for n = {n}");
+            let pi = self.perm[i];
+            let src = self.m.row(pi);
+            match self.signs {
+                None if !self.permuted => QRow::Borrowed(src),
+                None => QRow::Shared(cols.iter().map(|&t| src[t]).collect()),
+                Some(s) => QRow::Shared(cols.iter().map(|&t| s[pi] * s[t] * src[t]).collect()),
+            }
+        };
+        idxs.iter().map(|&i| row(i)).collect()
     }
 
     fn swap_index(&mut self, a: usize, b: usize) {
@@ -277,74 +262,17 @@ impl QMatrix for DenseQ<'_> {
 }
 
 // ---------------------------------------------------------------------
-// GramQ: rows read from a materialized Gram matrix, sign-adjusted.
-// ---------------------------------------------------------------------
-
-/// [`QSource`] over a materialized Gram matrix with optional label
-/// signs: `Q(i, j) = yᵢ yⱼ K(i, j)` (or plain `K` when `signs` is
-/// `None`).
-pub struct GramQ<'a> {
-    gram: &'a Matrix,
-    signs: Option<&'a [f64]>,
-}
-
-impl<'a> GramQ<'a> {
-    /// Wraps a square Gram matrix; `signs`, when given, must be `±1`
-    /// per sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `gram` is not square or `signs` has the wrong length.
-    pub fn new(gram: &'a Matrix, signs: Option<&'a [f64]>) -> Self {
-        assert!(gram.is_square(), "gram must be square");
-        if let Some(s) = signs {
-            assert_eq!(s.len(), gram.rows(), "signs length must match gram");
-        }
-        GramQ { gram, signs }
-    }
-}
-
-impl QSource for GramQ<'_> {
-    fn n(&self) -> usize {
-        self.gram.rows()
-    }
-
-    fn diag(&self) -> Vec<f64> {
-        // signs are ±1, so yᵢ² = 1 and the diagonal is K's.
-        (0..self.gram.rows()).map(|i| self.gram[(i, i)]).collect()
-    }
-
-    fn fill_row(&self, i: usize, out: &mut [f64]) {
-        let row = self.gram.row(i);
-        match self.signs {
-            Some(s) => {
-                let si = s[i];
-                for ((v, &k), &sj) in out.iter_mut().zip(row).zip(s) {
-                    *v = si * sj * k;
-                }
-            }
-            None => out.copy_from_slice(row),
-        }
-    }
-
-    fn entry(&self, i: usize, j: usize) -> f64 {
-        match self.signs {
-            Some(s) => s[i] * s[j] * self.gram[(i, j)],
-            None => self.gram[(i, j)],
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // KernelQ: rows computed on demand from a kernel over the raw samples.
 // ---------------------------------------------------------------------
 
 /// [`QSource`] that evaluates the kernel on demand — the Gram matrix is
 /// never materialized, so memory stays `O(cache)` instead of `O(n²)`.
 ///
-/// Row fills run on worker threads (with the `parallel` feature); each
-/// entry is one independent kernel evaluation, so serial and parallel
-/// fills are bitwise identical.
+/// `Q(i, j) = k(xᵢ, xⱼ) · (sᵢ sⱼ)`, or plain `k` when `signs` is `None`.
+/// A fill over `cols` costs `rows.len() · cols.len()` kernel
+/// evaluations, run on worker threads (with the `parallel` feature);
+/// each is independent, so serial and parallel fills are bitwise
+/// identical.
 pub struct KernelQ<'a, S: ?Sized, K, I> {
     kernel: &'a K,
     items: &'a [I],
@@ -385,112 +313,27 @@ where
         self.items.iter().map(|x| self.kernel.eval(x.borrow(), x.borrow())).collect()
     }
 
-    fn fill_row(&self, i: usize, out: &mut [f64]) {
-        self.fill_rows(&[i], &mut [out]);
-    }
-
-    fn entry(&self, i: usize, j: usize) -> f64 {
-        let k = self.kernel.eval(self.items[i].borrow(), self.items[j].borrow());
-        match self.signs {
-            // Same expression shape as `fill_rows`'s `*v *= si * sj`
-            // (exact either way: sign factors are ±1).
-            Some(s) => k * (s[i] * s[j]),
-            None => k,
-        }
-    }
-
-    fn fill_row_gather(&self, i: usize, idx: &[usize], out: &mut [f64]) {
-        self.fill_rows_gather(&[i], idx, &mut [out]);
-    }
-
-    fn fill_rows(&self, rows: &[usize], outs: &mut [&mut [f64]]) {
+    fn fill_rows(&self, rows: &[usize], cols: &[usize], outs: &mut [&mut [f64]]) {
         assert_eq!(rows.len(), outs.len(), "one output slice per batch row");
+        assert!(outs.iter().all(|o| o.len() == cols.len()), "one output cell per column");
         let b = rows.len();
-        if b == 0 {
-            return;
-        }
         let xs: Vec<&S> = rows.iter().map(|&i| self.items[i].borrow()).collect();
         if b == 1 {
-            let out = &mut *outs[0];
-            let xi = xs[0];
-            edm_par::for_each_chunk(out, Q_ROW_CHUNK, |c, chunk| {
-                let start = c * Q_ROW_CHUNK;
-                for (off, v) in chunk.iter_mut().enumerate() {
-                    *v = self.kernel.eval(xi, self.items[start + off].borrow());
-                }
-            });
+            // A lone row is its own sample-major block.
+            kernel_block(self.kernel, self.items, &xs, cols, outs[0]);
         } else {
-            // Sample-major batch: each chunk of items is loaded once and
-            // evaluated against every batch row while cache-hot. The
-            // interleaved scratch (`scratch[t * b + r]`) keeps a parallel
-            // chunk a contiguous run of whole sample-columns.
-            let n = self.items.len();
-            let mut scratch = vec![0.0; n * b];
-            edm_par::for_each_chunk(&mut scratch, Q_ROW_CHUNK * b, |c, chunk| {
-                let t0 = c * Q_ROW_CHUNK;
-                for (dt, cell) in chunk.chunks_exact_mut(b).enumerate() {
-                    let xt = self.items[t0 + dt].borrow();
-                    for (v, xi) in cell.iter_mut().zip(&xs) {
-                        *v = self.kernel.eval(xi, xt);
-                    }
-                }
-            });
+            let mut block = vec![0.0; cols.len() * b];
+            kernel_block(self.kernel, self.items, &xs, cols, &mut block);
             for (r, out) in outs.iter_mut().enumerate() {
                 for (t, v) in out.iter_mut().enumerate() {
-                    *v = scratch[t * b + r];
+                    *v = block[t * b + r];
                 }
             }
         }
         if let Some(s) = self.signs {
             for (&i, out) in rows.iter().zip(outs.iter_mut()) {
-                let si = s[i];
-                for (v, &sj) in out.iter_mut().zip(s) {
-                    *v *= si * sj;
-                }
-            }
-        }
-    }
-
-    fn fill_rows_gather(&self, rows: &[usize], idx: &[usize], outs: &mut [&mut [f64]]) {
-        assert_eq!(rows.len(), outs.len(), "one output slice per batch row");
-        let b = rows.len();
-        if b == 0 {
-            return;
-        }
-        let xs: Vec<&S> = rows.iter().map(|&i| self.items[i].borrow()).collect();
-        if b == 1 {
-            let out = &mut *outs[0];
-            debug_assert_eq!(idx.len(), out.len());
-            let xi = xs[0];
-            edm_par::for_each_chunk(out, Q_ROW_CHUNK, |c, chunk| {
-                let start = c * Q_ROW_CHUNK;
-                for (off, v) in chunk.iter_mut().enumerate() {
-                    *v = self.kernel.eval(xi, self.items[idx[start + off]].borrow());
-                }
-            });
-        } else {
-            let mut scratch = vec![0.0; idx.len() * b];
-            edm_par::for_each_chunk(&mut scratch, Q_ROW_CHUNK * b, |c, chunk| {
-                let t0 = c * Q_ROW_CHUNK;
-                for (dt, cell) in chunk.chunks_exact_mut(b).enumerate() {
-                    let xt = self.items[idx[t0 + dt]].borrow();
-                    for (v, xi) in cell.iter_mut().zip(&xs) {
-                        *v = self.kernel.eval(xi, xt);
-                    }
-                }
-            });
-            for (r, out) in outs.iter_mut().enumerate() {
-                debug_assert_eq!(idx.len(), out.len());
-                for (t, v) in out.iter_mut().enumerate() {
-                    *v = scratch[t * b + r];
-                }
-            }
-        }
-        if let Some(s) = self.signs {
-            for (&i, out) in rows.iter().zip(outs.iter_mut()) {
-                let si = s[i];
-                for (v, &j) in out.iter_mut().zip(idx) {
-                    *v *= si * s[j];
+                for (v, &j) in out.iter_mut().zip(cols) {
+                    *v *= s[i] * s[j];
                 }
             }
         }
@@ -505,9 +348,11 @@ where
 /// `0..m` are α (sign +1), `m..2m` are α* (sign −1), and
 /// `Q(t, u) = s(t) s(u) K(base(t), base(u))` with `base(t) = t mod m`.
 ///
-/// Each row fill performs `m` kernel evaluations (in parallel) and
-/// mirrors them with signs into the `2m` slots, so the block structure
-/// costs no extra kernel work.
+/// A fill evaluates each distinct base sample among its columns once
+/// per row (in parallel) and mirrors the value with signs into every
+/// column sharing that base, so a full `2m`-column row costs `m`
+/// kernel evaluations and the block structure costs no extra kernel
+/// work.
 pub struct SvrQ<'a, S: ?Sized, K, I> {
     kernel: &'a K,
     items: &'a [I],
@@ -537,134 +382,41 @@ where
     }
 
     fn diag(&self) -> Vec<f64> {
-        let m = self.items.len();
-        let mut d = Vec::with_capacity(2 * m);
-        for x in self.items {
-            d.push(self.kernel.eval(x.borrow(), x.borrow()));
-        }
-        for t in 0..m {
-            let v = d[t];
-            d.push(v);
-        }
-        d
+        let d: Vec<f64> =
+            self.items.iter().map(|x| self.kernel.eval(x.borrow(), x.borrow())).collect();
+        [d.as_slice(), d.as_slice()].concat()
     }
 
-    fn fill_row(&self, t: usize, out: &mut [f64]) {
-        self.fill_rows(&[t], &mut [out]);
-    }
-
-    fn entry(&self, t: usize, u: usize) -> f64 {
-        let m = self.items.len();
-        let (bt, st) = if t < m { (t, 1.0) } else { (t - m, -1.0) };
-        let (bu, su) = if u < m { (u, 1.0) } else { (u - m, -1.0) };
-        // Bitwise identical to `fill_rows`'s mirror path: IEEE negation
-        // commutes exactly through multiplication by ±1.
-        st * su * self.kernel.eval(self.items[bt].borrow(), self.items[bu].borrow())
-    }
-
-    fn fill_row_gather(&self, t: usize, idx: &[usize], out: &mut [f64]) {
-        self.fill_rows_gather(&[t], idx, &mut [out]);
-    }
-
-    fn fill_rows(&self, rows: &[usize], outs: &mut [&mut [f64]]) {
+    fn fill_rows(&self, rows: &[usize], cols: &[usize], outs: &mut [&mut [f64]]) {
         assert_eq!(rows.len(), outs.len(), "one output slice per batch row");
-        let b = rows.len();
-        if b == 0 {
-            return;
-        }
         let m = self.items.len();
-        let decoded: Vec<(usize, f64)> =
-            rows.iter().map(|&t| if t < m { (t, 1.0) } else { (t - m, -1.0) }).collect();
-        if b == 1 {
-            let out = &mut *outs[0];
-            let (bt, st) = decoded[0];
-            let xt = self.items[bt].borrow();
-            let (first, second) = out.split_at_mut(m);
-            edm_par::for_each_chunk(first, Q_ROW_CHUNK, |c, chunk| {
-                let start = c * Q_ROW_CHUNK;
-                for (off, v) in chunk.iter_mut().enumerate() {
-                    *v = self.kernel.eval(xt, self.items[start + off].borrow());
-                }
-            });
-            for (u, fu) in first.iter_mut().enumerate() {
-                let v = st * *fu;
-                *fu = v;
-                second[u] = -v;
-            }
-            return;
-        }
-        // One batched pass over the m base columns (each underlying
-        // kernel value is computed once and mirrored with signs into
-        // the 2m slots, as in the single-row fill), sample-major so
-        // every item load serves all batch rows.
-        let xs: Vec<&S> = decoded.iter().map(|&(bt, _)| self.items[bt].borrow()).collect();
-        let mut scratch = vec![0.0; m * b];
-        edm_par::for_each_chunk(&mut scratch, Q_ROW_CHUNK * b, |c, chunk| {
-            let u0 = c * Q_ROW_CHUNK;
-            for (du, cell) in chunk.chunks_exact_mut(b).enumerate() {
-                let xu = self.items[u0 + du].borrow();
-                for (v, xt) in cell.iter_mut().zip(&xs) {
-                    *v = self.kernel.eval(xt, xu);
-                }
-            }
-        });
-        for (r, out) in outs.iter_mut().enumerate() {
-            let st = decoded[r].1;
-            let (first, second) = out.split_at_mut(m);
-            for (u, (fu, su)) in first.iter_mut().zip(second.iter_mut()).enumerate() {
-                let v = st * scratch[u * b + r];
-                *fu = v;
-                *su = -v;
-            }
-        }
-    }
-
-    fn fill_rows_gather(&self, rows: &[usize], idx: &[usize], outs: &mut [&mut [f64]]) {
-        assert_eq!(rows.len(), outs.len(), "one output slice per batch row");
         let b = rows.len();
-        if b == 0 {
-            return;
-        }
-        let m = self.items.len();
-        let decoded: Vec<(usize, f64)> =
-            rows.iter().map(|&t| if t < m { (t, 1.0) } else { (t - m, -1.0) }).collect();
-        if b == 1 {
-            let out = &mut *outs[0];
-            debug_assert_eq!(idx.len(), out.len());
-            let (bt, st) = decoded[0];
-            let xt = self.items[bt].borrow();
-            edm_par::for_each_chunk(out, Q_ROW_CHUNK, |c, chunk| {
-                let start = c * Q_ROW_CHUNK;
-                for (off, v) in chunk.iter_mut().enumerate() {
-                    let u = idx[start + off];
-                    let (bu, su) = if u < m { (u, 1.0) } else { (u - m, -1.0) };
-                    *v = st * su * self.kernel.eval(xt, self.items[bu].borrow());
-                }
-            });
-            return;
-        }
-        let xs: Vec<&S> = decoded.iter().map(|&(bt, _)| self.items[bt].borrow()).collect();
-        let mut scratch = vec![0.0; idx.len() * b];
-        edm_par::for_each_chunk(&mut scratch, Q_ROW_CHUNK * b, |c, chunk| {
-            let t0 = c * Q_ROW_CHUNK;
-            for (dt, cell) in chunk.chunks_exact_mut(b).enumerate() {
-                let u = idx[t0 + dt];
-                let (bu, su) = if u < m { (u, 1.0) } else { (u - m, -1.0) };
-                let xu = self.items[bu].borrow();
-                for ((v, xt), &(_, st)) in cell.iter_mut().zip(&xs).zip(&decoded) {
-                    *v = st * su * self.kernel.eval(xt, xu);
-                }
+        // Columns `u` and `u + m` share one kernel value: evaluate each
+        // distinct base once (`slot[base]` = its block column).
+        let mut slot = vec![usize::MAX; m];
+        let mut bases = Vec::new();
+        for &u in cols {
+            let bu = u % m;
+            if slot[bu] == usize::MAX {
+                slot[bu] = bases.len();
+                bases.push(bu);
             }
-        });
-        for (r, out) in outs.iter_mut().enumerate() {
-            debug_assert_eq!(idx.len(), out.len());
-            for (t, v) in out.iter_mut().enumerate() {
-                *v = scratch[t * b + r];
+        }
+        let xs: Vec<&S> = rows.iter().map(|&t| self.items[t % m].borrow()).collect();
+        let mut block = vec![0.0; bases.len() * b];
+        kernel_block(self.kernel, self.items, &xs, &bases, &mut block);
+        for (r, (&t, out)) in rows.iter().zip(outs.iter_mut()).enumerate() {
+            assert_eq!(out.len(), cols.len(), "one output cell per column");
+            let st = if t < m { 1.0 } else { -1.0 };
+            for (v, &u) in out.iter_mut().zip(cols) {
+                // IEEE negation is exact, so the α* mirror is bitwise
+                // `s(t) s(u) K`.
+                let w = st * block[slot[u % m] * b + r];
+                *v = if u < m { w } else { -w };
             }
         }
     }
 }
-
 // ---------------------------------------------------------------------
 // CachedQ: the LRU row cache.
 // ---------------------------------------------------------------------
@@ -727,10 +479,11 @@ struct CacheState {
 /// victim scan is negligible next to the O(n·d) row fill it avoids.
 ///
 /// Rows are handed out as [`Rc`]-shared slices, so a row the solver
-/// still holds survives its own eviction. Since a cached row is the
-/// verbatim output of a single `fill_row` (or of bitwise-identical
-/// [`QSource::entry`] evaluations on the gather/extension paths),
-/// caching never changes results — only how often rows are recomputed.
+/// still holds survives its own eviction. Every miss is filled by
+/// [`QSource::fill_rows`] over the view's columns `perm[start..len]`
+/// (`start` is the end of any resident prefix being extended), and
+/// each cell is one independent evaluation, so caching never changes
+/// results — only how often rows are recomputed.
 ///
 /// [`QMatrix::swap_index`] mirrors LIBSVM's cache handling: resident
 /// rows long enough to cover both swapped columns get the two entries
@@ -742,7 +495,6 @@ pub struct CachedQ<S> {
     budget_rows: usize,
     /// `perm[view index] = source index`.
     perm: Vec<usize>,
-    permuted: bool,
     state: RefCell<CacheState>,
 }
 
@@ -760,7 +512,6 @@ impl<S: QSource> CachedQ<S> {
             diag,
             budget_rows,
             perm: (0..n).collect(),
-            permuted: false,
             state: RefCell::new(CacheState {
                 entries: (0..n).map(|_| None).collect(),
                 resident: 0,
@@ -769,17 +520,6 @@ impl<S: QSource> CachedQ<S> {
                 misses: 0,
                 evictions: 0,
             }),
-        }
-    }
-
-    /// Computes entries `start..` of (view-space) row `i` into `out`.
-    fn fill_range(&self, i: usize, start: usize, out: &mut [f64]) {
-        if !self.permuted && start == 0 && out.len() == self.diag.len() {
-            // Identity permutation, full row: the source's contiguous
-            // (and possibly parallel) fast path.
-            self.source.fill_row(i, out);
-        } else {
-            self.source.fill_row_gather(self.perm[i], &self.perm[start..start + out.len()], out);
         }
     }
 
@@ -812,20 +552,10 @@ impl<S: QSource> CachedQ<S> {
         }
     }
 
-    /// Maximum number of resident rows (0 = caching disabled).
-    pub fn budget_rows(&self) -> usize {
-        self.budget_rows
-    }
-
     /// Hit/miss/eviction counters so far.
     pub fn stats(&self) -> CacheStats {
         let st = self.state.borrow();
         CacheStats { hits: st.hits, misses: st.misses, evictions: st.evictions }
-    }
-
-    /// The wrapped source.
-    pub fn source(&self) -> &S {
-        &self.source
     }
 }
 
@@ -854,50 +584,6 @@ impl<S: QSource> QMatrix for CachedQ<S> {
 
     fn diag(&self) -> &[f64] {
         &self.diag
-    }
-
-    fn row(&self, i: usize) -> QRow<'_> {
-        self.row_prefix(i, self.diag.len())
-    }
-
-    fn row_prefix(&self, i: usize, len: usize) -> QRow<'_> {
-        let n = self.diag.len();
-        assert!(i < n, "row {i} out of bounds for n = {n}");
-        assert!(len <= n, "prefix {len} out of bounds for n = {n}");
-        let mut st = self.state.borrow_mut();
-        st.clock += 1;
-        let stamp = st.clock;
-        let mut extend_from = None;
-        if let Some(entry) = st.entries[i].as_mut() {
-            entry.stamp = stamp;
-            let data = Rc::clone(&entry.data);
-            if data.len() >= len {
-                st.hits += 1;
-                return QRow::Shared(data);
-            }
-            // Resident but too short: keep the computed prefix and
-            // extend it below (counted as a miss — entries are
-            // computed either way).
-            extend_from = Some(data);
-        }
-        st.misses += 1;
-        // Release the borrow during the (possibly slow, possibly
-        // parallel) fill; the solver is single-threaded, so no other
-        // access can interleave, but the fill must not observe a live
-        // RefCell borrow if a kernel ever routes back through us.
-        drop(st);
-        let mut buf = vec![0.0; len];
-        let start = match &extend_from {
-            Some(prev) => {
-                buf[..prev.len()].copy_from_slice(prev);
-                prev.len()
-            }
-            None => 0,
-        };
-        self.fill_range(i, start, &mut buf[start..]);
-        let data: Rc<[f64]> = buf.into();
-        self.insert_row(i, &data, stamp);
-        QRow::Shared(data)
     }
 
     fn rows_prefix(&self, idxs: &[usize], len: usize) -> Vec<QRow<'_>> {
@@ -971,11 +657,11 @@ impl<S: QSource> QMatrix for CachedQ<S> {
                 }
             }
         }
-        // Pass 2 (cache borrow released): fill the misses. Rows whose
-        // cached prefixes end at the same point share one batched pass
-        // over the data; stragglers take the single-row path. Either
-        // way each row's contents are exactly what `row_prefix` would
-        // have computed.
+        // Pass 2 (cache borrow released, so the possibly slow and
+        // parallel fill never observes a live borrow): fill the misses.
+        // Rows whose cached prefixes end at the same point share one
+        // `fill_rows` pass over the columns they lack; each row's
+        // contents are exactly what a lone fetch would have computed.
         let mut filled: Vec<Option<Rc<[f64]>>> = (0..misses.len()).map(|_| None).collect();
         let start_of = |m: &Miss| m.prior.as_ref().map_or(0, |p| p.len());
         let mut order: Vec<usize> = (0..misses.len()).collect();
@@ -999,17 +685,10 @@ impl<S: QSource> QMatrix for CachedQ<S> {
                     buf
                 })
                 .collect();
-            if group.len() == 1 {
-                self.fill_range(misses[group[0]].i, start, &mut bufs[0][start..]);
-            } else {
-                let rows: Vec<usize> = group.iter().map(|&p| self.perm[misses[p].i]).collect();
-                let mut tails: Vec<&mut [f64]> =
-                    bufs.iter_mut().map(|buf| &mut buf[start..]).collect();
-                if !self.permuted && start == 0 && len == n {
-                    self.source.fill_rows(&rows, &mut tails);
-                } else {
-                    self.source.fill_rows_gather(&rows, &self.perm[start..len], &mut tails);
-                }
+            let rows: Vec<usize> = group.iter().map(|&p| self.perm[misses[p].i]).collect();
+            let mut tails: Vec<&mut [f64]> = bufs.iter_mut().map(|buf| &mut buf[start..]).collect();
+            self.source.fill_rows(&rows, &self.perm[start..len], &mut tails);
+            if group.len() > 1 {
                 batched_passes += 1;
             }
             for (&p, buf) in group.iter().zip(bufs) {
@@ -1040,7 +719,6 @@ impl<S: QSource> QMatrix for CachedQ<S> {
         }
         self.perm.swap(a, b);
         self.diag.swap(a, b);
-        self.permuted = true;
         let st = self.state.get_mut();
         st.entries.swap(a, b);
         let (lo, hi) = if a < b { (a, b) } else { (b, a) };
@@ -1083,6 +761,18 @@ mod tests {
         (0..n).map(|i| vec![(i as f64 * 0.37).sin(), (i as f64 * 0.91).cos()]).collect()
     }
 
+    /// Row `i` of `src` over every column, through the one fill.
+    fn full_row(src: &impl QSource, i: usize) -> Vec<f64> {
+        let cols: Vec<usize> = (0..src.n()).collect();
+        let mut row = vec![0.0; cols.len()];
+        src.fill_rows(&[i], &cols, &mut [&mut row]);
+        row
+    }
+
+    fn bits(row: &[f64]) -> Vec<u64> {
+        row.iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn kernel_q_matches_gram_closure() {
         let x = cloud(9);
@@ -1090,9 +780,8 @@ mod tests {
         let k = RbfKernel::new(0.7);
         let gram = gram_matrix(&k, &x);
         let src = KernelQ::<[f64], _, _>::new(&k, &x, Some(&y));
-        let mut row = vec![0.0; 9];
         for i in 0..9 {
-            src.fill_row(i, &mut row);
+            let row = full_row(&src, i);
             for j in 0..9 {
                 let want = y[i] * y[j] * gram[(i, j)];
                 assert!((row[j] - want).abs() < 1e-15, "Q({i},{j}) = {} want {want}", row[j]);
@@ -1114,9 +803,8 @@ mod tests {
         let base = |t: usize| if t < m { t } else { t - m };
         let src = SvrQ::<[f64], _, _>::new(&k, &x);
         assert_eq!(src.n(), 2 * m);
-        let mut row = vec![0.0; 2 * m];
         for t in 0..2 * m {
-            src.fill_row(t, &mut row);
+            let row = full_row(&src, t);
             for u in 0..2 * m {
                 let want = sign(t) * sign(u) * gram[(base(t), base(u))];
                 assert!((row[u] - want).abs() < 1e-15, "Q({t},{u}) = {} want {want}", row[u]);
@@ -1132,17 +820,11 @@ mod tests {
     fn cached_rows_are_bitwise_identical_to_source() {
         let x = cloud(16);
         let k = RbfKernel::new(0.4);
-        let src = KernelQ::<[f64], _, _>::new(&k, &x, None);
         let cached = CachedQ::new(KernelQ::<[f64], _, _>::new(&k, &x, None), 1 << 20);
-        let mut direct = vec![0.0; 16];
         // Access pattern with revisits so both hit and miss paths run.
         for &i in &[0usize, 3, 0, 7, 3, 15, 0, 7] {
-            src.fill_row(i, &mut direct);
-            let row = cached.row(i);
-            assert_eq!(
-                row.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                direct.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            );
+            let direct: Vec<f64> = x.iter().map(|xj| k.eval(&x[i], xj)).collect();
+            assert_eq!(bits(&cached.row_prefix(i, 16)), bits(&direct));
         }
         let s = cached.stats();
         assert_eq!(s.misses, 4, "4 distinct rows touched");
@@ -1152,16 +834,15 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recently_used() {
-        let gram = gram_matrix(&RbfKernel::new(1.0), &cloud(8));
+        let (x, k) = (cloud(8), RbfKernel::new(1.0));
         // Budget of exactly 2 rows: 2 rows × 8 cols × 8 bytes = 128.
-        let q = CachedQ::new(GramQ::new(&gram, None), 128);
-        assert_eq!(q.budget_rows(), 2);
-        q.row(0); // miss — resident {0}
-        q.row(1); // miss — resident {0, 1}
-        q.row(0); // hit  — 0 now more recent than 1
-        q.row(2); // miss — evicts 1, resident {0, 2}
-        q.row(0); // hit
-        q.row(1); // miss — evicts 2 (was evicted itself before)
+        let q = CachedQ::new(KernelQ::<[f64], _, _>::new(&k, &x, None), 128);
+        q.row_prefix(0, 8); // miss — resident {0}
+        q.row_prefix(1, 8); // miss — resident {0, 1}
+        q.row_prefix(0, 8); // hit  — 0 now more recent than 1
+        q.row_prefix(2, 8); // miss — evicts 1, resident {0, 2}
+        q.row_prefix(0, 8); // hit
+        q.row_prefix(1, 8); // miss — evicts 2 (was evicted itself before)
         let s = q.stats();
         assert_eq!(s.misses, 4);
         assert_eq!(s.hits, 2);
@@ -1171,30 +852,39 @@ mod tests {
 
     #[test]
     fn zero_budget_disables_caching() {
-        let gram = gram_matrix(&RbfKernel::new(1.0), &cloud(5));
-        let q = CachedQ::new(GramQ::new(&gram, None), 0);
-        assert_eq!(q.budget_rows(), 0);
+        let (x, k) = (cloud(5), RbfKernel::new(1.0));
+        let q = CachedQ::new(KernelQ::<[f64], _, _>::new(&k, &x, None), 0);
         for _ in 0..3 {
-            q.row(2);
+            q.row_prefix(2, 5);
         }
         let s = q.stats();
         assert_eq!(s.hits, 0);
         assert_eq!(s.misses, 3);
+        assert_eq!(s.evictions, 0, "nothing was ever resident");
         assert_eq!(s.hit_rate(), 0.0);
     }
 
     #[test]
     fn dense_q_borrows_rows() {
         let gram = gram_matrix(&RbfKernel::new(1.0), &cloud(4));
-        let q = DenseQ::new(&gram);
+        let q = DenseQ::new(&gram, None);
         assert_eq!(q.n(), 4);
         for i in 0..4 {
-            let row = q.row(i);
+            let row = q.row_prefix(i, 4);
             assert!(matches!(row, QRow::Borrowed(_)));
             for j in 0..4 {
                 assert_eq!(row[j], gram[(i, j)]);
             }
             assert_eq!(q.diag()[i], gram[(i, i)]);
+        }
+        // Signed rows are computed `sᵢ sⱼ K(i, j)`; the diagonal stays K's.
+        let y = [1.0, -1.0, -1.0, 1.0];
+        let q = DenseQ::new(&gram, Some(&y));
+        for i in 0..4 {
+            let row = q.row_prefix(i, 4);
+            let want: Vec<f64> = (0..4).map(|j| y[i] * y[j] * gram[(i, j)]).collect();
+            assert_eq!(bits(&row), bits(&want));
+            assert_eq!(q.diag()[i].to_bits(), gram[(i, i)].to_bits());
         }
     }
 
@@ -1202,40 +892,47 @@ mod tests {
     fn swap_index_permutes_rows_diag_and_cache() {
         let x = cloud(8);
         let y: Vec<f64> = (0..8).map(|i| if i % 3 == 0 { 1.0 } else { -1.0 }).collect();
-        let gram = gram_matrix(&RbfKernel::new(0.8), &x);
-        let mut q = CachedQ::new(GramQ::new(&gram, Some(&y)), 1 << 20);
-        // Warm some rows before swapping so the in-cache swap path runs.
-        q.row(1);
-        q.row(5);
-        q.row(2);
-        q.swap_index(1, 5);
-        q.swap_index(0, 2);
-        // View permutation: 0<->2 after 1<->5.
-        let perm = [2usize, 5, 0, 3, 4, 1, 6, 7];
-        let entry = |i: usize, j: usize| y[i] * y[j] * gram[(i, j)];
-        for i in 0..8 {
-            assert_eq!(q.diag()[i].to_bits(), gram[(perm[i], perm[i])].to_bits());
-            let row = q.row(i);
-            for j in 0..8 {
-                assert_eq!(
-                    row[j].to_bits(),
-                    entry(perm[i], perm[j]).to_bits(),
-                    "Q({i},{j}) after swap"
-                );
+        let k = RbfKernel::new(0.8);
+        let gram = gram_matrix(&k, &x);
+        let cached = CachedQ::new(KernelQ::<[f64], _, _>::new(&k, &x, Some(&y)), 1 << 20);
+        let dense = DenseQ::new(&gram, Some(&y));
+        let kernel_entry = |i: usize, j: usize| k.eval(&x[i], &x[j]) * (y[i] * y[j]);
+        let dense_entry = |i: usize, j: usize| y[i] * y[j] * gram[(i, j)];
+        let check = |mut q: Box<dyn QMatrix + '_>, entry: &dyn Fn(usize, usize) -> f64| {
+            // Warm some rows before swapping so the in-cache swap path runs.
+            q.row_prefix(1, 8);
+            q.row_prefix(5, 8);
+            q.row_prefix(2, 8);
+            q.swap_index(1, 5);
+            q.swap_index(0, 2);
+            // View permutation: 0<->2 after 1<->5.
+            let perm = [2usize, 5, 0, 3, 4, 1, 6, 7];
+            for i in 0..8 {
+                assert_eq!(q.diag()[i].to_bits(), gram[(perm[i], perm[i])].to_bits());
+                let row = q.row_prefix(i, 8);
+                for j in 0..8 {
+                    assert_eq!(
+                        row[j].to_bits(),
+                        entry(perm[i], perm[j]).to_bits(),
+                        "Q({i},{j}) after swap"
+                    );
+                }
             }
-        }
+        };
+        check(Box::new(cached), &kernel_entry);
+        check(Box::new(dense), &dense_entry);
     }
 
     #[test]
     fn dense_q_swap_matches_reference_permutation() {
         let gram = gram_matrix(&RbfKernel::new(1.3), &cloud(6));
-        let mut q = DenseQ::new(&gram);
+        let mut q = DenseQ::new(&gram, None);
         q.swap_index(0, 4);
         q.swap_index(2, 3);
         let perm = [4usize, 1, 3, 2, 0, 5];
         for i in 0..6 {
             assert_eq!(q.diag()[i].to_bits(), gram[(perm[i], perm[i])].to_bits());
-            let row = q.row(i);
+            let row = q.row_prefix(i, 6);
             assert!(matches!(row, QRow::Shared(_)), "permuted rows are gathered");
             for j in 0..6 {
                 assert_eq!(row[j].to_bits(), gram[(perm[i], perm[j])].to_bits());
@@ -1249,21 +946,15 @@ mod tests {
     fn prefix_rows_extend_in_place() {
         let x = cloud(10);
         let k = RbfKernel::new(0.5);
-        let src = KernelQ::<[f64], _, _>::new(&k, &x, None);
         let q = CachedQ::new(KernelQ::<[f64], _, _>::new(&k, &x, None), 1 << 20);
-        let mut full = vec![0.0; 10];
-        src.fill_row(3, &mut full);
+        let full: Vec<f64> = x.iter().map(|xj| k.eval(&x[3], xj)).collect();
         let short = q.row_prefix(3, 4);
         assert_eq!(short.len(), 4);
-        for j in 0..4 {
-            assert_eq!(short[j].to_bits(), full[j].to_bits());
-        }
+        assert_eq!(bits(&short), bits(&full[..4]));
         // Extension keeps the cached prefix and computes the rest.
-        let long = q.row(3);
+        let long = q.row_prefix(3, 10);
         assert_eq!(long.len(), 10);
-        for j in 0..10 {
-            assert_eq!(long[j].to_bits(), full[j].to_bits());
-        }
+        assert_eq!(bits(&long), bits(&full));
         // Now a full-length entry is resident: any prefix is a hit.
         q.row_prefix(3, 2);
         let s = q.stats();
@@ -1273,58 +964,71 @@ mod tests {
 
     #[test]
     fn swap_drops_short_rows_that_cover_only_lo() {
-        let gram = gram_matrix(&RbfKernel::new(1.0), &cloud(8));
-        let mut q = CachedQ::new(GramQ::new(&gram, None), 1 << 20);
+        let (x, k) = (cloud(8), RbfKernel::new(1.0));
+        let mut q = CachedQ::new(KernelQ::<[f64], _, _>::new(&k, &x, None), 1 << 20);
         q.row_prefix(0, 3); // covers column 1 but not column 5
         q.row_prefix(4, 1); // covers neither swapped column
         q.swap_index(1, 5);
         let s = q.stats();
         assert_eq!(s.evictions, 1, "row 0's prefix dropped, row 4's kept");
         // Re-fetching row 0 recomputes under the new numbering.
-        let row = q.row(0);
+        let row = q.row_prefix(0, 8);
         let perm = [0usize, 5, 2, 3, 4, 1, 6, 7];
         for j in 0..8 {
-            assert_eq!(row[j].to_bits(), gram[(perm[0], perm[j])].to_bits());
+            assert_eq!(row[j].to_bits(), k.eval(&x[perm[0]], &x[perm[j]]).to_bits());
         }
         // Row 4's 1-entry prefix is untouched by the swap and still hits.
         let pre = q.row_prefix(4, 1);
-        assert_eq!(pre[0].to_bits(), gram[(4, 0)].to_bits());
+        assert_eq!(pre[0].to_bits(), k.eval(&x[4], &x[0]).to_bits());
         assert_eq!(q.stats().hits, 1);
     }
 
     #[test]
     fn gather_fill_matches_entry_oracle() {
         let x = cloud(7);
+        let m = x.len();
         let y: Vec<f64> = (0..7).map(|i| if i < 4 { 1.0 } else { -1.0 }).collect();
         let k = RbfKernel::new(0.9);
         let kq = KernelQ::<[f64], _, _>::new(&k, &x, Some(&y));
         let sq = SvrQ::<[f64], _, _>::new(&k, &x);
-        let idx = [5usize, 0, 3, 3, 6];
-        let mut out = vec![0.0; idx.len()];
-        kq.fill_row_gather(2, &idx, &mut out);
-        for (t, &j) in idx.iter().enumerate() {
-            assert_eq!(out[t].to_bits(), kq.entry(2, j).to_bits());
+        // KernelQ: gathered (with a repeated column), batched rows.
+        let (rows, idx) = ([2usize, 6, 2], [5usize, 0, 3, 3, 6]);
+        let mut outs = vec![vec![0.0; idx.len()]; rows.len()];
+        kq.fill_rows(&rows, &idx, &mut outs.iter_mut().map(Vec::as_mut_slice).collect::<Vec<_>>());
+        for (&i, out) in rows.iter().zip(&outs) {
+            let want: Vec<f64> =
+                idx.iter().map(|&j| k.eval(&x[i], &x[j]) * (y[i] * y[j])).collect();
+            assert_eq!(bits(out), bits(&want), "KernelQ row {i}");
         }
-        let idx2 = [13usize, 1, 8, 0];
-        let mut out2 = vec![0.0; idx2.len()];
-        sq.fill_row_gather(9, &idx2, &mut out2);
-        let mut full = vec![0.0; 14];
-        sq.fill_row(9, &mut full);
-        for (t, &u) in idx2.iter().enumerate() {
-            assert_eq!(out2[t].to_bits(), full[u].to_bits(), "SvrQ gather vs mirror fill");
-            assert_eq!(out2[t].to_bits(), sq.entry(9, u).to_bits());
+        // SvrQ: a gather hitting both blocks of one base (1 and 8).
+        let sign = |t: usize| if t < m { 1.0 } else { -1.0 };
+        let (rows2, idx2) = ([9usize, 2], [13usize, 1, 8, 0]);
+        let mut outs2 = vec![vec![0.0; idx2.len()]; rows2.len()];
+        sq.fill_rows(
+            &rows2,
+            &idx2,
+            &mut outs2.iter_mut().map(Vec::as_mut_slice).collect::<Vec<_>>(),
+        );
+        for (&t, out) in rows2.iter().zip(&outs2) {
+            let full = full_row(&sq, t);
+            for (&u, v) in idx2.iter().zip(out) {
+                let want = sign(t) * sign(u) * k.eval(&x[t % m], &x[u % m]);
+                assert_eq!(v.to_bits(), full[u].to_bits(), "SvrQ gather vs full fill");
+                assert_eq!(v.to_bits(), want.to_bits(), "SvrQ Q({t},{u})");
+            }
         }
     }
 
     #[test]
     fn shared_row_survives_eviction() {
-        let gram = gram_matrix(&RbfKernel::new(1.0), &cloud(8));
-        let q = CachedQ::new(GramQ::new(&gram, None), 128); // 2-row budget
-        let row0 = q.row(0);
+        let (x, k) = (cloud(8), RbfKernel::new(1.0));
+        let q = CachedQ::new(KernelQ::<[f64], _, _>::new(&k, &x, None), 128); // 2-row budget
+        let row0 = q.row_prefix(0, 8);
         let copy: Vec<f64> = row0.to_vec();
-        q.row(1);
-        q.row(2);
-        q.row(3); // row 0 long since evicted
+        q.row_prefix(1, 8);
+        q.row_prefix(2, 8);
+        q.row_prefix(3, 8); // row 0 long since evicted
+        assert_eq!(q.stats().evictions, 2, "rows 0 and 1 were evicted");
         assert_eq!(&row0[..], &copy[..], "held row unchanged by eviction");
     }
 }

@@ -13,9 +13,10 @@
 //! supplied through the row-oriented [`QMatrix`] trait so the three
 //! variants can express their sign structure (`Q = yᵢyⱼKᵢⱼ` for SVC,
 //! the 2m×2m block form for SVR, plain `K` for one-class) over either a
-//! materialized Gram matrix ([`DenseQ`](crate::qmatrix::DenseQ) /
-//! [`GramQ`](crate::qmatrix::GramQ)) or an on-demand kernel evaluator
-//! behind the LRU row cache ([`CachedQ`](crate::qmatrix::CachedQ)).
+//! materialized Gram matrix with optional label signs
+//! ([`DenseQ`](crate::qmatrix::DenseQ)) or an on-demand kernel
+//! evaluator behind the LRU row cache
+//! ([`CachedQ`](crate::qmatrix::CachedQ)).
 //! SMO's gradient update reads `Q(t, i)` for all `t` at a fixed `i`, so
 //! the solver fetches the two working-set rows once per iteration and
 //! streams them.
@@ -28,7 +29,7 @@
 //!   violation `−yₜGₜ` over the "up" set, but `j` is chosen to maximize
 //!   the analytic decrease of the dual objective,
 //!   `−(g_max + yₜGₜ)² / (Qᵢᵢ + Qₜₜ − 2 yᵢyₜQᵢₜ)`, using the already
-//!   cached `row(i)` and `diag()`. Same per-iteration cost class as the
+//!   cached row `i` and `diag()`. Same per-iteration cost class as the
 //!   first-order rule, typically several times fewer iterations.
 //!
 //! * **Shrinking**: every `min(n, 1000)` iterations, bound variables
@@ -250,7 +251,7 @@ impl Smo {
 
     /// Second-order rule: `i` as in the first-order rule; `j` minimizes
     /// `−(g_max + yₜGₜ)² / (Qᵢᵢ + Qₜₜ − 2yᵢyₜQᵢₜ)` over low-set
-    /// candidates that still violate against `i`, reading `row(i)` from
+    /// candidates that still violate against `i`, reading row `i` from
     /// the cache and the precomputed diagonal.
     fn select_second(&self, q: &dyn QMatrix) -> Selection {
         let mut i: Option<usize> = None;
@@ -739,7 +740,7 @@ mod tests {
                 shrink_interval: 0,
             },
         ] {
-            let mut q = DenseQ::new(&qm);
+            let mut q = DenseQ::new(&qm, None);
             let sol = solve(&mut q, &DualProblem { opts, ..problem.clone() }).unwrap();
             // Analytic optimum: α = 0.5 for both, ρ = 0 (margin at x = 0).
             assert!((sol.alpha[0] - 0.5).abs() < 1e-6);
@@ -757,7 +758,7 @@ mod tests {
     #[test]
     fn inconsistent_dimensions_rejected() {
         let qm = Matrix::zeros(1, 1);
-        let mut q = DenseQ::new(&qm);
+        let mut q = DenseQ::new(&qm, None);
         let problem = base_problem(vec![-1.0, -1.0], vec![1.0, -1.0], vec![1.0, 1.0], 1e-3, 10);
         assert!(matches!(solve(&mut q, &problem), Err(SvmError::InvalidInput(_))));
     }
@@ -771,7 +772,7 @@ mod tests {
         let qm = Matrix::from_rows(
             &(0..4).map(|i| (0..4).map(|j| qf(i, j)).collect::<Vec<_>>()).collect::<Vec<_>>(),
         );
-        let mut q = DenseQ::new(&qm);
+        let mut q = DenseQ::new(&qm, None);
         let problem = base_problem(vec![-1.0; 4], ys.to_vec(), vec![1.0; 4], 1e-9, 1);
         assert!(matches!(
             solve(&mut q, &problem),
@@ -817,7 +818,7 @@ mod tests {
             for working_set in [WorkingSet::FirstOrder, WorkingSet::SecondOrder] {
                 // A tiny interval forces many shrink passes.
                 for shrink_interval in [0, 3] {
-                    let mut q = DenseQ::new(&qm);
+                    let mut q = DenseQ::new(&qm, None);
                     let opts = SolverOptions { working_set, shrinking, shrink_interval };
                     let sol = solve(&mut q, &DualProblem { opts, ..problem.clone() }).unwrap();
                     assert!(sol.gap < 1e-8);

@@ -3,7 +3,7 @@ use edm_linalg::Matrix;
 use serde::{Deserialize, Serialize};
 
 use crate::error::check_positive;
-use crate::qmatrix::{CachedQ, GramQ, KernelQ, QMatrix, DEFAULT_CACHE_BYTES};
+use crate::qmatrix::{CachedQ, DenseQ, KernelQ, QMatrix, DEFAULT_CACHE_BYTES};
 use crate::solver::{solve, DualProblem, SolverOptions, WorkingSet};
 use crate::{SvcModel, SvmError};
 
@@ -21,6 +21,8 @@ pub struct SvcParams {
     /// Byte budget of the Q-row cache used during training
     /// ([`DEFAULT_CACHE_BYTES`] by default; `0` disables caching so
     /// every row access recomputes its kernel evaluations).
+    /// [`solve_svc`] ignores it: it reads rows straight from the
+    /// caller's Gram, with no cache and no `svm.qcache.*` counters.
     pub cache_bytes: usize,
     /// SMO shrinking heuristic (on by default; `false` reproduces the
     /// unshrunk solver).
@@ -163,10 +165,11 @@ pub fn solve_svc(
     if n == 0 {
         return Err(SvmError::InvalidInput("empty training set".into()));
     }
+    check_labels(y)?;
     if !(y.contains(&1.0) && y.contains(&-1.0)) {
         return Err(SvmError::SingleClass);
     }
-    let mut q = CachedQ::new(GramQ::new(gram, Some(y)), params.cache_bytes);
+    let mut q = DenseQ::new(gram, Some(y));
     solve_svc_q(&mut q, y, params)
 }
 
@@ -202,6 +205,10 @@ pub(crate) fn validate_labels(x: &[Vec<f64>], y: &[f64]) -> Result<(), SvmError>
     if x.iter().any(|r| r.len() != d) {
         return Err(SvmError::InvalidInput("ragged sample rows".into()));
     }
+    check_labels(y)
+}
+
+fn check_labels(y: &[f64]) -> Result<(), SvmError> {
     if y.iter().any(|&l| l != 1.0 && l != -1.0) {
         return Err(SvmError::InvalidInput("labels must be +1.0 or -1.0".into()));
     }
@@ -338,20 +345,36 @@ mod tests {
 
     #[test]
     fn gram_path_matches_vector_path() {
-        let (x, y) = blobs();
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // The original blobs plus seeded random problems of n = 30..80.
+        let mut problems = vec![blobs()];
+        for seed in 0..8 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(30..80);
+            let x: Vec<Vec<f64>> =
+                (0..n).map(|_| vec![rng.gen::<f64>(), rng.gen::<f64>()]).collect();
+            let y = x.iter().map(|p| if p[0] + 0.3 * p[1] > 0.6 { 1.0 } else { -1.0 }).collect();
+            problems.push((x, y));
+        }
         let k = RbfKernel::new(0.5);
         let params = SvcParams::default();
-        let model = SvcTrainer::new(params).kernel(k).fit(&x, &y).unwrap();
-        let gram = gram_matrix(&k, &x);
-        let (alpha, rho, _) = solve_svc(&gram, &y, &params).unwrap();
-        // Decision values agree on a probe point.
-        let probe = vec![1.5, 1.5];
-        let from_gram: f64 = x
-            .iter()
-            .zip(y.iter().zip(&alpha))
-            .map(|(xi, (&yi, &ai))| yi * ai * k.eval(&probe, xi))
-            .sum::<f64>()
-            - rho;
-        assert!((model.decision_function(&probe) - from_gram).abs() < 1e-9);
+        for (x, y) in &problems {
+            let model = SvcTrainer::new(params).kernel(k).fit(x, y).unwrap();
+            let gram = gram_matrix(&k, x);
+            let (alpha, rho, iterations) = solve_svc(&gram, y, &params).unwrap();
+            // The Gram path solves the same dual bit for bit: same ρ,
+            // same iteration count, same coefficients on the same
+            // support set.
+            assert_eq!(rho.to_bits(), model.rho().to_bits());
+            assert_eq!(iterations, model.iterations());
+            let coef: Vec<f64> = y.iter().zip(&alpha).map(|(&yi, &a)| yi * a).collect();
+            let kept = |c: &&f64| c.abs() > 1e-12;
+            let want: Vec<u64> = model.coefficients().iter().map(|c| c.to_bits()).collect();
+            assert_eq!(coef.iter().filter(kept).map(|c| c.to_bits()).collect::<Vec<_>>(), want);
+            let support: Vec<&Vec<f64>> =
+                x.iter().zip(&coef).filter(|(_, c)| kept(c)).map(|(xi, _)| xi).collect();
+            assert_eq!(support, model.support_vectors().iter().collect::<Vec<_>>());
+        }
     }
 }

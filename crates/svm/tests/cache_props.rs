@@ -3,9 +3,12 @@
 //! pathologically tiny budget) returns a `DualSolution` bitwise
 //! identical to solving with the cache **off** — for all three dual
 //! shapes (SVC, SVR, one-class). Also checks that cached rows under a
-//! random access pattern always match a direct source fill.
+//! random access pattern always match direct kernel evaluations, and
+//! pins how many kernel evaluations each row fill costs.
 
-use edm_kernels::RbfKernel;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use edm_kernels::{Kernel, RbfKernel};
 use edm_svm::solver::{solve, DualProblem, DualSolution, SolverOptions};
 use edm_svm::{CachedQ, KernelQ, QMatrix, QSource, SvmError, SvrQ};
 use proptest::prelude::*;
@@ -178,8 +181,8 @@ proptest! {
 
     /// Batched fetches through `rows_prefix` — duplicates, random
     /// prefix lengths, and cache renumbering included — must return
-    /// rows bitwise identical to a direct source fill routed through
-    /// the same permutation.
+    /// rows bitwise identical to direct kernel evaluations routed
+    /// through the same permutation.
     #[test]
     fn batched_rows_prefix_matches_source_fills(
         seed in 0u64..1_000_000,
@@ -188,12 +191,10 @@ proptest! {
     ) {
         let x = points(seed, n, 3);
         let k = RbfKernel::new(0.7);
-        let src = KernelQ::<[f64], _, _>::new(&k, &x, None);
         let mut cached = CachedQ::new(KernelQ::<[f64], _, _>::new(&k, &x, None), cache_bytes);
         // Mirror of the renumbering applied via swap_index: logical
         // position -> original index.
         let mut perm: Vec<usize> = (0..n).collect();
-        let mut direct = vec![0.0; n];
         let mut state = seed ^ 0xBA7C4;
         let mut next = move || {
             state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -214,18 +215,17 @@ proptest! {
             let rows = cached.rows_prefix(&idxs, len);
             prop_assert_eq!(rows.len(), idxs.len());
             for (&i, row) in idxs.iter().zip(&rows) {
-                src.fill_row(perm[i], &mut direct);
                 let want: Vec<u64> =
-                    perm[..len].iter().map(|&j| direct[j].to_bits()).collect();
+                    perm[..len].iter().map(|&j| k.eval(&x[perm[i]], &x[j]).to_bits()).collect();
                 let got: Vec<u64> = row[..len].iter().map(|v| v.to_bits()).collect();
                 prop_assert_eq!(got, want, "row {} len {}", i, len);
             }
         }
     }
 
-    /// Same contract for the SVR source, whose batched fill goes
-    /// through the mirrored two-block layout (`n = 2m` columns backed
-    /// by `m` kernel evaluations).
+    /// Same contract for the SVR source, whose fill goes through the
+    /// mirrored two-block layout (`n = 2m` columns backed by `m` kernel
+    /// evaluations): `Q(t, u) = s(t) s(u) k(x[t mod m], x[u mod m])`.
     #[test]
     fn batched_svr_rows_match_source_fills(
         seed in 0u64..1_000_000,
@@ -235,10 +235,10 @@ proptest! {
         let x = points(seed, m, 3);
         let k = RbfKernel::new(0.9);
         let n = 2 * m;
-        let src = SvrQ::<[f64], _, _>::new(&k, &x);
+        let sign = |u: usize| if u < m { 1.0 } else { -1.0 };
+        let entry = |t: usize, u: usize| sign(t) * sign(u) * k.eval(&x[t % m], &x[u % m]);
         let mut cached = CachedQ::new(SvrQ::<[f64], _, _>::new(&k, &x), cache_bytes);
         let mut perm: Vec<usize> = (0..n).collect();
-        let mut direct = vec![0.0; n];
         let mut state = seed ^ 0x51C6;
         let mut next = move || {
             state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -255,8 +255,7 @@ proptest! {
             let idxs: Vec<usize> = (0..batch).map(|_| (next() % n as u64) as usize).collect();
             let rows = cached.rows_prefix(&idxs, n);
             for (&i, row) in idxs.iter().zip(&rows) {
-                src.fill_row(perm[i], &mut direct);
-                let want: Vec<u64> = perm.iter().map(|&j| direct[j].to_bits()).collect();
+                let want: Vec<u64> = perm.iter().map(|&j| entry(perm[i], j).to_bits()).collect();
                 let got: Vec<u64> = row[..n].iter().map(|v| v.to_bits()).collect();
                 prop_assert_eq!(got, want, "svr row {}", i);
             }
@@ -315,19 +314,96 @@ proptest! {
     ) {
         let x = points(seed, n, 3);
         let k = RbfKernel::new(0.9);
-        let src = KernelQ::<[f64], _, _>::new(&k, &x, None);
         let cached = CachedQ::new(KernelQ::<[f64], _, _>::new(&k, &x, None), cache_bytes);
-        let mut direct = vec![0.0; n];
         let mut state = seed ^ 0xD00D;
         for _ in 0..200 {
             state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
             let i = (state % n as u64) as usize;
-            src.fill_row(i, &mut direct);
-            let row = cached.row(i);
+            let row = cached.row_prefix(i, n);
             prop_assert_eq!(
                 row.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                direct.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                x.iter().map(|xj| k.eval(&x[i], xj).to_bits()).collect::<Vec<_>>()
             );
         }
+    }
+}
+
+/// `RbfKernel` that counts its evaluations (from any worker thread).
+struct CountingKernel {
+    inner: RbfKernel,
+    evals: AtomicUsize,
+}
+
+impl Kernel<[f64]> for CountingKernel {
+    fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
+        self.evals.fetch_add(1, Ordering::Relaxed);
+        self.inner.eval(a, b)
+    }
+}
+
+impl CountingKernel {
+    /// Evaluations since the last call.
+    fn take(&self) -> usize {
+        self.evals.swap(0, Ordering::Relaxed)
+    }
+}
+
+/// Runs one `fill_rows` into scratch outputs.
+fn fill(src: &impl QSource, rows: &[usize], cols: &[usize]) {
+    let mut outs = vec![vec![0.0; cols.len()]; rows.len()];
+    src.fill_rows(rows, cols, &mut outs.iter_mut().map(Vec::as_mut_slice).collect::<Vec<_>>());
+}
+
+/// Kernel evaluations per fill: a full `KernelQ` row costs `n` and a
+/// B-row batch `B·n`; a full `SvrQ` row over `2m` columns costs `m`
+/// (α and α* share each value) and a B-row batch `B·m`; a gathered SVR
+/// row costs exactly its distinct samples. The size spans several
+/// parallel chunks of the fill.
+#[test]
+fn row_fills_cost_one_kernel_evaluation_per_distinct_sample() {
+    let n = 1100;
+    let x = points(0xC0_FFEE, n, 3);
+    let k = CountingKernel { inner: RbfKernel::new(0.8), evals: AtomicUsize::new(0) };
+    let all: Vec<usize> = (0..n).collect();
+    let kq = KernelQ::<[f64], _, _>::new(&k, &x, None);
+    fill(&kq, &[17], &all);
+    assert_eq!(k.take(), n, "full KernelQ row");
+    let batch = [0, 5, 5, 999, n - 1];
+    fill(&kq, &batch, &all);
+    assert_eq!(k.take(), batch.len() * n, "B-row KernelQ batch");
+
+    let m = n;
+    let all2: Vec<usize> = (0..2 * m).collect();
+    let sq = SvrQ::<[f64], _, _>::new(&k, &x);
+    fill(&sq, &[m + 17], &all2);
+    assert_eq!(k.take(), m, "full SvrQ row over 2m columns");
+    let batch2 = [0, m, 3, 2 * m - 1, 640];
+    fill(&sq, &batch2, &all2);
+    assert_eq!(k.take(), batch2.len() * m, "B-row SvrQ batch");
+    // The same row through the cache: one miss, m evaluations.
+    let cached = CachedQ::new(SvrQ::<[f64], _, _>::new(&k, &x), 1 << 20);
+    k.take();
+    cached.row_prefix(m + 17, 2 * m);
+    assert_eq!(k.take(), m, "cached full SvrQ row");
+
+    // Gathered SVR rows over shuffled column subsets, where `u` and
+    // `u + m` often both appear.
+    let mut state = 0x5EEDu64;
+    let mut next = move || {
+        state =
+            state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+        (state >> 33) as usize
+    };
+    for _ in 0..20 {
+        let mut cols = all2.clone();
+        for t in (1..cols.len()).rev() {
+            cols.swap(t, next() % (t + 1));
+        }
+        cols.truncate(1 + next() % (2 * m));
+        let mut distinct: Vec<usize> = cols.iter().map(|&u| u % m).collect();
+        distinct.sort_unstable();
+        distinct.dedup();
+        fill(&sq, &[next() % (2 * m)], &cols);
+        assert_eq!(k.take(), distinct.len(), "gathered SvrQ row over {} columns", cols.len());
     }
 }

@@ -13,14 +13,13 @@
 //! * one-class scoring through the shared support-vector loop is
 //!   bitwise the kernel-row dot product it replaced.
 
+use edm_kernels::Kernel;
 use edm_kernels::{
     gram_row, AnyKernel, Chi2Kernel, HistogramIntersectionKernel, LinearKernel, PolyKernel,
     RbfKernel, SigmoidKernel,
 };
 use edm_svm::solver::{solve, DualProblem, DualSolution, SolverOptions, WorkingSet};
-use edm_svm::{
-    CacheStats, CachedQ, KernelQ, OneClassModel, QSource, SvcParams, SvcTrainer, SvmError,
-};
+use edm_svm::{CacheStats, CachedQ, KernelQ, OneClassModel, SvcParams, SvcTrainer, SvmError};
 use proptest::prelude::*;
 
 /// Deterministic SplitMix64 point cloud in `[-1, 1]^d`.
@@ -107,19 +106,17 @@ fn solve_svc_with(
 }
 
 /// Dual objective ½αᵀQα + pᵀα, evaluated from scratch against the
-/// kernel source (independent of any solver state).
+/// kernel (independent of any solver state and of the Q sources).
 fn svc_dual_objective(x: &[Vec<f64>], y: &[f64], gamma: f64, alpha: &[f64]) -> f64 {
     let k = RbfKernel::new(gamma);
-    let src = KernelQ::<[f64], _, _>::new(&k, x, Some(y));
     let n = alpha.len();
-    let mut row = vec![0.0; n];
     let mut obj = 0.0;
     for i in 0..n {
         if alpha[i] == 0.0 {
             continue;
         }
-        src.fill_row(i, &mut row);
-        let qa: f64 = row.iter().zip(alpha).map(|(&q, &a)| q * a).sum();
+        let row = (0..n).map(|j| k.eval(&x[i], &x[j]) * (y[i] * y[j]));
+        let qa: f64 = row.zip(alpha).map(|(q, &a)| q * a).sum();
         obj += alpha[i] * (0.5 * qa - 1.0);
     }
     obj
