@@ -28,7 +28,7 @@
 
 #![forbid(unsafe_code)]
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Prints a section header in a uniform style.
 pub fn header(title: &str) {
@@ -55,7 +55,7 @@ pub fn phase<T>(name: &'static str, f: impl FnOnce() -> T) -> T {
 
 /// Derived headline numbers of a run manifest, so downstream tooling
 /// need not walk the raw counter list for the common questions.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct TraceSummary {
     /// Total SMO iterations across every solver call in the run.
     pub smo_iterations: u64,
@@ -75,7 +75,7 @@ pub struct TraceSummary {
 
 /// A `results/<name>.trace.json` run manifest: the run's identity
 /// (name, seed, trace level) plus the full telemetry snapshot.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct TraceManifest {
     /// Harness binary name.
     pub name: String,

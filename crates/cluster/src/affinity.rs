@@ -3,12 +3,12 @@
 //! set of exemplars emerges. Like mean-shift, the number of clusters is
 //! discovered; the `preference` (self-similarity) controls how many.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{check_points, ClusterError};
 
 /// Result of affinity propagation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AffinityResult {
     /// Cluster index per input point.
     pub labels: Vec<usize>,
@@ -19,7 +19,7 @@ pub struct AffinityResult {
 }
 
 /// Parameters for affinity propagation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct AffinityParams {
     /// Self-similarity; `None` = median of pairwise similarities
     /// (moderate cluster count). More negative → fewer clusters.

@@ -1,11 +1,11 @@
 //! DBSCAN density-based clustering with explicit noise labeling.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{check_points, ClusterError};
 
 /// Per-point DBSCAN assignment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum DbscanLabel {
     /// Member of the cluster with the given index.
     Cluster(usize),

@@ -1,11 +1,11 @@
 //! Agglomerative hierarchical clustering with selectable linkage.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{check_points, ClusterError};
 
 /// How the distance between two clusters is defined.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Linkage {
     /// Minimum pairwise distance (chains easily).
     Single,
@@ -18,7 +18,7 @@ pub enum Linkage {
 /// One merge step of the dendrogram: clusters `a` and `b` (indices into
 /// the sequence original points `0..n` followed by merge results
 /// `n, n+1, …`) joined at `distance`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Merge {
     /// First merged cluster id.
     pub a: usize,
@@ -29,7 +29,7 @@ pub struct Merge {
 }
 
 /// Result of agglomerative clustering cut at `k` clusters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct HierarchicalResult {
     /// Cluster index per input point (`0..k`).
     pub labels: Vec<usize>,

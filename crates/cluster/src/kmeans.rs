@@ -1,12 +1,12 @@
 //! Lloyd's k-means with k-means++ seeding.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{check_points, ClusterError};
 
 /// Result of a k-means run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct KMeansResult {
     /// Cluster index per input point.
     pub labels: Vec<usize>,

@@ -2,12 +2,12 @@
 //! hill-climbs to the mode of the local density; points converging to the
 //! same mode form a cluster.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{check_points, ClusterError};
 
 /// Result of mean-shift clustering.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MeanShiftResult {
     /// Cluster index per input point.
     pub labels: Vec<usize>,

@@ -1,29 +1,29 @@
 //! Workspace-local stand-in for `serde_derive`.
 //!
-//! Implements `#[derive(Serialize)]` and `#[derive(Deserialize)]` against
-//! the value-model traits of the sibling `serde` stub, using only the
-//! built-in `proc_macro` API (no `syn`/`quote`, which are unavailable in
-//! this offline build). Supports what the workspace actually derives:
+//! Implements `#[derive(Serialize)]` against the value-model trait of
+//! the sibling `serde` stub, using only the built-in `proc_macro` API
+//! (no `syn`/`quote`, which are unavailable in this offline build).
+//! Serialization is write-only, so there is no read-side derive.
+//! Supports what the workspace actually derives:
 //!
 //! * structs with named fields (including generic parameters, with a
-//!   `Serialize`/`Deserialize` bound added per type parameter);
+//!   `Serialize` bound added per type parameter);
 //! * tuple structs (newtypes serialize transparently);
 //! * unit structs;
 //! * enums with unit, tuple, and struct variants (externally tagged).
 //!
-//! Unsupported shapes (`where` clauses, unions) panic at expansion time
-//! with a clear message rather than generating wrong code.
+//! Unsupported shapes (`where` clauses, lifetime and const generics,
+//! unions) panic at expansion time with a clear message rather than
+//! generating wrong code.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
-/// One parsed generic parameter.
+/// One parsed generic type parameter.
 struct GenericParam {
-    /// `'a`, `T`, or `N` (for const params).
+    /// The parameter's name, e.g. `T`.
     name: String,
     /// Declaration with bounds but without defaults, e.g. `T: Clone`.
     decl: String,
-    /// Whether a serde bound should be attached (type params only).
-    is_type: bool,
 }
 
 struct Field {
@@ -62,13 +62,6 @@ struct Item {
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
     expand_serialize(&item).parse().expect("generated Serialize impl must parse")
-}
-
-/// Derives `serde::Deserialize`.
-#[proc_macro_derive(Deserialize)]
-pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    let item = parse_item(input);
-    expand_deserialize(&item).parse().expect("generated Deserialize impl must parse")
 }
 
 // --- parsing ---------------------------------------------------------
@@ -177,18 +170,11 @@ fn parse_generics(toks: &[TokenTree], mut i: usize) -> (Vec<GenericParam>, usize
 }
 
 fn parse_generic_param(toks: &[TokenTree]) -> GenericParam {
-    // Lifetime: leading `'`.
-    if matches!(&toks[0], TokenTree::Punct(p) if p.as_char() == '\'') {
-        let name = format!("'{}", toks[1]);
-        return GenericParam { name: name.clone(), decl: tokens_to_string(toks), is_type: false };
-    }
-    // Const param: `const N: usize`.
-    if matches!(&toks[0], TokenTree::Ident(id) if id.to_string() == "const") {
-        let name = toks[1].to_string();
-        return GenericParam { name, decl: tokens_to_string(toks), is_type: false };
-    }
-    // Type param: `T`, `T: Bounds`, `T = Default`, `T: Bounds = Default`.
+    // `T`, `T: Bounds`, `T = Default`, `T: Bounds = Default`.
     let name = toks[0].to_string();
+    if name == "'" || name == "const" {
+        panic!("serde stub derive: lifetime and const generics are not supported");
+    }
     let before_default: Vec<TokenTree> = {
         let mut out = Vec::new();
         let mut depth = 0usize;
@@ -203,7 +189,7 @@ fn parse_generic_param(toks: &[TokenTree]) -> GenericParam {
         }
         out
     };
-    GenericParam { name, decl: tokens_to_string(&before_default), is_type: true }
+    GenericParam { name, decl: tokens_to_string(&before_default) }
 }
 
 fn parse_named_fields(stream: TokenStream) -> Vec<Field> {
@@ -322,41 +308,31 @@ fn tokens_to_string(toks: &[TokenTree]) -> String {
 
 // --- expansion -------------------------------------------------------
 
-/// `impl <...> Trait for Name <...>` headers with serde bounds added to
-/// every type parameter.
-fn impl_header(item: &Item, trait_path: &str) -> String {
-    let impl_generics: Vec<String> = item
+/// The `impl <...> ::serde::Serialize for Name <...>` header, with a
+/// `Serialize` bound added to every type parameter.
+fn impl_header(item: &Item) -> String {
+    if item.generics.is_empty() {
+        return format!("impl ::serde::Serialize for {}", item.name);
+    }
+    let bounded: Vec<String> = item
         .generics
         .iter()
         .map(|g| {
-            if g.is_type {
-                let has_bounds = g.decl.contains(':');
-                if has_bounds {
-                    format!("{} + {trait_path}", g.decl)
-                } else {
-                    format!("{}: {trait_path}", g.decl)
-                }
-            } else {
-                g.decl.clone()
-            }
+            let sep = if g.decl.contains(':') { " +" } else { ":" };
+            format!("{}{sep} ::serde::Serialize", g.decl)
         })
         .collect();
-    let ty_generics: Vec<String> = item.generics.iter().map(|g| g.name.clone()).collect();
-    let ig = if impl_generics.is_empty() {
-        String::new()
-    } else {
-        format!("<{}>", impl_generics.join(", "))
-    };
-    let tg = if ty_generics.is_empty() {
-        String::new()
-    } else {
-        format!("<{}>", ty_generics.join(", "))
-    };
-    format!("impl {ig} {trait_path} for {} {tg}", item.name)
+    let names: Vec<&str> = item.generics.iter().map(|g| g.name.as_str()).collect();
+    format!(
+        "impl <{}> ::serde::Serialize for {} <{}>",
+        bounded.join(", "),
+        item.name,
+        names.join(", ")
+    )
 }
 
 fn expand_serialize(item: &Item) -> String {
-    let header = impl_header(item, "::serde::Serialize");
+    let header = impl_header(item);
     let body = match &item.body {
         Body::Struct(fields) => {
             let entries: Vec<String> = fields
@@ -428,104 +404,5 @@ fn expand_serialize(item: &Item) -> String {
     };
     format!(
         "#[automatically_derived] {header} {{ fn to_value(&self) -> ::serde::Value {{ {body} }} }}"
-    )
-}
-
-fn expand_deserialize(item: &Item) -> String {
-    let header = impl_header(item, "::serde::Deserialize");
-    let name = &item.name;
-    let body = match &item.body {
-        Body::Struct(fields) => {
-            let inits: Vec<String> = fields
-                .iter()
-                .map(|f| {
-                    format!(
-                        "{0}: ::serde::Deserialize::from_value(::serde::get_field(m, \"{0}\")?)?",
-                        f.name
-                    )
-                })
-                .collect();
-            format!(
-                "let m = v.as_map().ok_or_else(|| ::serde::DeError(::std::format!(\"expected map for struct {name}, got {{v:?}}\")))?; \
-                 ::std::result::Result::Ok({name} {{ {} }})",
-                inits.join(", ")
-            )
-        }
-        Body::Tuple(1) => {
-            format!("::std::result::Result::Ok({name}(::serde::Deserialize::from_value(v)?))")
-        }
-        Body::Tuple(n) => {
-            let inits: Vec<String> =
-                (0..*n).map(|k| format!("::serde::Deserialize::from_value(&s[{k}])?")).collect();
-            format!(
-                "let s = v.as_seq().ok_or_else(|| ::serde::DeError(::std::format!(\"expected array for tuple struct {name}, got {{v:?}}\")))?; \
-                 if s.len() != {n} {{ return ::std::result::Result::Err(::serde::DeError(::std::format!(\"expected {n} elements for {name}, got {{}}\", s.len()))); }} \
-                 ::std::result::Result::Ok({name}({}))",
-                inits.join(", ")
-            )
-        }
-        Body::Unit => format!("let _ = v; ::std::result::Result::Ok({name})"),
-        Body::Enum(variants) => {
-            let unit_arms: Vec<String> = variants
-                .iter()
-                .filter(|v| matches!(v.body, VariantBody::Unit))
-                .map(|v| format!("\"{0}\" => ::std::result::Result::Ok({name}::{0}),", v.name))
-                .collect();
-            let data_arms: Vec<String> = variants
-                .iter()
-                .filter_map(|v| {
-                    let vname = &v.name;
-                    match &v.body {
-                        VariantBody::Unit => None,
-                        VariantBody::Tuple(1) => Some(format!(
-                            "\"{vname}\" => ::std::result::Result::Ok({name}::{vname}(::serde::Deserialize::from_value(payload)?)),"
-                        )),
-                        VariantBody::Tuple(n) => {
-                            let inits: Vec<String> = (0..*n)
-                                .map(|k| format!("::serde::Deserialize::from_value(&s[{k}])?"))
-                                .collect();
-                            Some(format!(
-                                "\"{vname}\" => {{ let s = payload.as_seq().ok_or_else(|| ::serde::DeError(::std::format!(\"expected array payload for {name}::{vname}\")))?; \
-                                 if s.len() != {n} {{ return ::std::result::Result::Err(::serde::DeError(::std::format!(\"expected {n} elements for {name}::{vname}, got {{}}\", s.len()))); }} \
-                                 ::std::result::Result::Ok({name}::{vname}({})) }}",
-                                inits.join(", ")
-                            ))
-                        }
-                        VariantBody::Struct(fields) => {
-                            let inits: Vec<String> = fields
-                                .iter()
-                                .map(|f| {
-                                    format!(
-                                        "{0}: ::serde::Deserialize::from_value(::serde::get_field(fm, \"{0}\")?)?",
-                                        f.name
-                                    )
-                                })
-                                .collect();
-                            Some(format!(
-                                "\"{vname}\" => {{ let fm = payload.as_map().ok_or_else(|| ::serde::DeError(::std::format!(\"expected map payload for {name}::{vname}\")))?; \
-                                 ::std::result::Result::Ok({name}::{vname} {{ {} }}) }}",
-                                inits.join(", ")
-                            ))
-                        }
-                    }
-                })
-                .collect();
-            format!(
-                "match v {{ \
-                   ::serde::Value::Str(s) => match s.as_str() {{ {unit} _ => ::std::result::Result::Err(::serde::DeError(::std::format!(\"unknown unit variant `{{s}}` for {name}\"))) }}, \
-                   ::serde::Value::Map(m) if m.len() == 1 => {{ \
-                     let (tag, payload) = &m[0]; \
-                     let _ = payload; \
-                     match tag.as_str() {{ {data} _ => ::std::result::Result::Err(::serde::DeError(::std::format!(\"unknown variant `{{tag}}` for {name}\"))) }} \
-                   }}, \
-                   other => ::std::result::Result::Err(::serde::DeError(::std::format!(\"unexpected value for enum {name}: {{other:?}}\"))) \
-                 }}",
-                unit = unit_arms.join(" "),
-                data = data_arms.join(" "),
-            )
-        }
-    };
-    format!(
-        "#[automatically_derived] {header} {{ fn from_value(v: &::serde::Value) -> ::std::result::Result<Self, ::serde::DeError> {{ {body} }} }}"
     )
 }

@@ -17,10 +17,10 @@ use edm_timing::path::{PathGenerator, TimingPath};
 use edm_timing::silicon::SiliconModel;
 use edm_timing::sta::Timer;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Configuration of the DSTC experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DstcConfig {
     /// Paths in the analyzed design block.
     pub n_paths: usize,
@@ -43,7 +43,7 @@ impl Default for DstcConfig {
 }
 
 /// One path's entry in the correlation plot.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct PathPoint {
     /// Path id.
     pub id: usize,
@@ -56,7 +56,7 @@ pub struct PathPoint {
 }
 
 /// Result of the DSTC diagnosis.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DstcResult {
     /// All analyzed paths with cluster labels.
     pub points: Vec<PathPoint>,

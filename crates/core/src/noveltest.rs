@@ -19,10 +19,10 @@ use edm_verif::lsu::LsuSimulator;
 use edm_verif::program::Program;
 use edm_verif::template::TestTemplate;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Configuration of the novelty-selection flow.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct NovelSelectionConfig {
     /// Tests drawn from the randomizer.
     pub n_tests: usize,
@@ -59,7 +59,7 @@ impl Default for NovelSelectionConfig {
 }
 
 /// One point of a coverage-vs-cost curve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct CurvePoint {
     /// Tests simulated so far.
     pub simulated: usize,
@@ -70,7 +70,7 @@ pub struct CurvePoint {
 }
 
 /// Result of running baseline and filtered flows on the same stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct NovelSelectionResult {
     /// Baseline (simulate everything) curve.
     pub baseline: Vec<CurvePoint>,

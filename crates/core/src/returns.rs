@@ -19,10 +19,10 @@ use edm_mfgtest::returns::FieldModel;
 use edm_mfgtest::testflow::TestFlow;
 use edm_novelty::{MahalanobisDetector, NoveltyDetector, NoveltyError};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Configuration of the return-screening experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ReturnScreeningConfig {
     /// Devices per lot.
     pub lot_size: usize,
@@ -51,7 +51,7 @@ impl Default for ReturnScreeningConfig {
 
 /// A trained return screen: selected tests + outlier model on robust
 /// z-scores.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ReturnScreen {
     /// Indices of the selected tests.
     pub selected_tests: Vec<usize>,
@@ -109,7 +109,7 @@ fn robust_stats(population: &[&Device], tests: &[usize]) -> (Vec<f64>, Vec<f64>)
 }
 
 /// Result of the three-plot Fig. 11 experiment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ReturnScreeningResult {
     /// Returns observed in the baseline window.
     pub n_baseline_returns: usize,

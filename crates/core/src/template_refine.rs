@@ -17,10 +17,10 @@ use edm_verif::lsu::LsuSimulator;
 use edm_verif::program::Program;
 use edm_verif::template::TestTemplate;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Result of one refinement stage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct StageResult {
     /// Stage name (`"original"`, `"1st learning"`, …).
     pub name: String,
@@ -35,7 +35,7 @@ pub struct StageResult {
 }
 
 /// Configuration of the refinement experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RefinementConfig {
     /// Tests per stage (the paper used 400 / 100 / 50).
     pub tests_per_stage: Vec<usize>,

@@ -15,10 +15,10 @@ use edm_linalg::stats;
 use edm_mfgtest::product::{Device, ProductModel};
 use edm_mfgtest::testflow::TestFlow;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Configuration of the Fig. 12 experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct TestCostConfig {
     /// Chips in the analysis window (paper: 1 M).
     pub phase1_chips: usize,
@@ -45,7 +45,7 @@ impl Default for TestCostConfig {
 }
 
 /// The mining analysis of one candidate test over phase-1 data.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DropAnalysis {
     /// Candidate test index.
     pub test: usize,
@@ -62,7 +62,7 @@ pub struct DropAnalysis {
 }
 
 /// Result of the two-phase experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TestCostResult {
     /// Phase-1 analysis that justified the drop.
     pub analysis: DropAnalysis,

@@ -16,10 +16,10 @@ use edm_svm::{
     OneClassModel, OneClassParams, OneClassSvm, SvcModel, SvcParams, SvcTrainer, SvmError,
 };
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Configuration of the variability-prediction flow.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct VariabilityConfig {
     /// Training clips (labeled by the golden simulator).
     pub n_train: usize,
@@ -46,7 +46,7 @@ impl Default for VariabilityConfig {
 }
 
 /// Accuracy of one predictor against the golden labels.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct PredictorQuality {
     /// Overall agreement with the golden simulation.
     pub accuracy: f64,
@@ -59,7 +59,7 @@ pub struct PredictorQuality {
 }
 
 /// Result of the Fig. 9 experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct VariabilityResult {
     /// Binary SVC quality.
     pub svc: PredictorQuality,
@@ -82,7 +82,7 @@ impl VariabilityResult {
 }
 
 /// A trained fast variability predictor (the deployable artifact).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct VariabilityPredictor {
     spec: HistogramSpec,
     svc: SvcModel<HistogramIntersectionKernel>,
@@ -100,6 +100,21 @@ impl VariabilityPredictor {
     pub fn is_unfamiliar(&self, clip: &LayoutClip) -> bool {
         let h = density_histogram(clip, &self.spec);
         self.one_class.is_novel(&h)
+    }
+
+    /// The histogram features both models score.
+    pub fn spec(&self) -> &HistogramSpec {
+        &self.spec
+    }
+
+    /// The binary hotspot model behind [`VariabilityPredictor::predict_bad`].
+    pub fn svc(&self) -> &SvcModel<HistogramIntersectionKernel> {
+        &self.svc
+    }
+
+    /// The good-only model behind [`VariabilityPredictor::is_unfamiliar`].
+    pub fn one_class(&self) -> &OneClassModel<HistogramIntersectionKernel> {
+        &self.one_class
     }
 }
 

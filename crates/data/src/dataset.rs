@@ -1,7 +1,7 @@
 use std::fmt;
 
 use edm_linalg::Matrix;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The supervision attached to a dataset (paper Fig. 1).
 ///
@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 ///   squares or canonical correlation setups, paper §2).
 /// * [`Target::Partial`] — semi-supervised: `Some(label)` for the few
 ///   labeled samples, `None` elsewhere.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum Target {
     /// No supervision.
     None,
@@ -106,7 +106,7 @@ impl std::error::Error for DatasetError {}
 /// workspace more than in a generic ML library: the paper's
 /// knowledge-discovery flows (§5) report *rules over named features* back
 /// to an engineer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Dataset {
     x: Matrix,
     target: Target,

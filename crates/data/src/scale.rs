@@ -6,7 +6,7 @@
 //! ships with its preprocessing.
 
 use edm_linalg::{stats, Matrix};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::Dataset;
 
@@ -24,7 +24,7 @@ use crate::Dataset;
 /// let t = scaler.transform(&ds);
 /// assert!((t.sample(0)[0] + t.sample(1)[0]).abs() < 1e-12); // symmetric around 0
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct StandardScaler {
     means: Vec<f64>,
     stds: Vec<f64>,
@@ -93,7 +93,7 @@ impl StandardScaler {
 /// Constant features map to `0.0`. Useful for the histogram features
 /// behind the histogram-intersection kernel, which expects non-negative
 /// inputs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MinMaxScaler {
     mins: Vec<f64>,
     maxs: Vec<f64>,

@@ -5,7 +5,7 @@
 //! kernel directly, so save → load round trips preserve decision
 //! values exactly.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::vector_kernels::{
     Chi2Kernel, HistogramIntersectionKernel, LinearKernel, PolyKernel, RbfKernel, SigmoidKernel,
@@ -19,7 +19,7 @@ use crate::Kernel;
 // Deliberately exhaustive: the persistence format enumerates exactly
 // these kinds, so adding a variant is a schema change and should break
 // every match that needs updating.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum AnyKernel {
     /// [`LinearKernel`].
     Linear(LinearKernel),

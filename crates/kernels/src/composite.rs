@@ -5,12 +5,12 @@
 //! kernel on instruction streams plus a linear kernel on operand
 //! statistics — without leaving the valid-kernel family.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::Kernel;
 
 /// The sum `k(a, b) = k₁(a, b) + k₂(a, b)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct SumKernel<K1, K2> {
     k1: K1,
     k2: K2,
@@ -30,7 +30,7 @@ impl<S: ?Sized, K1: Kernel<S>, K2: Kernel<S>> Kernel<S> for SumKernel<K1, K2> {
 }
 
 /// The product `k(a, b) = k₁(a, b) · k₂(a, b)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ProductKernel<K1, K2> {
     k1: K1,
     k2: K2,
@@ -50,7 +50,7 @@ impl<S: ?Sized, K1: Kernel<S>, K2: Kernel<S>> Kernel<S> for ProductKernel<K1, K2
 }
 
 /// The scaling `k(a, b) = c · k₁(a, b)` with `c > 0`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ScaledKernel<K> {
     inner: K,
     scale: f64,
@@ -81,7 +81,7 @@ impl<S: ?Sized, K: Kernel<S>> Kernel<S> for ScaledKernel<K> {
 /// Essential for the spectrum kernel, where raw self-similarity grows
 /// with sequence length (a long test would otherwise look "similar" to
 /// everything). Returns `0.0` when either self-similarity is zero.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct NormalizedKernel<K> {
     inner: K,
 }

@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 use std::hash::Hash;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::Kernel;
 
@@ -35,7 +35,7 @@ use crate::Kernel;
 /// assert!(k.eval(&a[..], &b[..]) > 0.0);
 /// assert!(k.eval(&a[..], &a[..]) >= k.eval(&a[..], &b[..]));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct SpectrumKernel {
     n: usize,
     /// Weight multiplier per extra token of gram length; 1.0 = flat.
@@ -131,7 +131,7 @@ impl<T: Ord> Kernel<[T]> for SpectrumKernel {
 /// let pb = SpectrumProfile::build(&b, &k);
 /// assert!((pa.dot(&pb) - k.eval(&a[..], &b[..])).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SpectrumProfile {
     /// (gram hash, weighted count), sorted by hash.
     grams: Vec<(u64, f64)>,

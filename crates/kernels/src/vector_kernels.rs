@@ -1,11 +1,11 @@
 use edm_linalg::{dot, sq_dist};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::Kernel;
 
 /// The linear kernel `k(x, y) = ⟨x, y⟩` — learning in the input space
 /// itself.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct LinearKernel;
 
 impl LinearKernel {
@@ -26,7 +26,7 @@ impl Kernel<[f64]> for LinearKernel {
 /// With `γ = 1, c = 0, d = 2` this is exactly the paper's Figure 3 kernel
 /// `⟨x, y⟩²`, whose implicit feature space makes ring-vs-disc data
 /// linearly separable.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct PolyKernel {
     degree: u32,
     gamma: f64,
@@ -76,7 +76,7 @@ impl Kernel<[f64]> for PolyKernel {
 ///
 /// Larger `γ` means a narrower bandwidth and a more complex implicit
 /// model — the knob swept by the Fig. 5 overfitting experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct RbfKernel {
     gamma: f64,
 }
@@ -109,7 +109,7 @@ impl Kernel<[f64]> for RbfKernel {
 /// Not PSD for all parameter choices — kept for completeness with the
 /// classic SVM literature; prefer [`RbfKernel`] unless you know you need
 /// this.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct SigmoidKernel {
     gamma: f64,
     coef0: f64,
@@ -149,7 +149,7 @@ impl Kernel<[f64]> for SigmoidKernel {
 /// samples are density histograms of layout clips, and the intersection
 /// measures how much mass two patterns share. PSD for non-negative
 /// inputs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct HistogramIntersectionKernel;
 
 impl HistogramIntersectionKernel {
@@ -171,7 +171,7 @@ impl Kernel<[f64]> for HistogramIntersectionKernel {
 ///
 /// An alternative histogram kernel, sharper than intersection for
 /// near-identical histograms. Zero-sum bins contribute nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Chi2Kernel {
     gamma: f64,
 }

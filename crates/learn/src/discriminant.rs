@@ -10,11 +10,11 @@
 //! covariance per class (quadratic boundary).
 
 use edm_linalg::{Cholesky, Matrix};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{error::check_xy, LearnError};
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 struct ClassDensity {
     label: i32,
     log_prior: f64,
@@ -25,7 +25,7 @@ struct ClassDensity {
 }
 
 /// Which covariance structure to fit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Covariance {
     /// One pooled covariance for all classes (LDA, linear boundaries).
     Pooled,
@@ -47,7 +47,7 @@ pub enum Covariance {
 /// assert_eq!(m.predict(&[3.1, 3.1]), 1);
 /// # Ok::<(), edm_learn::LearnError>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct DiscriminantAnalysis {
     classes: Vec<ClassDensity>,
     covariance: Covariance,

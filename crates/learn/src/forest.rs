@@ -3,13 +3,13 @@
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::tree::{DecisionTreeClassifier, TreeParams};
 use crate::{error::check_xy, LearnError};
 
 /// Hyperparameters for random-forest training.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct ForestParams {
     /// Number of trees.
     pub n_trees: usize,
@@ -41,7 +41,7 @@ impl Default for ForestParams {
 /// assert_eq!(m.predict(&[5.1, 4.1]), 1);
 /// # Ok::<(), edm_learn::LearnError>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct RandomForestClassifier {
     trees: Vec<DecisionTreeClassifier>,
     n_features: usize,

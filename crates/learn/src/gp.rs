@@ -6,7 +6,7 @@
 
 use edm_kernels::{gram_matrix, gram_row, Kernel, RbfKernel};
 use edm_linalg::Cholesky;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{error::check_xy, LearnError};
 
@@ -28,7 +28,7 @@ use crate::{error::check_xy, LearnError};
 /// assert!(var >= 0.0);
 /// # Ok::<(), edm_learn::LearnError>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct GpRegressor<K = RbfKernel> {
     kernel: K,
     x: Vec<Vec<f64>>,

@@ -2,7 +2,7 @@
 //! "basic idea" (§2.1, Fig. 2): infer a point's label from the majority
 //! of the points around it.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{error::check_xy, LearnError};
 
@@ -28,7 +28,7 @@ fn k_nearest(train: &[Vec<f64>], x: &[f64], k: usize) -> Vec<(f64, usize)> {
 /// assert_eq!(m.predict(&[1.05]), 1);
 /// # Ok::<(), edm_learn::LearnError>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct KnnClassifier {
     k: usize,
     x: Vec<Vec<f64>>,
@@ -122,7 +122,7 @@ impl KnnClassifier {
 }
 
 /// A k-NN regressor (mean of the k nearest targets).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct KnnRegressor {
     k: usize,
     x: Vec<Vec<f64>>,

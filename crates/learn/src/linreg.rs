@@ -2,7 +2,7 @@
 //! of the paper's Fmax-prediction study (ref \[20\]).
 
 use edm_linalg::Matrix;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{error::check_xy, LearnError};
 
@@ -22,7 +22,7 @@ use crate::{error::check_xy, LearnError};
 /// assert!((m.coefficients()[0] - 2.0).abs() < 1e-9);
 /// # Ok::<(), edm_learn::LearnError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct LeastSquares {
     coef: Vec<f64>,
     intercept: f64,
@@ -78,7 +78,7 @@ impl LeastSquares {
 ///
 /// This is regularization in its plainest form — the `E + λC` objective
 /// the paper's §2.3 uses to explain how overfitting is controlled.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Ridge {
     coef: Vec<f64>,
     intercept: f64,

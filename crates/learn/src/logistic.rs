@@ -5,12 +5,12 @@
 //! rather than a hard label.
 
 use edm_linalg::Matrix;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{error::check_xy, LearnError};
 
 /// Hyperparameters for logistic-regression training.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct LogisticParams {
     /// L2 penalty λ on the weights (intercept unpenalized).
     pub lambda: f64,
@@ -40,7 +40,7 @@ impl Default for LogisticParams {
 /// assert!(m.predict_proba(&[1.0]) > 0.5);
 /// # Ok::<(), edm_learn::LearnError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct LogisticRegression {
     coef: Vec<f64>,
     intercept: f64,

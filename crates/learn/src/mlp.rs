@@ -9,12 +9,12 @@
 //! not a deep-learning framework.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{error::check_xy, LearnError};
 
 /// Hyperparameters for MLP training.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MlpParams {
     /// Hidden-layer widths, e.g. `vec![16, 8]`.
     pub hidden: Vec<usize>,
@@ -40,7 +40,7 @@ impl Default for MlpParams {
     }
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 struct Layer {
     /// `out x in` weight matrix, row-major.
     w: Vec<f64>,
@@ -80,7 +80,7 @@ impl Layer {
 /// assert!(m.predict(&[1.0, 1.0]) < 0.0);
 /// # Ok::<(), edm_learn::LearnError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MlpRegressor {
     layers: Vec<Layer>,
     final_loss: f64,

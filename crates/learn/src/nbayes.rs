@@ -3,11 +3,11 @@
 //! under the mutual-independence assumption, each factor a per-feature
 //! normal estimated from the feature's column of the dataset.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{error::check_xy, LearnError};
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 struct ClassStats {
     label: i32,
     log_prior: f64,
@@ -29,7 +29,7 @@ struct ClassStats {
 /// assert_eq!(m.predict(&[5.0, 5.0]), 1);
 /// # Ok::<(), edm_learn::LearnError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct GaussianNb {
     classes: Vec<ClassStats>,
     var_floor: f64,

@@ -10,12 +10,12 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::LearnError;
 
 /// A frequent itemset with its support count.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct FrequentItemset {
     /// Sorted item ids.
     pub items: Vec<u32>,
@@ -24,7 +24,7 @@ pub struct FrequentItemset {
 }
 
 /// An association rule `antecedent ⇒ consequent`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AssociationRule {
     /// Sorted antecedent item ids.
     pub antecedent: Vec<u32>,
@@ -39,7 +39,7 @@ pub struct AssociationRule {
 }
 
 /// Parameters for [`mine`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct AprioriParams {
     /// Minimum support as a fraction of transactions, in `(0, 1]`.
     pub min_support: f64,

@@ -12,13 +12,13 @@
 //! special tests hitting a coverage point, feed them back") and
 //! speed-path diagnosis (Fig. 10: "many layer-4-5/5-6 vias ⇒ slow").
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::rules::{Condition, Op, Rule};
 use crate::{error::check_xy, LearnError};
 
 /// Hyperparameters for CN2-SD induction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Cn2SdParams {
     /// Beam width of the refinement search.
     pub beam_width: usize,

@@ -10,10 +10,10 @@
 pub mod apriori;
 pub mod cn2sd;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A comparison operator in a rule condition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Op {
     /// Feature value `<=` threshold.
     Le,
@@ -22,7 +22,7 @@ pub enum Op {
 }
 
 /// One conjunct of a rule: `feature <op> threshold`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Condition {
     /// Column index of the feature.
     pub feature: usize,
@@ -62,7 +62,7 @@ impl Condition {
 /// training data so an engineer can judge the rule — the paper's
 /// usage-model principle: mining results must be presentable for human
 /// decision making.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Rule {
     /// The conjunction of conditions.
     pub conditions: Vec<Condition>,
@@ -98,7 +98,7 @@ impl Rule {
 }
 
 /// An ordered list of rules plus a default class, applied first-match.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RuleSet {
     /// Rules in priority order.
     pub rules: Vec<Rule>,

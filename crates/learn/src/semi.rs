@@ -7,13 +7,13 @@
 //! fit on the labeled seed, label the unlabeled samples the model is
 //! most confident about, refit, repeat.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::nbayes::GaussianNb;
 use crate::LearnError;
 
 /// Parameters for self-training.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct SelfTrainParams {
     /// Posterior confidence required to adopt a pseudo-label.
     pub confidence: f64,
@@ -28,7 +28,7 @@ impl Default for SelfTrainParams {
 }
 
 /// A self-trained Gaussian-naive-Bayes classifier.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SelfTrainedNb {
     model: GaussianNb,
     /// Pseudo-labels adopted per unlabeled sample (`None` = never

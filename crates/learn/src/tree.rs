@@ -2,12 +2,12 @@
 //! an equation" (§2.1): axis-aligned threshold splits grown greedily by
 //! Gini impurity (classification) or variance reduction (regression).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{error::check_xy, LearnError};
 
 /// Growth limits for tree induction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct TreeParams {
     /// Maximum depth (root = depth 0).
     pub max_depth: usize,
@@ -23,7 +23,7 @@ impl Default for TreeParams {
     }
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub(crate) enum Node {
     Leaf {
         /// Majority label (classification) or mean target (regression).
@@ -248,7 +248,7 @@ fn grow(
 /// assert_eq!(m.predict(&[2.5]), 1);
 /// # Ok::<(), edm_learn::LearnError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DecisionTreeClassifier {
     root: Node,
 }
@@ -356,7 +356,7 @@ impl DecisionTreeClassifier {
 }
 
 /// A CART regression tree (variance-reduction splits, mean-value leaves).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DecisionTreeRegressor {
     root: Node,
 }

@@ -1,4 +1,4 @@
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{LinalgError, Matrix};
 
@@ -19,7 +19,7 @@ use crate::{LinalgError, Matrix};
 /// assert!((chol.det() - (25.0 * 18.0 - 15.0 * 15.0)).abs() < 1e-9);
 /// # Ok::<(), edm_linalg::LinalgError>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Cholesky {
     l: Matrix,
 }

@@ -1,4 +1,4 @@
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{LinalgError, Matrix};
 
@@ -23,7 +23,7 @@ use crate::{LinalgError, Matrix};
 /// assert!((eig.eigenvalues()[1] - 1.0).abs() < 1e-10);
 /// # Ok::<(), edm_linalg::LinalgError>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct SymmetricEigen {
     eigenvalues: Vec<f64>,
     /// Columns are eigenvectors, in the same order as `eigenvalues`.

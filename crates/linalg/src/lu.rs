@@ -1,4 +1,4 @@
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{LinalgError, Matrix};
 
@@ -17,7 +17,7 @@ use crate::{LinalgError, Matrix};
 /// assert!((x[0] - 2.0).abs() < 1e-12 && (x[1] - 3.0).abs() < 1e-12);
 /// # Ok::<(), edm_linalg::LinalgError>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Lu {
     packed: Matrix,
     perm: Vec<usize>,

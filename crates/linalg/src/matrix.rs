@@ -1,7 +1,7 @@
 use std::fmt;
 use std::ops::{Add, Index, IndexMut, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{Cholesky, LinalgError, Lu, Qr, SymmetricEigen};
 
@@ -23,7 +23,7 @@ use crate::{Cholesky, LinalgError, Lu, Qr, SymmetricEigen};
 /// let c = a.mat_mul(&b);
 /// assert_eq!(c[(0, 0)], 5.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

@@ -1,4 +1,4 @@
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::Matrix;
 
@@ -19,7 +19,7 @@ use crate::Matrix;
 /// let coef = a.qr().solve_least_squares(&[2.1, 3.9, 6.0]);
 /// assert!((coef[0] - 2.0).abs() < 0.05);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Qr {
     q: Matrix,
     r: Matrix,

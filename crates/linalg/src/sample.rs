@@ -8,7 +8,7 @@
 //! itself.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{LinalgError, Matrix};
 
@@ -27,7 +27,7 @@ use crate::{LinalgError, Matrix};
 /// let mean = edm_linalg::mean(&xs);
 /// assert!((mean - 10.0).abs() < 0.2);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Normal {
     mean: f64,
     std: f64,
@@ -96,7 +96,7 @@ pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 /// assert_eq!(x.len(), 2);
 /// # Ok::<(), edm_linalg::LinalgError>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct MultivariateNormal {
     mean: Vec<f64>,
     chol_l: Matrix,

@@ -8,13 +8,13 @@
 //! under a low-pass optical system — which is exactly why the HI kernel
 //! works here.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::layout::LayoutClip;
 use crate::raster::rasterize;
 
 /// Parameters for [`density_histogram`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct HistogramSpec {
     /// Raster resolution (pixels per clip edge).
     pub grid_n: usize,

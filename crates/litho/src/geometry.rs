@@ -1,9 +1,9 @@
 //! Manhattan geometry: axis-aligned rectangles in integer nanometres.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// An axis-aligned rectangle `[x0, x1) × [y0, y1)` in nanometres.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct Rect {
     /// Left edge (inclusive).
     pub x0: i32,

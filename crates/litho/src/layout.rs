@@ -8,12 +8,12 @@
 //! and abrupt density transitions.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::geometry::Rect;
 
 /// A square layout window holding Manhattan polygons (as rectangles).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct LayoutClip {
     /// Window edge length in nm.
     size: i32,
@@ -57,7 +57,7 @@ impl LayoutClip {
 }
 
 /// The pattern families the generator can produce.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum ClipStyle {
     /// Parallel lines at a random (possibly aggressive) pitch.
     LinesAndSpaces,
@@ -83,7 +83,7 @@ impl ClipStyle {
 }
 
 /// Parametrized random clip generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct LayoutGenerator {
     /// Window edge length in nm.
     pub clip_size: i32,

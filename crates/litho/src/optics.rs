@@ -7,12 +7,12 @@
 //! (proximity between dense features, contrast loss on small isolated
 //! ones) at a fraction of a Hopkins model's cost.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::raster::Grid;
 
 /// Optical model parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct OpticsModel {
     /// Nominal point-spread sigma in nm (≈ 0.4 λ/NA).
     pub sigma_nm: f64,
@@ -28,7 +28,7 @@ impl Default for OpticsModel {
 }
 
 /// One exposure condition in the process window.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ProcessCorner {
     /// Dose multiplier (1.0 = nominal).
     pub dose: f64,

@@ -1,11 +1,11 @@
 //! Rasterization of layout clips onto a pixel grid.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::layout::LayoutClip;
 
 /// A square pixel grid of `f64` intensities/coverages in `[0, 1]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Grid {
     n: usize,
     /// Pixel edge in nm.

@@ -9,14 +9,14 @@
 //! prone): their geometry prints differently depending on where in the
 //! window the exposure lands.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::layout::LayoutClip;
 use crate::optics::{OpticsModel, ProcessCorner};
 use crate::raster::{rasterize, Grid};
 
 /// Golden label for a clip.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum VariabilityLabel {
     /// Prints stably across the process window.
     Good,
@@ -25,7 +25,7 @@ pub enum VariabilityLabel {
 }
 
 /// Result of analyzing one clip.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct VariabilityReport {
     /// Combined variability score: (window flips + nominal fidelity
     /// error) per contour pixel.
@@ -42,7 +42,7 @@ pub struct VariabilityReport {
 }
 
 /// The golden analyzer: optics + resist threshold + process window.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct VariabilityAnalyzer {
     /// Optical model.
     pub optics: OpticsModel,

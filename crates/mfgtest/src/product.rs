@@ -4,10 +4,10 @@
 use edm_linalg::sample::standard_normal;
 use edm_linalg::Matrix;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One tested device.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Device {
     /// Sequential device id (unique per generated stream).
     pub id: u64,
@@ -26,7 +26,7 @@ pub struct Device {
 /// Measurements follow `x = μ + L·f + σ·ε` with shared factors `f` —
 /// the factor loadings `L` create the strong inter-test correlations
 /// (the 0.97 of Fig. 12) that make single tests look redundant.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ProductModel {
     /// Test names (for reports).
     test_names: Vec<String>,

@@ -7,12 +7,12 @@
 //! screening problem worth a methodology of its own.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::product::Device;
 
 /// Field-failure model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct FieldModel {
     /// Probability a latent-defect device fails in the field (per
     /// service life).

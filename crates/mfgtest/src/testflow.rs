@@ -2,12 +2,12 @@
 //! accounting — the bookkeeping behind both Fig. 11 (what shipped) and
 //! Fig. 12 (which fails each test uniquely catches).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::product::Device;
 
 /// A production test program: one `(lo, hi)` limit pair per test.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TestFlow {
     limits: Vec<(f64, f64)>,
     /// Tests removed from the program (still measured by the generator,

@@ -8,10 +8,10 @@
 //! the per-wafer summaries that pattern mining consumes.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Result of testing one die.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum DieResult {
     /// Die passed all tests.
     Pass,
@@ -22,7 +22,7 @@ pub enum DieResult {
 }
 
 /// A spatial failure signature that can be stamped onto a wafer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum SpatialSignature {
     /// Elevated failure rate in an outer annulus (fraction of radius).
     EdgeRing {
@@ -49,7 +49,7 @@ pub enum SpatialSignature {
 }
 
 /// A square die grid clipped to a circular wafer.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct WaferMap {
     /// Grid edge in dies.
     n: usize,

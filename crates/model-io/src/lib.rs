@@ -47,11 +47,6 @@ pub const SCHEMA_VERSION: u16 = 1;
 /// field must not trigger an enormous allocation.
 const MAX_SECTION_BYTES: u64 = 256 * 1024 * 1024;
 
-/// Hard cap on declared element counts inside a payload, used before
-/// `Vec::with_capacity` so a corrupted count fails cleanly instead of
-/// aborting on an over-large allocation.
-const MAX_ELEMS: u64 = 64 * 1024 * 1024;
-
 /// Errors raised while reading or writing a model container.
 #[derive(Debug)]
 #[non_exhaustive]
@@ -310,10 +305,16 @@ impl<'a> Dec<'a> {
         })
     }
 
-    fn get_count(&mut self, what: &str) -> Result<usize, IoError> {
+    /// Reads an element count, rejecting one the bytes left cannot hold
+    /// at `min_size` bytes per element — before any `Vec::with_capacity`
+    /// reserves memory the payload could never fill.
+    fn get_count(&mut self, what: &str, min_size: usize) -> Result<usize, IoError> {
         let v = self.get_u64()?;
-        if v > MAX_ELEMS {
-            return Err(IoError::Malformed { detail: format!("{what} count {v} exceeds cap") });
+        let fits = (self.remaining() / min_size) as u64;
+        if v > fits {
+            return Err(IoError::Malformed {
+                detail: format!("{what} count {v} exceeds the {} bytes left", self.remaining()),
+            });
         }
         Ok(v as usize)
     }
@@ -336,7 +337,7 @@ impl<'a> Dec<'a> {
 
     /// Reads a length-prefixed UTF-8 string.
     pub fn get_str(&mut self) -> Result<String, IoError> {
-        let n = self.get_count("string byte")?;
+        let n = self.get_count("string byte", 1)?;
         let b = self.take(n, "string")?;
         String::from_utf8(b.to_vec())
             .map_err(|_| IoError::Malformed { detail: "string is not UTF-8".into() })
@@ -344,8 +345,8 @@ impl<'a> Dec<'a> {
 
     /// Reads a length-prefixed `f64` slice.
     pub fn get_f64s(&mut self) -> Result<Vec<f64>, IoError> {
-        let n = self.get_count("f64")?;
-        let mut v = Vec::with_capacity(n.min(MAX_ELEMS as usize));
+        let n = self.get_count("f64", 8)?;
+        let mut v = Vec::with_capacity(n);
         for _ in 0..n {
             v.push(self.get_f64()?);
         }
@@ -354,7 +355,7 @@ impl<'a> Dec<'a> {
 
     /// Reads a length-prefixed `i32` slice.
     pub fn get_i32s(&mut self) -> Result<Vec<i32>, IoError> {
-        let n = self.get_count("i32")?;
+        let n = self.get_count("i32", 4)?;
         let mut v = Vec::with_capacity(n);
         for _ in 0..n {
             v.push(self.get_i32()?);
@@ -364,7 +365,8 @@ impl<'a> Dec<'a> {
 
     /// Reads a matrix written by [`Enc::put_rows`].
     pub fn get_rows(&mut self) -> Result<Vec<Vec<f64>>, IoError> {
-        let n = self.get_count("row")?;
+        // Each row is at least its own 8-byte length prefix.
+        let n = self.get_count("row", 8)?;
         let mut rows = Vec::with_capacity(n);
         for _ in 0..n {
             rows.push(self.get_f64s()?);
@@ -720,6 +722,22 @@ mod tests {
         let mut d = r.section("params").unwrap();
         let _ = d.get_f64().unwrap();
         assert!(matches!(d.finish(), Err(IoError::Malformed { .. })));
+    }
+
+    #[test]
+    fn counts_beyond_the_payload_are_malformed_before_allocating() {
+        // 2^26 elements in an 8-byte section would reserve 1.5 GiB of
+        // rows, 512 MiB of f64s or 256 MiB of i32s.
+        let mut w = ModelWriter::new("f");
+        let mut e = Enc::new();
+        e.put_u64(1 << 26);
+        w.add_section("data", e);
+        let r = ModelReader::from_bytes(&w.to_bytes().unwrap()).unwrap();
+        let d = || r.section("data").unwrap();
+        assert!(matches!(d().get_rows(), Err(IoError::Malformed { .. })));
+        assert!(matches!(d().get_f64s(), Err(IoError::Malformed { .. })));
+        assert!(matches!(d().get_i32s(), Err(IoError::Malformed { .. })));
+        assert!(matches!(d().get_str(), Err(IoError::Malformed { .. })));
     }
 
     #[test]

@@ -21,7 +21,7 @@
 use edm_kernels::{Kernel, RbfKernel};
 use edm_linalg::{stats, Cholesky, Matrix};
 use edm_svm::{OneClassModel, OneClassParams, OneClassSvm, SvmError};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Errors from detector fitting.
@@ -91,7 +91,7 @@ pub trait NoveltyDetector {
 }
 
 /// One-class SVM wrapped to the common score orientation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct OneClassSvmDetector<K = RbfKernel> {
     model: OneClassModel<K>,
 }
@@ -127,7 +127,7 @@ impl<K: Kernel<[f64]>> NoveltyDetector for OneClassSvmDetector<K> {
 
 /// Mahalanobis-distance detector: `√((x−μ)ᵀ Σ⁻¹ (x−μ))`, thresholded at
 /// the `quantile` of the training distances.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct MahalanobisDetector {
     mean: Vec<f64>,
     chol: Cholesky,
@@ -187,7 +187,7 @@ impl NoveltyDetector for MahalanobisDetector {
 }
 
 /// k-th-nearest-neighbor distance detector.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct KnnDistanceDetector {
     x: Vec<Vec<f64>>,
     k: usize,
@@ -260,7 +260,7 @@ impl NoveltyDetector for KnnDistanceDetector {
 /// Local outlier factor: the ratio of a point's local reachability
 /// density to its neighbors' — ≈1 inside uniform regions, ≫1 for
 /// outliers. Thresholded at a training-score quantile.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct LofDetector {
     x: Vec<Vec<f64>>,
     k: usize,

@@ -1,5 +1,5 @@
 use edm_kernels::Kernel;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::qmatrix::CacheStats;
 
@@ -18,16 +18,16 @@ pub trait SvFamily: Copy + Default + Send + Sync + 'static {
 
 /// C-SVC classification: the output is the label `±1.0` (ties break
 /// positive).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct Svc;
 
 /// ε-SVR regression: the output is the decision value itself.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct Svr;
 
 /// ν one-class novelty detection: the output is `+1.0` for inliers and
 /// `−1.0` for novel points.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct OneClass;
 
 impl SvFamily for Svc {
@@ -79,7 +79,7 @@ pub type OneClassModel<K> = SvModel<K, OneClass>;
 /// vectors `xᵢ`. The family marker `F` ([`Svc`], [`Svr`], [`OneClass`])
 /// only picks the output mapping and the tag; scoring, accessors and
 /// reassembly are one implementation for all three.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct SvModel<K, F> {
     kernel: K,
     family: F,

@@ -1,6 +1,6 @@
 use edm_kernels::{Kernel, RbfKernel};
 use edm_linalg::Matrix;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::error::check_positive;
 use crate::qmatrix::{CachedQ, DenseQ, KernelQ, QMatrix, DEFAULT_CACHE_BYTES};
@@ -8,7 +8,7 @@ use crate::solver::{solve, DualProblem, SolverOptions, WorkingSet};
 use crate::{OneClassModel, SvmError};
 
 /// Hyperparameters for ν one-class SVM training (Schölkopf et al.).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct OneClassParams {
     /// `ν ∈ (0, 1]`: an upper bound on the fraction of training samples
     /// treated as outliers and a lower bound on the fraction of support

@@ -43,7 +43,7 @@ use std::rc::Rc;
 
 use edm_kernels::Kernel;
 use edm_linalg::Matrix;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Default row-cache budget (64 MiB), mirroring LIBSVM's order of
 /// magnitude (its `-m` option defaults to 100 MB).
@@ -429,7 +429,7 @@ where
 /// callers can see how the Q-row cache behaved during their training
 /// run, and flushed into the `edm-trace` registry
 /// (`svm.qcache.{hits,misses,evictions}`) when the cache is dropped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub struct CacheStats {
     /// Row requests served from the cache.
     pub hits: u64,

@@ -52,7 +52,7 @@
 //! incremental novelty filter in `edm-core`) can reuse the optimizer, but
 //! most users should go through the trainers in the crate root.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::qmatrix::QMatrix;
 use crate::SvmError;
@@ -75,7 +75,7 @@ const BOUND_RTOL: f64 = 1e-12;
 const ROW_BATCH: usize = 8;
 
 /// Working-set selection rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub enum WorkingSet {
     /// Maximal violating pair (the seed solver's rule): `j` minimizes
     /// `−yₜGₜ` over the "low" set.
@@ -88,7 +88,7 @@ pub enum WorkingSet {
 }
 
 /// Convergence-heuristic knobs of [`solve`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct SolverOptions {
     /// Working-set selection rule (default: second order).
     pub working_set: WorkingSet,

@@ -1,6 +1,6 @@
 use edm_kernels::{Kernel, RbfKernel};
 use edm_linalg::Matrix;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::error::check_positive;
 use crate::qmatrix::{CachedQ, DenseQ, KernelQ, QMatrix, DEFAULT_CACHE_BYTES};
@@ -8,7 +8,7 @@ use crate::solver::{solve, DualProblem, SolverOptions, WorkingSet};
 use crate::{SvcModel, SvmError};
 
 /// Hyperparameters for C-SVC training.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct SvcParams {
     /// Box constraint `C` — the regularization knob trading training
     /// error against model complexity (the paper's `E + λC` objective;

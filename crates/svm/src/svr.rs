@@ -1,5 +1,5 @@
 use edm_kernels::{Kernel, RbfKernel};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::error::check_positive;
 use crate::qmatrix::{CachedQ, SvrQ, DEFAULT_CACHE_BYTES};
@@ -7,7 +7,7 @@ use crate::solver::{solve, DualProblem, SolverOptions, WorkingSet};
 use crate::{SvmError, SvrModel};
 
 /// Hyperparameters for ε-SVR training.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct SvrParams {
     /// Box constraint `C`.
     pub c: f64,

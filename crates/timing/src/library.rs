@@ -1,10 +1,10 @@
 //! A minimal standard-cell library with nominal delays.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Standard-cell kinds used on timing paths.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum CellKind {
     /// Inverter.
     Inv,
@@ -68,7 +68,7 @@ impl fmt::Display for CellKind {
 }
 
 /// Per-layer interconnect parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct InterconnectParams {
     /// Wire delay per micrometre, per metal layer `1..=n_layers`
     /// (index 0 = layer 1). Upper layers are faster (wider/thicker).

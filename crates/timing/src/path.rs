@@ -4,12 +4,12 @@
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::library::CellKind;
 
 /// One stage of a path: a driving cell and the wire it drives.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Stage {
     /// The driving cell.
     pub cell: CellKind,
@@ -22,7 +22,7 @@ pub struct Stage {
 /// A timing path: an ordered list of stages. Vias are implied by layer
 /// transitions between consecutive stages (a route from M2 to M5
 /// contributes vias 2-3, 3-4, 4-5).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TimingPath {
     /// Path id (unique within a generated population).
     pub id: usize,
@@ -103,7 +103,7 @@ impl TimingPath {
 /// upper layers (M4–M6) through a stacked via — the mechanism that gives
 /// some paths many 4-5/5-6 vias and others none, exactly the contrast
 /// the Fig. 10 diagnosis keys on.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct PathGenerator {
     /// Stage count range.
     pub depth_range: (usize, usize),

@@ -6,14 +6,14 @@
 //! DSTC flow must rediscover it from data.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::library::InterconnectParams;
 use crate::path::TimingPath;
 use crate::sta::Timer;
 
 /// A systematic silicon effect the signoff timer does not know about.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum SystematicEffect {
     /// Every via between `lower_layer` and `lower_layer + 1` is
     /// resistive: adds `extra_ps` per via. (The paper's confirmed metal-5
@@ -39,7 +39,7 @@ pub enum SystematicEffect {
 }
 
 /// The silicon model: nominal physics + systematic effects + variation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SiliconModel {
     /// True interconnect parameters (same nominal values as the timer).
     pub interconnect: InterconnectParams,

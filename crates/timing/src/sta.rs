@@ -6,13 +6,13 @@
 //! *unexplained* design-silicon mismatch, which is the raw signal of the
 //! Fig. 10 diagnosis.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::library::InterconnectParams;
 use crate::path::TimingPath;
 
 /// The static timing analyzer.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize)]
 pub struct Timer {
     /// Interconnect parameters assumed by the timer.
     pub interconnect: InterconnectParams,

@@ -68,7 +68,7 @@
 
 #![forbid(unsafe_code)]
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Telemetry level, in increasing order of detail.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -104,7 +104,7 @@ impl Level {
 }
 
 /// Aggregate statistics of one span path.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SpanStat {
     /// `/`-joined hierarchical path (nesting by call structure).
     pub path: String,
@@ -119,7 +119,7 @@ pub struct SpanStat {
 }
 
 /// One named monotonic counter.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CounterStat {
     /// Probe name (`crate.component.metric`).
     pub name: String,
@@ -130,7 +130,7 @@ pub struct CounterStat {
 /// One fixed-bucket histogram: buckets are powers of two, bucket
 /// exponent `e` covering `[2^e, 2^(e+1))`, clamped to `e ∈ [−32, 31]`
 /// (non-positive samples land in the lowest bucket).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct HistogramStat {
     /// Probe name.
     pub name: String,
@@ -148,7 +148,7 @@ pub struct HistogramStat {
 
 /// Phase of one timeline event, mirroring the Chrome Trace Event
 /// Format `ph` vocabulary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize)]
 #[allow(missing_docs)] // variant names ARE the Chrome `ph` vocabulary
 pub enum EventKind {
     /// A span opened.
@@ -161,7 +161,7 @@ pub enum EventKind {
 
 /// One timestamped event from a thread's timeline ring
 /// ([`Level::Full`] only).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TimelineEvent {
     /// Recording thread's id (registration ordinal; see
     /// [`TraceReport::threads`] for names).
@@ -178,7 +178,7 @@ pub struct TimelineEvent {
 }
 
 /// Identity of one thread that recorded timeline events.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ThreadInfo {
     /// Thread id as it appears in [`TimelineEvent::tid`].
     pub tid: u64,
@@ -193,7 +193,7 @@ pub struct ThreadInfo {
 pub const EVENT_CAP: usize = 8192;
 
 /// A point-in-time snapshot of the registry, serializable to JSON.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TraceReport {
     /// Level at snapshot time (`"off"`, `"summary"`, `"full"`; probes
     /// compiled out report `"off"`).
@@ -1493,10 +1493,9 @@ mod tests {
         assert!(!r.threads.is_empty(), "recording thread listed");
         assert_eq!(r.histograms.iter().find(|h| h.name == "t.hot").map(|h| h.count), Some(1));
 
-        // JSON round-trips through the workspace serde_json compat.
+        // Serializes to JSON that names the level.
         let json = r.to_json().expect("serializable");
-        let back: TraceReport = serde_json::from_str(&json).expect("parseable");
-        assert_eq!(back, r);
+        assert!(json.contains(r#""level":"full""#), "level missing from {json}");
 
         // Reset clears data but not the level.
         reset();
@@ -1522,8 +1521,8 @@ mod tests {
     fn empty_report_serializes() {
         let r = TraceReport::empty();
         let json = r.to_json().expect("serializable");
-        let back: TraceReport = serde_json::from_str(&json).expect("parseable");
-        assert_eq!(back, r);
+        let want = r#"{"level":"off","compiled":true,"spans":[],"counters":[],"histograms":[],"timeline":[],"threads":[],"dropped_events":0}"#;
+        assert_eq!(json, want);
         assert_eq!(r.counter("absent"), 0);
         assert_eq!(r.span_count("absent"), 0);
     }

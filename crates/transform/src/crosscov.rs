@@ -9,7 +9,7 @@
 //! parametric tests (`X`) against final functional measurements (`Y`).
 
 use edm_linalg::{stats, Matrix};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::TransformError;
 
@@ -50,7 +50,7 @@ fn center(x: &[Vec<f64>]) -> Result<(Matrix, Vec<f64>), TransformError> {
 /// assert!((p[0] - 20.0).abs() < 1e-6);
 /// # Ok::<(), edm_transform::TransformError>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Pls {
     x_mean: Vec<f64>,
     y_mean: Vec<f64>,
@@ -193,7 +193,7 @@ impl Pls {
 /// assert!(cca.correlations()[0] > 0.95);
 /// # Ok::<(), edm_transform::TransformError>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Cca {
     x_mean: Vec<f64>,
     y_mean: Vec<f64>,

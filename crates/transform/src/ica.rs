@@ -1,11 +1,11 @@
 use edm_linalg::Matrix;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{TransformError, Whitener};
 
 /// Parameters for FastICA.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct IcaParams {
     /// Independent components to extract.
     pub n_components: usize,
@@ -48,7 +48,7 @@ impl Default for IcaParams {
 /// assert_eq!(ica.transform(&x[0]).len(), 2);
 /// # Ok::<(), edm_transform::TransformError>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct FastIca {
     whitener: Whitener,
     /// Unmixing rotation in whitened space (`n_components` rows).

@@ -5,7 +5,7 @@
 
 use edm_kernels::{center_gram, gram_matrix, gram_row, Kernel};
 use edm_linalg::Matrix;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::TransformError;
 
@@ -27,7 +27,7 @@ use crate::TransformError;
 /// assert_eq!(kpca.transform(&[1.0, 0.0]).len(), 2);
 /// # Ok::<(), edm_transform::TransformError>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct KernelPca<K> {
     kernel: K,
     train: Vec<Vec<f64>>,

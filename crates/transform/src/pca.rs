@@ -1,5 +1,5 @@
 use edm_linalg::{stats, Matrix};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::TransformError;
 
@@ -21,7 +21,7 @@ use crate::TransformError;
 /// assert_eq!(z.len(), 2);
 /// # Ok::<(), edm_transform::TransformError>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Pca {
     mean: Vec<f64>,
     /// `n_components x d`, rows are principal directions.
@@ -125,7 +125,7 @@ impl Pca {
 
 /// A PCA whitener: projects onto all principal directions and scales
 /// each to unit variance — the preprocessing FastICA requires.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Whitener {
     pca: Pca,
     inv_std: Vec<f64>,

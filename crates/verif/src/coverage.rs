@@ -6,14 +6,14 @@
 //! specific operand/dependency distributions — exactly the structure the
 //! template-refinement experiment needs.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Number of coverage points.
 pub const NUM_POINTS: usize = 8;
 
 /// A load-store-unit coverage point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum CoveragePoint {
     /// A0 — cache hit.
     CacheHit,
@@ -77,7 +77,7 @@ impl fmt::Display for CoveragePoint {
 
 /// Hit counts per coverage point (the "# of cycles the coverage point
 /// was hit" of Table 1).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct CoverageMap {
     counts: [u64; NUM_POINTS],
 }

@@ -6,7 +6,7 @@
 //! (sizes, alignments, dependencies) create genuinely rare
 //! microarchitectural events.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Number of architectural registers.
@@ -14,7 +14,7 @@ pub const NUM_REGS: usize = 16;
 
 /// An architectural register `r0..r15` (`r0` reads as zero and ignores
 /// writes, RISC-style).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct Reg(pub u8);
 
 impl Reg {
@@ -36,7 +36,7 @@ impl fmt::Display for Reg {
 }
 
 /// Memory access width in bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Width {
     /// 1 byte.
     Byte,
@@ -58,7 +58,7 @@ impl Width {
 }
 
 /// Instruction kinds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Instruction {
     /// `rd = mem[rs1 + imm]` with the given width.
     Load {
@@ -125,7 +125,7 @@ pub enum Instruction {
 }
 
 /// Register-register ALU operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum AluOp {
     /// Wrapping addition.
     Add,

@@ -7,14 +7,14 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::coverage::{CoverageMap, CoveragePoint};
 use crate::isa::{AluOp, Instruction, NUM_REGS};
 use crate::program::Program;
 
 /// Cache and pipeline geometry plus cycle costs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct LsuConfig {
     /// Number of direct-mapped sets.
     pub n_sets: usize,
@@ -47,7 +47,7 @@ impl Default for LsuConfig {
 }
 
 /// Result of simulating one test.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct SimOutcome {
     /// Coverage-point hits.
     pub coverage: CoverageMap,

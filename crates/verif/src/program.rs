@@ -6,13 +6,13 @@
 //! * a named feature vector (for the CN2-SD rule learning of Table 1),
 //! * and an executable input to the LSU simulator.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 use crate::isa::Instruction;
 
 /// An assembly test program.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Program {
     instructions: Vec<Instruction>,
 }

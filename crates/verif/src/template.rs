@@ -9,7 +9,7 @@
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::isa::{AluOp, Instruction, Reg, Width};
 use crate::program::Program;
@@ -22,7 +22,7 @@ pub const REGION_BASE: u32 = 0x1000;
 /// All probability knobs are clamped into `[0, 1]` by the builder-style
 /// setters, so refinement steps can push aggressively without going out
 /// of range.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TestTemplate {
     /// Body length range (instructions, excluding the preamble).
     pub len_range: (usize, usize),
@@ -340,7 +340,7 @@ mod tests {
 /// in exactly the way the paper's Fig. 7 flow exploits: thousands of
 /// same-mode tests add nothing once the mode's behaviours are covered,
 /// while the rare modes carry the hard coverage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MixtureTemplate {
     modes: Vec<(f64, TestTemplate)>,
 }

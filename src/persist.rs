@@ -75,6 +75,15 @@ fn malformed(detail: String) -> Error {
     Error::ModelIo(IoError::Malformed { detail })
 }
 
+/// Fails unless every row has `width` entries: a ragged matrix would
+/// load, then panic on the first prediction.
+fn check_width(rows: &[Vec<f64>], width: usize, what: &str) -> Result<(), Error> {
+    match rows.iter().find(|r| r.len() != width) {
+        Some(r) => Err(malformed(format!("{what} row of {} features, expected {width}", r.len()))),
+        None => Ok(()),
+    }
+}
+
 // ---- kernel codec -------------------------------------------------------
 
 fn put_kernel(e: &mut Enc, k: &AnyKernel) {
@@ -216,6 +225,7 @@ fn load_sv<F: SvFamily>(
     if support.len() != coef.len() {
         return Err(malformed("support/coefficient length mismatch".into()));
     }
+    check_width(&support, n_features, "support vector")?;
     let model = SvModel::<AnyKernel, F>::from_parts(
         kernel, n_features, support, coef, rho, iterations, cache,
     );
@@ -308,9 +318,10 @@ fn load_gp(r: &ModelReader) -> Result<Box<dyn PersistentPredictor + Send + Sync>
     let mut cd = r.section("chol").map_err(Error::ModelIo)?;
     let l_rows = cd.get_rows().map_err(Error::ModelIo)?;
     cd.finish().map_err(Error::ModelIo)?;
-    if x.len() != alpha.len() || l_rows.len() != x.len() {
+    if x.is_empty() || x.len() != alpha.len() || l_rows.len() != x.len() {
         return Err(malformed("GP training-set/alpha/Cholesky size mismatch".into()));
     }
+    check_width(&x, x[0].len(), "GP training")?;
     if l_rows.iter().any(|row| row.len() != l_rows.len()) {
         return Err(malformed("GP Cholesky factor is not square".into()));
     }
@@ -343,6 +354,7 @@ fn load_knn_classifier(
     if k == 0 || x.is_empty() || x.len() != y.len() {
         return Err(malformed("knn classifier with empty or mismatched training set".into()));
     }
+    check_width(&x, x[0].len(), "knn training")?;
     Ok(Box::new(KnnClassifier::from_parts(k, x, y, weighted)))
 }
 
@@ -367,6 +379,7 @@ fn load_knn_regressor(
     if k == 0 || x.is_empty() || x.len() != y.len() {
         return Err(malformed("knn regressor with empty or mismatched training set".into()));
     }
+    check_width(&x, x[0].len(), "knn training")?;
     Ok(Box::new(KnnRegressor::from_parts(k, x, y)))
 }
 

@@ -67,19 +67,33 @@ fn table1_refinement_round_trip() {
 #[test]
 fn fig9_predictor_serializes_and_restores() {
     use edm::core::variability::{run, VariabilityConfig};
+    use edm::litho::features::density_histogram;
     use edm::litho::layout::LayoutGenerator;
     use edm::litho::variability::VariabilityAnalyzer;
+    use edm::{load_predictor_from_bytes, PersistentPredictor};
     let config = VariabilityConfig { n_train: 80, n_test: 30, ..Default::default() };
     let mut rng = StdRng::seed_from_u64(73);
     let generator = LayoutGenerator::default();
     let (_, predictor) =
         run(&generator, &VariabilityAnalyzer::default(), &config, &mut rng).unwrap();
-    // Round-trip the deployable artifact through serde (C-SERDE).
-    let json = serde_json::to_string(&predictor).unwrap();
-    let restored: edm::core::variability::VariabilityPredictor =
-        serde_json::from_str(&json).unwrap();
-    let clip = generator.generate_random(&mut rng).1;
-    assert_eq!(predictor.predict_bad(&clip), restored.predict_bad(&clip));
+    let held_out: Vec<Vec<f64>> = (0..20)
+        .map(|_| density_histogram(&generator.generate_random(&mut rng).1, predictor.spec()))
+        .collect();
+    // Round-trip both deployable models through `model-io`: the
+    // histogram-intersection kernel reloads as `AnyKernel` and scores
+    // the held-out clips bit for bit.
+    let models: [(&dyn PersistentPredictor, &str); 2] =
+        [(predictor.svc(), "svc"), (predictor.one_class(), "one_class_svm")];
+    for (model, family) in models {
+        let mut bytes = Vec::new();
+        model.save(&mut bytes).unwrap();
+        let restored = load_predictor_from_bytes(&bytes).unwrap().model;
+        assert_eq!(restored.name(), family);
+        let bits = |m: &dyn PersistentPredictor| -> Vec<u64> {
+            m.predict_batch(&held_out).unwrap().iter().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(bits(model), bits(restored.as_ref()), "{family} drifted across the round trip");
+    }
 }
 
 #[test]

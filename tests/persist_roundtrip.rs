@@ -256,3 +256,117 @@ fn complexity_slot_that_disagrees_with_the_coefficients_is_malformed() {
         }
     }
 }
+
+// ---- structurally impossible payloads -------------------------------------
+
+/// One model per family that stores sample rows, built from `rows`
+/// (two of them) with every other part well-formed.
+fn models_with_rows(rows: &[Vec<f64>]) -> Vec<Box<dyn edm::PersistentPredictor>> {
+    use edm::kernels::{AnyKernel, RbfKernel};
+    use edm::learn::{gp::GpRegressor, knn::KnnClassifier, knn::KnnRegressor};
+    use edm::linalg::{Cholesky, Matrix};
+    use edm::svm::{CacheStats, SvModel, Svc};
+    let (x, k) = (rows.to_vec(), AnyKernel::from(RbfKernel::new(1.0)));
+    let chol = Cholesky::from_factor(Matrix::from_rows(&[vec![1.0, 0.0], vec![0.5, 1.0]]));
+    let svc = SvModel::<_, Svc>::from_parts(
+        k,
+        2,
+        x.clone(),
+        vec![1.0, -1.0],
+        0.0,
+        0,
+        CacheStats::default(),
+    );
+    vec![
+        Box::new(svc),
+        Box::new(GpRegressor::from_parts(k, x.clone(), vec![1.0, -1.0], chol, 0.0, 1e-6)),
+        Box::new(KnnClassifier::from_parts(1, x.clone(), vec![1, -1], false)),
+        Box::new(KnnRegressor::from_parts(1, x, vec![1.0, -1.0])),
+    ]
+}
+
+#[test]
+fn ragged_sample_rows_are_malformed() {
+    // The rectangular twins load and score, so only the ragged row can
+    // be what the loader rejects.
+    for model in models_with_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]) {
+        let loaded = load_predictor_from_bytes(&save_to_vec(model.as_ref())).expect("loads");
+        assert_eq!(loaded.model.predict_batch(&[vec![0.5, 0.5]]).expect("scores").len(), 1);
+    }
+    for rows in [[vec![1.0, 2.0], vec![3.0]], [vec![1.0], vec![2.0, 3.0]]] {
+        for model in models_with_rows(&rows) {
+            match load_predictor_from_bytes(&save_to_vec(model.as_ref())) {
+                Err(Error::ModelIo(IoError::Malformed { .. })) => {}
+                other => panic!("{}: ragged rows {rows:?} gave {other:?}", model.name()),
+            }
+        }
+    }
+}
+
+/// Byte ranges of every section payload in a container, found by
+/// walking the layout documented in `edm_model_io`.
+fn payload_ranges(bytes: &[u8]) -> Vec<std::ops::Range<usize>> {
+    let le = |at: usize, n: usize| (0..n).rev().fold(0, |v, i| v << 8 | bytes[at + i] as usize);
+    let mut pos = 8 + le(6, 2) + 4;
+    let mut ranges = Vec::new();
+    for _ in 0..le(pos - 4, 4) {
+        pos += 2 + le(pos, 2) + 8;
+        ranges.push(pos..pos + le(pos - 8, 8));
+        pos = ranges.last().unwrap().end + 4;
+    }
+    assert_eq!(pos, bytes.len() - 4, "walked the whole container");
+    ranges
+}
+
+/// Loads `bytes` and scores one probe as wide as the loaded model;
+/// names the step that went wrong, if any.
+fn hostile_load_failure(bytes: &[u8]) -> Option<String> {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    let loaded = match catch_unwind(|| load_predictor_from_bytes(bytes)) {
+        Ok(Ok(loaded)) => loaded,
+        Ok(Err(_)) => return None,
+        Err(_) => return Some("load panicked".into()),
+    };
+    // Every fixture has support rows, so an honest width is bounded by
+    // the file; a larger one would make the probe an over-large
+    // allocation.
+    let width = loaded.model.n_features();
+    if width > bytes.len() {
+        return Some(format!("accepted width {width}"));
+    }
+    let probe = [vec![0.5; width]];
+    let scored = catch_unwind(AssertUnwindSafe(|| loaded.model.predict_batch(&probe)));
+    scored.is_err().then(|| "predict_batch panicked".into())
+}
+
+/// Every single-byte mutation of a pinned container's payloads, with
+/// the section and file CRCs resealed so that decoding really runs:
+/// the loader returns `Ok` or a typed error and never panics, and a
+/// model it accepts scores an `n_features`-wide probe without panicking.
+#[test]
+fn mutated_payloads_load_as_typed_errors_or_scoring_models() {
+    let (mut failures, mut mutants) = (Vec::new(), 0);
+    for (family, _) in FIXTURES {
+        let pristine = fixture_bytes(family);
+        for range in payload_ranges(&pristine) {
+            for at in range.clone() {
+                let b = pristine[at];
+                for value in [0x00, 0xFF, b.wrapping_add(1)] {
+                    let mut bytes = pristine.clone();
+                    bytes[at] = value;
+                    let crc = edm::model_io::crc32(&bytes[range.clone()]);
+                    bytes[range.end..range.end + 4].copy_from_slice(&crc.to_le_bytes());
+                    let n = bytes.len();
+                    let crc = edm::model_io::crc32(&bytes[..n - 4]);
+                    bytes[n - 4..].copy_from_slice(&crc.to_le_bytes());
+                    mutants += 1;
+                    if let Some(why) = hostile_load_failure(&bytes) {
+                        failures
+                            .push(format!("{family}: byte {at} {b:#04x} -> {value:#04x}: {why}"));
+                    }
+                }
+            }
+        }
+    }
+    assert!(failures.is_empty(), "{} of {mutants} mutants failed: {failures:#?}", failures.len());
+}
