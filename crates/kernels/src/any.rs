@@ -14,8 +14,9 @@ use crate::Kernel;
 
 /// Any of the workspace's vector kernels, dispatched at runtime.
 ///
-/// `eval` forwards to the wrapped kernel's own `eval`, so an
-/// `AnyKernel` scores exactly like the kernel it was built from.
+/// `eval` and `eval_many` forward to the wrapped kernel's own methods,
+/// so an `AnyKernel` scores exactly like (and as fast as) the kernel it
+/// was built from.
 // Deliberately exhaustive: the persistence format enumerates exactly
 // these kinds, so adding a variant is a schema change and should break
 // every match that needs updating.
@@ -59,6 +60,17 @@ impl Kernel<[f64]> for AnyKernel {
             AnyKernel::Sigmoid(k) => k.eval(a, b),
             AnyKernel::HistogramIntersection(k) => k.eval(a, b),
             AnyKernel::Chi2(k) => k.eval(a, b),
+        }
+    }
+
+    fn eval_many(&self, a: &[f64], bs: &[&[f64]], out: &mut [f64]) {
+        match self {
+            AnyKernel::Linear(k) => k.eval_many(a, bs, out),
+            AnyKernel::Poly(k) => k.eval_many(a, bs, out),
+            AnyKernel::Rbf(k) => k.eval_many(a, bs, out),
+            AnyKernel::Sigmoid(k) => k.eval_many(a, bs, out),
+            AnyKernel::HistogramIntersection(k) => k.eval_many(a, bs, out),
+            AnyKernel::Chi2(k) => k.eval_many(a, bs, out),
         }
     }
 }
@@ -126,5 +138,31 @@ mod tests {
             any.eval(&h, &g).to_bits(),
             HistogramIntersectionKernel::new().eval(&h, &g).to_bits()
         );
+    }
+
+    /// A reloaded model scores through `AnyKernel`: its `eval_many`
+    /// must reach the wrapped kernel's lane override, not the per-pair
+    /// default (the two agree bitwise, so only the probe tells them
+    /// apart).
+    #[test]
+    fn eval_many_reaches_the_lane_override() {
+        let a = [0.2, 0.5, 0.3];
+        let rows: Vec<[f64; 3]> = (0..19).map(|t| [0.1 * t as f64, 0.4, 0.05]).collect();
+        let bs: Vec<&[f64]> = rows.iter().map(|r| &r[..]).collect();
+        let mut out = vec![0.0; bs.len()];
+        let kernels: [AnyKernel; 5] = [
+            LinearKernel::new().into(),
+            PolyKernel::new(3, 0.5, 1.0).into(),
+            RbfKernel::new(0.7).into(),
+            SigmoidKernel::new(0.2, -1.0).into(),
+            HistogramIntersectionKernel::new().into(),
+        ];
+        for any in kernels {
+            crate::vector_kernels::probe::take();
+            any.eval_many(&a, &bs, &mut out);
+            assert_eq!(crate::vector_kernels::probe::take(), 2, "{}", any.tag());
+            <&AnyKernel as Kernel<[f64]>>::eval_many(&&any, &a, &bs, &mut out);
+            assert_eq!(crate::vector_kernels::probe::take(), 2, "&{}", any.tag());
+        }
     }
 }

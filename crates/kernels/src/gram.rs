@@ -26,9 +26,11 @@ use crate::Kernel;
 /// against it. At industrial n the naive row loop streams the entire
 /// sample set through cache once per row; the tiled walk streams it
 /// once per *band*, which is what makes the build memory-lean enough
-/// to scale. Each entry is still produced by the same single kernel
-/// evaluation in every configuration, so serial, parallel, and any
-/// tile shape give bitwise identical results.
+/// to scale. Each row of a tile is one [`Kernel::eval_many`] call
+/// against the panel, and each entry is bitwise the single kernel
+/// evaluation `k(items[i], items[j])` in every configuration, so
+/// serial, parallel, and any tile shape give bitwise identical
+/// results.
 ///
 /// Emits `kernels.gram.tiles` and `kernels.gram.mirrored_cells`
 /// counters when tracing is on.
@@ -51,15 +53,17 @@ where
     edm_par::for_each_band(g.as_mut_slice(), n, band_rows, |b, band| {
         let i0 = b * band_rows;
         let mut j0 = i0 - i0 % tile;
+        let mut panel = Vec::with_capacity(tile.min(n));
         while j0 < n {
             let jend = (j0 + tile).min(n);
+            panel.clear();
+            panel.extend(items[j0..jend].iter().map(Borrow::borrow));
             for (di, row) in band.chunks_mut(n).enumerate() {
                 let i = i0 + di;
-                let lo = j0.max(i);
-                let xi = items[i].borrow();
-                for (slot, j) in row[lo..jend].iter_mut().zip(lo..) {
-                    *slot = kernel.eval(xi, items[j].borrow());
-                }
+                // A band taller than a tile has rows whose diagonal
+                // lies right of this panel: they own none of its cells.
+                let lo = j0.max(i).min(jend);
+                kernel.eval_many(items[i].borrow(), &panel[lo - j0..], &mut row[lo..jend]);
             }
             j0 = jend;
         }
@@ -81,8 +85,9 @@ where
 /// Evaluates one row of kernel values `k(x, items[i])` — what a trained
 /// kernel model needs to score a new sample.
 ///
-/// Long rows are split into chunks scored by worker threads; each entry
-/// is one independent kernel evaluation, so serial and parallel results
+/// Long rows are split into chunks scored by worker threads, one
+/// [`Kernel::eval_many`] call per chunk; each entry is bitwise the
+/// single evaluation `k(x, items[i])`, so serial and parallel results
 /// are bitwise identical.
 pub fn gram_row<S, K, I>(kernel: &K, x: &S, items: &[I]) -> Vec<f64>
 where
@@ -91,58 +96,108 @@ where
     I: Borrow<S> + Sync,
 {
     let mut out = vec![0.0; items.len()];
-    edm_par::for_each_chunk(&mut out, GRAM_ROW_CHUNK, |c, chunk| {
-        let start = c * GRAM_ROW_CHUNK;
-        for (off, v) in chunk.iter_mut().enumerate() {
-            *v = kernel.eval(x, items[start + off].borrow());
-        }
-    });
+    fill_block(kernel, &[x], items.len(), |t| items[t].borrow(), &mut out);
     out
 }
 
-/// Chunk size for [`gram_row`] scoring: large enough that the per-chunk
-/// dispatch cost is negligible next to the kernel evaluations.
+/// Columns per parallel chunk of a row or block fill: large enough
+/// that the per-chunk dispatch cost is negligible next to the kernel
+/// evaluations, small enough that the chunk's samples (512 × 32
+/// features = 128 KiB) stay cache-resident while every query row
+/// sweeps them.
 const GRAM_ROW_CHUNK: usize = 512;
 
 /// Evaluates several kernel rows in one pass: `out[r][t] =
-/// k(xs[r], items[t])`.
-///
-/// The batch is computed sample-major — every chunk of `items` is
-/// loaded once and scored against *all* query samples while it is
-/// cache-hot — so scoring B rows together costs one stream over the
-/// data instead of B. Worker threads split the sample axis; each cell
-/// is one independent kernel evaluation, so the result is bitwise
-/// identical to calling [`gram_row`] per query in any order.
+/// k(xs[r], items[t])`. [`gram_block`] over every column.
 pub fn gram_rows<S, K, I>(kernel: &K, xs: &[&S], items: &[I]) -> Vec<Vec<f64>>
 where
     S: Sync + ?Sized,
     K: Kernel<S> + ?Sized,
     I: Borrow<S> + Sync,
 {
-    let b = xs.len();
-    let n = items.len();
-    let mut out: Vec<Vec<f64>> = xs.iter().map(|_| vec![0.0; n]).collect();
-    if b == 0 || n == 0 {
-        return out;
-    }
-    // Interleaved scratch (`scratch[t * b + r]`) keeps each parallel
-    // chunk a contiguous run of whole sample-columns.
-    let mut scratch = vec![0.0; n * b];
-    edm_par::for_each_chunk(&mut scratch, GRAM_ROW_CHUNK * b, |c, chunk| {
-        let t0 = c * GRAM_ROW_CHUNK;
-        for (dt, cell) in chunk.chunks_exact_mut(b).enumerate() {
-            let xt = items[t0 + dt].borrow();
-            for (v, x) in cell.iter_mut().zip(xs) {
-                *v = kernel.eval(x, xt);
+    let cols: Vec<usize> = (0..items.len()).collect();
+    let mut out: Vec<Vec<f64>> = xs.iter().map(|_| vec![0.0; cols.len()]).collect();
+    let mut outs: Vec<&mut [f64]> = out.iter_mut().map(Vec::as_mut_slice).collect();
+    gram_block(kernel, xs, items, &cols, &mut outs);
+    out
+}
+
+/// Evaluates a block of kernel values in one pass: `outs[r][t] =
+/// k(xs[r], items[cols[t]])` — the fill behind every SMO Q-row cache
+/// miss.
+///
+/// The block is computed sample-major: every chunk of the selected
+/// `items` is gathered once and scored against *all* query samples
+/// while it is cache-hot, one [`Kernel::eval_many`] call per query, so
+/// scoring B rows together costs one stream over the data instead of
+/// B. Worker threads split the sample axis; each cell is bitwise the
+/// single evaluation `k(xs[r], items[cols[t]])`, so the result is
+/// identical to calling [`gram_row`] per query in any order, for any
+/// batch composition and column order.
+///
+/// # Panics
+///
+/// Panics if `xs.len() != outs.len()`, if any output row is not
+/// `cols.len()` long, or if a column index is out of bounds.
+pub fn gram_block<S, K, I>(
+    kernel: &K,
+    xs: &[&S],
+    items: &[I],
+    cols: &[usize],
+    outs: &mut [&mut [f64]],
+) where
+    S: Sync + ?Sized,
+    K: Kernel<S> + ?Sized,
+    I: Borrow<S> + Sync,
+{
+    assert_eq!(xs.len(), outs.len(), "one output row per query sample");
+    assert!(outs.iter().all(|o| o.len() == cols.len()), "one output cell per column");
+    let col = |t: usize| items[cols[t]].borrow();
+    match outs {
+        [] => {}
+        // A lone row is its own block.
+        [out] => fill_block(kernel, xs, cols.len(), col, out),
+        _ => {
+            let b = xs.len();
+            let mut block = vec![0.0; cols.len() * b];
+            fill_block(kernel, xs, cols.len(), col, &mut block);
+            for (c, chunk) in block.chunks(GRAM_ROW_CHUNK * b).enumerate() {
+                let t0 = c * GRAM_ROW_CHUNK;
+                let len = chunk.len() / b;
+                for (out, run) in outs.iter_mut().zip(chunk.chunks_exact(len)) {
+                    out[t0..t0 + len].copy_from_slice(run);
+                }
             }
         }
-    });
-    for (r, row) in out.iter_mut().enumerate() {
-        for (t, v) in row.iter_mut().enumerate() {
-            *v = scratch[t * b + r];
-        }
     }
-    out
+}
+
+/// The one row/block fill loop: `block` holds `n_cols.div_ceil(512)`
+/// chunks in column order, and the chunk over columns `t0..t0 + len`
+/// stores query `r`'s values `k(xs[r], col(t0..t0 + len))` as one
+/// contiguous run at `t0 * xs.len() + r * len`. A parallel job is one
+/// chunk: its columns are gathered once, then each query scores them
+/// with one `eval_many`. With one query the layout is the plain row.
+fn fill_block<'a, S, K>(
+    kernel: &K,
+    xs: &[&S],
+    n_cols: usize,
+    col: impl Fn(usize) -> &'a S + Sync,
+    block: &mut [f64],
+) where
+    S: Sync + ?Sized + 'a,
+    K: Kernel<S> + ?Sized,
+{
+    let b = xs.len();
+    debug_assert_eq!(block.len(), n_cols * b);
+    edm_par::for_each_chunk(block, GRAM_ROW_CHUNK * b, |c, chunk| {
+        let t0 = c * GRAM_ROW_CHUNK;
+        let len = chunk.len() / b;
+        let bs: Vec<&S> = (t0..t0 + len).map(&col).collect();
+        for (x, run) in xs.iter().zip(chunk.chunks_exact_mut(len)) {
+            kernel.eval_many(x, &bs, run);
+        }
+    });
 }
 
 /// Centers a Gram matrix in feature space:

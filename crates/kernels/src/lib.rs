@@ -49,7 +49,7 @@ mod vector_kernels;
 
 pub use any::AnyKernel;
 pub use composite::{NormalizedKernel, ProductKernel, ScaledKernel, SumKernel};
-pub use gram::{center_gram, gram_matrix, gram_row, gram_rows, is_psd};
+pub use gram::{center_gram, gram_block, gram_matrix, gram_row, gram_rows, is_psd};
 pub use sequence::{SpectrumKernel, SpectrumProfile};
 pub use vector_kernels::{
     Chi2Kernel, HistogramIntersectionKernel, LinearKernel, PolyKernel, RbfKernel, SigmoidKernel,
@@ -72,10 +72,35 @@ pub use vector_kernels::{
 pub trait Kernel<S: ?Sized>: Sync {
     /// Evaluates `k(a, b)`.
     fn eval(&self, a: &S, b: &S) -> f64;
+
+    /// Evaluates one sample against many: `out[t] = k(a, bs[t])`.
+    ///
+    /// Every hot loop that scores a sample against a run of others
+    /// (Q-row fills, Gram tiles and rows, support-vector sweeps) calls
+    /// this rather than [`Kernel::eval`] per pair. `out[t]` must be
+    /// bitwise equal to `self.eval(a, bs[t])`; the default body is that
+    /// loop. The RBF, linear, polynomial, sigmoid and
+    /// histogram-intersection kernels override it to run
+    /// [`edm_linalg::LANES`] independent reductions in one loop, which
+    /// overlaps their add latencies without reordering any sum.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != bs.len()`, and wherever `eval` would.
+    fn eval_many(&self, a: &S, bs: &[&S], out: &mut [f64]) {
+        assert_eq!(bs.len(), out.len(), "one output slot per sample");
+        for (v, b) in out.iter_mut().zip(bs) {
+            *v = self.eval(a, b);
+        }
+    }
 }
 
 impl<S: ?Sized, K: Kernel<S> + ?Sized> Kernel<S> for &K {
     fn eval(&self, a: &S, b: &S) -> f64 {
         K::eval(self, a, b)
+    }
+
+    fn eval_many(&self, a: &S, bs: &[&S], out: &mut [f64]) {
+        K::eval_many(self, a, bs, out)
     }
 }

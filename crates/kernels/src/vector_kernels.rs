@@ -1,4 +1,4 @@
-use edm_linalg::{dot, sq_dist};
+use edm_linalg::{dot, dot_lanes, min_sum, min_sum_lanes, sq_dist, sq_dist_lanes, LANES};
 use serde::Serialize;
 
 use crate::Kernel;
@@ -18,6 +18,10 @@ impl LinearKernel {
 impl Kernel<[f64]> for LinearKernel {
     fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
         dot(a, b)
+    }
+
+    fn eval_many(&self, a: &[f64], bs: &[&[f64]], out: &mut [f64]) {
+        in_lanes(bs, out, |g| dot_lanes(a, g), |b| self.eval(a, b));
     }
 }
 
@@ -64,11 +68,20 @@ impl PolyKernel {
     pub fn coef0(&self) -> f64 {
         self.coef0
     }
+
+    /// `(γ·d + c)ᵈ` for the inner product `d`.
+    fn finish(&self, dot: f64) -> f64 {
+        (self.gamma * dot + self.coef0).powi(self.degree as i32)
+    }
 }
 
 impl Kernel<[f64]> for PolyKernel {
     fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        (self.gamma * dot(a, b) + self.coef0).powi(self.degree as i32)
+        self.finish(dot(a, b))
+    }
+
+    fn eval_many(&self, a: &[f64], bs: &[&[f64]], out: &mut [f64]) {
+        in_lanes(bs, out, |g| dot_lanes(a, g).map(|d| self.finish(d)), |b| self.eval(a, b));
     }
 }
 
@@ -96,11 +109,20 @@ impl RbfKernel {
     pub fn gamma(&self) -> f64 {
         self.gamma
     }
+
+    /// `exp(−γ·d)` for the squared distance `d`.
+    fn finish(&self, sq_dist: f64) -> f64 {
+        (-self.gamma * sq_dist).exp()
+    }
 }
 
 impl Kernel<[f64]> for RbfKernel {
     fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        (-self.gamma * sq_dist(a, b)).exp()
+        self.finish(sq_dist(a, b))
+    }
+
+    fn eval_many(&self, a: &[f64], bs: &[&[f64]], out: &mut [f64]) {
+        in_lanes(bs, out, |g| sq_dist_lanes(a, g).map(|d| self.finish(d)), |b| self.eval(a, b));
     }
 }
 
@@ -135,11 +157,20 @@ impl SigmoidKernel {
     pub fn coef0(&self) -> f64 {
         self.coef0
     }
+
+    /// `tanh(γ·d + c)` for the inner product `d`.
+    fn finish(&self, dot: f64) -> f64 {
+        (self.gamma * dot + self.coef0).tanh()
+    }
 }
 
 impl Kernel<[f64]> for SigmoidKernel {
     fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        (self.gamma * dot(a, b) + self.coef0).tanh()
+        self.finish(dot(a, b))
+    }
+
+    fn eval_many(&self, a: &[f64], bs: &[&[f64]], out: &mut [f64]) {
+        in_lanes(bs, out, |g| dot_lanes(a, g).map(|d| self.finish(d)), |b| self.eval(a, b));
     }
 }
 
@@ -161,8 +192,11 @@ impl HistogramIntersectionKernel {
 
 impl Kernel<[f64]> for HistogramIntersectionKernel {
     fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        assert_eq!(a.len(), b.len(), "histogram length mismatch");
-        a.iter().zip(b).map(|(&x, &y)| x.min(y)).sum()
+        min_sum(a, b)
+    }
+
+    fn eval_many(&self, a: &[f64], bs: &[&[f64]], out: &mut [f64]) {
+        in_lanes(bs, out, |g| min_sum_lanes(a, g), |b| self.eval(a, b));
     }
 }
 
@@ -209,6 +243,45 @@ impl Kernel<[f64]> for Chi2Kernel {
             })
             .sum();
         (-self.gamma * chi2).exp()
+    }
+}
+
+/// Fills `out[t]` for every `bs[t]`: whole groups of [`LANES`]
+/// samples through `group`, the leftover tail one at a time through
+/// `one`. The `eval_many` body of every lane-reducing kernel.
+fn in_lanes(
+    bs: &[&[f64]],
+    out: &mut [f64],
+    group: impl Fn(&[&[f64]; LANES]) -> [f64; LANES],
+    one: impl Fn(&[f64]) -> f64,
+) {
+    assert_eq!(bs.len(), out.len(), "one output slot per sample");
+    let (groups, tail) = bs.as_chunks::<LANES>();
+    let (out_groups, out_tail) = out.as_chunks_mut::<LANES>();
+    for (g, o) in groups.iter().zip(out_groups) {
+        *o = group(g);
+    }
+    for (b, o) in tail.iter().zip(out_tail) {
+        *o = one(b);
+    }
+    #[cfg(test)]
+    probe::LANE_GROUPS.with(|c| c.set(c.get() + groups.len()));
+}
+
+/// Counts lane groups run on this thread, so unit tests can tell an
+/// `eval_many` override from the per-pair default (their results are
+/// bitwise equal by contract).
+#[cfg(test)]
+pub(crate) mod probe {
+    use std::cell::Cell;
+
+    thread_local! {
+        pub(crate) static LANE_GROUPS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// Lane groups run on this thread since the last call.
+    pub(crate) fn take() -> usize {
+        LANE_GROUPS.with(|c| c.replace(0))
     }
 }
 

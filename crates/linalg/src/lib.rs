@@ -47,5 +47,6 @@ pub use matrix::Matrix;
 pub use qr::Qr;
 pub use sample::{MultivariateNormal, Normal};
 pub use vector::{
-    axpy, dot, l1_norm, l2_norm, linf_norm, mean, normalize, scale, sq_dist, sub, sum, variance,
+    axpy, dot, dot_lanes, l1_norm, l2_norm, linf_norm, mean, min_sum, min_sum_lanes, normalize,
+    scale, sq_dist, sq_dist_lanes, sub, sum, variance, LANES,
 };

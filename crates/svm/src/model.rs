@@ -187,12 +187,33 @@ impl<K, F: SvFamily> SvModel<K, F> {
     }
 }
 
+/// Support vectors scored per [`Kernel::eval_many`] call in
+/// [`SvModel::decision_function`]: the stack buffers stay small (1.5
+/// KiB) while each call still runs whole lane groups.
+const SV_CHUNK: usize = 64;
+
 impl<K: Kernel<[f64]>, F: SvFamily> SvModel<K, F> {
     /// The decision value `M(x)`, accumulated serially in
     /// support-vector order.
+    ///
+    /// The kernel values come 64 support vectors at a time
+    /// from one [`Kernel::eval_many`] call into a stack buffer, and
+    /// `s += cᵢ·kᵢ` then runs from `-0.0` in support-vector order —
+    /// bitwise the per-pair sum `Σᵢ cᵢ·k(x, xᵢ)`.
     pub fn decision_function(&self, x: &[f64]) -> f64 {
-        let s: f64 =
-            self.support.iter().zip(&self.coef).map(|(sv, &c)| c * self.kernel.eval(x, sv)).sum();
+        let mut s = -0.0;
+        let mut refs: [&[f64]; SV_CHUNK] = [&[]; SV_CHUNK];
+        let mut k = [0.0; SV_CHUNK];
+        for (svs, coef) in self.support.chunks(SV_CHUNK).zip(self.coef.chunks(SV_CHUNK)) {
+            let n = svs.len();
+            for (r, sv) in refs.iter_mut().zip(svs) {
+                *r = sv;
+            }
+            self.kernel.eval_many(x, &refs[..n], &mut k[..n]);
+            for (&c, &kv) in coef.iter().zip(&k[..n]) {
+                s += c * kv;
+            }
+        }
         s - self.rho
     }
 

@@ -27,9 +27,11 @@
 //!
 //! On a cache miss, [`CachedQ`] hands all missing rows of a
 //! [`QMatrix::rows_prefix`] request to `fill_rows` together, which
-//! evaluates them in *one* sample-major pass over the data (each item
-//! is loaded once per batch instead of once per row) on worker threads
-//! (under the `parallel` feature). Every entry is one independent
+//! evaluates them in *one* sample-major pass over the data
+//! ([`edm_kernels::gram_block`]: each item is loaded once per batch
+//! instead of once per row, and each row scores a chunk of items with
+//! one `Kernel::eval_many` call) on worker threads (under the
+//! `parallel` feature). Every entry is bitwise one independent
 //! kernel evaluation, so serial, parallel, batched and gathered fills
 //! are bitwise identical, and a cached row is bitwise identical to a
 //! recomputed one — caching can change solver timings but never
@@ -41,17 +43,13 @@ use std::marker::PhantomData;
 use std::ops::Deref;
 use std::rc::Rc;
 
-use edm_kernels::Kernel;
+use edm_kernels::{gram_block, Kernel};
 use edm_linalg::Matrix;
 use serde::Serialize;
 
 /// Default row-cache budget (64 MiB), mirroring LIBSVM's order of
 /// magnitude (its `-m` option defaults to 100 MB).
 pub const DEFAULT_CACHE_BYTES: usize = 64 << 20;
-
-/// Chunk size for parallel on-demand row fills: large enough that
-/// per-chunk dispatch cost is negligible next to the kernel evaluations.
-const Q_ROW_CHUNK: usize = 512;
 
 /// One row of `Q`, either borrowed from backing storage or shared with
 /// the row cache.
@@ -158,30 +156,6 @@ pub trait QSource {
     /// Panics if `rows.len() != outs.len()` or any output slice is not
     /// `cols.len()` long.
     fn fill_rows(&self, rows: &[usize], cols: &[usize], outs: &mut [&mut [f64]]);
-}
-
-/// `block[t * xs.len() + r] = k(xs[r], items[cols[t]])`: the
-/// sample-major kernel block behind both sources' fills. Each column's
-/// item is loaded once and evaluated against every batch row while
-/// cache-hot, and a parallel chunk is a contiguous run of whole
-/// columns.
-fn kernel_block<S, K, I>(kernel: &K, items: &[I], xs: &[&S], cols: &[usize], block: &mut [f64])
-where
-    S: Sync + ?Sized,
-    K: Kernel<S>,
-    I: Borrow<S> + Sync,
-{
-    let b = xs.len();
-    debug_assert_eq!(block.len(), cols.len() * b);
-    edm_par::for_each_chunk(block, Q_ROW_CHUNK * b, |c, chunk| {
-        let t0 = c * Q_ROW_CHUNK;
-        for (dt, cell) in chunk.chunks_exact_mut(b).enumerate() {
-            let xt = items[cols[t0 + dt]].borrow();
-            for (v, xi) in cell.iter_mut().zip(xs) {
-                *v = kernel.eval(xi, xt);
-            }
-        }
-    });
 }
 
 // ---------------------------------------------------------------------
@@ -314,22 +288,8 @@ where
     }
 
     fn fill_rows(&self, rows: &[usize], cols: &[usize], outs: &mut [&mut [f64]]) {
-        assert_eq!(rows.len(), outs.len(), "one output slice per batch row");
-        assert!(outs.iter().all(|o| o.len() == cols.len()), "one output cell per column");
-        let b = rows.len();
         let xs: Vec<&S> = rows.iter().map(|&i| self.items[i].borrow()).collect();
-        if b == 1 {
-            // A lone row is its own sample-major block.
-            kernel_block(self.kernel, self.items, &xs, cols, outs[0]);
-        } else {
-            let mut block = vec![0.0; cols.len() * b];
-            kernel_block(self.kernel, self.items, &xs, cols, &mut block);
-            for (r, out) in outs.iter_mut().enumerate() {
-                for (t, v) in out.iter_mut().enumerate() {
-                    *v = block[t * b + r];
-                }
-            }
-        }
+        gram_block(self.kernel, &xs, self.items, cols, outs);
         if let Some(s) = self.signs {
             for (&i, out) in rows.iter().zip(outs.iter_mut()) {
                 for (v, &j) in out.iter_mut().zip(cols) {
@@ -390,7 +350,6 @@ where
     fn fill_rows(&self, rows: &[usize], cols: &[usize], outs: &mut [&mut [f64]]) {
         assert_eq!(rows.len(), outs.len(), "one output slice per batch row");
         let m = self.items.len();
-        let b = rows.len();
         // Columns `u` and `u + m` share one kernel value: evaluate each
         // distinct base once (`slot[base]` = its block column).
         let mut slot = vec![usize::MAX; m];
@@ -403,15 +362,16 @@ where
             }
         }
         let xs: Vec<&S> = rows.iter().map(|&t| self.items[t % m].borrow()).collect();
-        let mut block = vec![0.0; bases.len() * b];
-        kernel_block(self.kernel, self.items, &xs, &bases, &mut block);
-        for (r, (&t, out)) in rows.iter().zip(outs.iter_mut()).enumerate() {
+        let mut block = vec![vec![0.0; bases.len()]; rows.len()];
+        let mut block_rows: Vec<&mut [f64]> = block.iter_mut().map(Vec::as_mut_slice).collect();
+        gram_block(self.kernel, &xs, self.items, &bases, &mut block_rows);
+        for ((&t, k), out) in rows.iter().zip(&block).zip(outs.iter_mut()) {
             assert_eq!(out.len(), cols.len(), "one output cell per column");
             let st = if t < m { 1.0 } else { -1.0 };
             for (v, &u) in out.iter_mut().zip(cols) {
                 // IEEE negation is exact, so the α* mirror is bitwise
                 // `s(t) s(u) K`.
-                let w = st * block[slot[u % m] * b + r];
+                let w = st * k[slot[u % m]];
                 *v = if u < m { w } else { -w };
             }
         }
