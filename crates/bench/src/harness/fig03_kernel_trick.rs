@@ -6,11 +6,11 @@
 //! √2·x₁x₂), and the implicit kernel path — demonstrating both halves of
 //! the paper's Fig. 3.
 
-use edm_bench::{claim, finish, header, pct};
+use crate::{pct, Report};
 use edm_kernels::{LinearKernel, PolyKernel};
 use edm_svm::{SvcParams, SvcTrainer};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 fn ring_disc(n: usize, rng: &mut StdRng) -> (Vec<Vec<f64>>, Vec<f64>) {
     let mut x = Vec::new();
@@ -47,10 +47,9 @@ fn training_error<K: edm_kernels::Kernel<[f64]> + Clone>(
     wrong as f64 / x.len() as f64
 }
 
-fn main() {
-    edm_bench::init_trace();
-    header("Figure 3: kernel trick on ring-vs-disc data");
-    let mut rng = StdRng::seed_from_u64(3);
+pub fn run(s: u64, r: &mut Report) {
+    r.header("Figure 3: kernel trick on ring-vs-disc data");
+    let mut rng = crate::rng(3, s);
     let (x, y) = ring_disc(100, &mut rng);
 
     let linear_err = training_error(LinearKernel::new(), &x, &y);
@@ -58,17 +57,13 @@ fn main() {
     let explicit_err = training_error(LinearKernel::new(), &explicit, &y);
     let kernel_err = training_error(PolyKernel::homogeneous(2), &x, &y);
 
-    println!("samples: {} per class {}", x.len(), x.len() / 2);
-    println!("{:<44} {:>10}", "model", "train err");
-    println!("{:<44} {:>10}", "linear SVM, input space", pct(linear_err));
-    println!("{:<44} {:>10}", "linear SVM, explicit feature space Phi", pct(explicit_err));
-    println!("{:<44} {:>10}", "SVM with kernel <x,x'>^2 (implicit Phi)", pct(kernel_err));
+    outln!(r, "samples: {} per class {}", x.len(), x.len() / 2);
+    outln!(r, "{:<44} {:>10}", "model", "train err");
+    outln!(r, "{:<44} {:>10}", "linear SVM, input space", pct(linear_err));
+    outln!(r, "{:<44} {:>10}", "linear SVM, explicit feature space Phi", pct(explicit_err));
+    outln!(r, "{:<44} {:>10}", "SVM with kernel <x,x'>^2 (implicit Phi)", pct(kernel_err));
 
-    let claims = [
-        claim("input space is NOT linearly separable (error > 10%)", linear_err > 0.10),
-        claim("explicit feature space IS separable (error = 0)", explicit_err == 0.0),
-        claim("kernel path matches the explicit map (error = 0)", kernel_err == 0.0),
-    ];
-    edm_bench::emit_trace("fig03_kernel_trick", 3);
-    finish(&claims);
+    r.claim("input space is NOT linearly separable (error > 10%)", linear_err > 0.10);
+    r.claim("explicit feature space IS separable (error = 0)", explicit_err == 0.0);
+    r.claim("kernel path matches the explicit map (error = 0)", kernel_err == 0.0);
 }

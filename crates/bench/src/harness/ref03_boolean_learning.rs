@@ -9,11 +9,11 @@
 //! forest, and measure held-out accuracy — high, but *without* any
 //! guarantee, which is exactly the paper's point.
 
-use edm_bench::{claim, finish, header, pct};
+use crate::{pct, Report};
 use edm_learn::forest::{ForestParams, RandomForestClassifier};
 use edm_learn::tree::{DecisionTreeClassifier, TreeParams};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 const N_VARS: usize = 12;
 
@@ -33,10 +33,9 @@ fn sample(n: usize, rng: &mut StdRng) -> (Vec<Vec<f64>>, Vec<i32>) {
     (xs, ys)
 }
 
-fn main() {
-    edm_bench::init_trace();
-    header("ref [3]: Boolean-function learning without guarantees");
-    let mut rng = StdRng::seed_from_u64(3);
+pub fn run(s: u64, r: &mut Report) {
+    r.header("ref [3]: Boolean-function learning without guarantees");
+    let mut rng = crate::rng(3, s);
     let (train_x, train_y) = sample(2_000, &mut rng);
     let (test_x, test_y) = sample(4_000, &mut rng);
 
@@ -63,18 +62,15 @@ fn main() {
     };
     let tree_acc = acc(&|x| tree.predict(x));
     let forest_acc = acc(&|x| forest.predict(x));
-    println!("hidden function: 3-term DNF over {N_VARS} vars; train 2000 / test 4000 vectors");
-    println!("decision tree accuracy: {} ({} leaves)", pct(tree_acc), tree.n_leaves());
-    println!("random forest accuracy: {}", pct(forest_acc));
-    println!(
+    outln!(r, "hidden function: 3-term DNF over {N_VARS} vars; train 2000 / test 4000 vectors");
+    outln!(r, "decision tree accuracy: {} ({} leaves)", pct(tree_acc), tree.n_leaves());
+    outln!(r, "random forest accuracy: {}", pct(forest_acc));
+    outln!(
+        r,
         "\n(no guarantee is claimed for any particular run — that is the paper's point: \
          drop the simultaneous PAC guarantee and the problem becomes easy in practice)"
     );
 
-    let claims = [
-        claim("a plain CART tree learns the DNF to >= 97% accuracy", tree_acc >= 0.97),
-        claim("a random forest matches or beats it", forest_acc >= tree_acc - 0.01),
-    ];
-    edm_bench::emit_trace("ref03_boolean_learning", 3);
-    finish(&claims);
+    r.claim("a plain CART tree learns the DNF to >= 97% accuracy", tree_acc >= 0.97);
+    r.claim("a random forest matches or beats it", forest_acc >= tree_acc - 0.01);
 }

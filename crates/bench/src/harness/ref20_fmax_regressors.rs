@@ -9,7 +9,7 @@
 //! also drive the other tests — so it is genuinely predictable from
 //! them, with irreducible per-test noise.
 
-use edm_bench::{claim, finish, header};
+use crate::Report;
 use edm_data::metrics::{r2, rmse};
 use edm_kernels::RbfKernel;
 use edm_learn::gp::GpRegressor;
@@ -17,15 +17,12 @@ use edm_learn::knn::KnnRegressor;
 use edm_learn::linreg::{LeastSquares, Ridge};
 use edm_mfgtest::product::ProductModel;
 use edm_svm::{SvrParams, SvrTrainer};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-fn main() {
-    edm_bench::init_trace();
-    header("ref [20]: five regressor families on Fmax prediction");
+pub fn run(s: u64, r: &mut Report) {
+    r.header("ref [20]: five regressor families on Fmax prediction");
     let product = ProductModel::automotive();
     let fmax_idx = product.test_index("fmax").expect("model has fmax");
-    let mut rng = StdRng::seed_from_u64(20);
+    let mut rng = crate::rng(20, s);
     let devices = product.generate_lot(0, 1_400, &mut rng);
 
     // X = all tests except fmax (standardized), y = fmax.
@@ -74,14 +71,15 @@ fn main() {
     ];
 
     let y_sigma = edm_linalg::variance(y_test).sqrt();
-    println!("train {} devices, test {}   (fmax sigma = {:.3})", n_train, x_test.len(), y_sigma);
-    println!("{:<20} {:>10} {:>8}", "model", "RMSE", "R2");
-    for (name, e, r) in &results {
-        println!("{name:<20} {e:>10.4} {r:>8.3}");
+    outln!(r, "train {} devices, test {}   (fmax sigma = {:.3})", n_train, x_test.len(), y_sigma);
+    outln!(r, "{:<20} {:>10} {:>8}", "model", "RMSE", "R2");
+    for (name, e, r2) in &results {
+        outln!(r, "{name:<20} {e:>10.4} {r2:>8.3}");
     }
     // GP predictive uncertainty (the family's differentiator in [20]).
     let (mean, var) = gp.predict_with_variance(&x_test[0]);
-    println!(
+    outln!(
+        r,
         "\nGP predictive interval example: {:.3} ± {:.3} (truth {:.3})",
         mean,
         2.0 * var.sqrt(),
@@ -90,11 +88,7 @@ fn main() {
 
     let all_beat_sigma = results.iter().all(|(_, e, _)| *e < y_sigma);
     let all_positive_r2 = results.iter().all(|(_, _, r)| *r > 0.3);
-    let claims = [
-        claim("every family beats the trivial (mean) predictor", all_beat_sigma),
-        claim("every family explains a meaningful share of variance (R2 > 0.3)", all_positive_r2),
-        claim("GP predictive variance is positive and finite", var > 0.0 && var.is_finite()),
-    ];
-    edm_bench::emit_trace("ref20_fmax_regressors", 20);
-    finish(&claims);
+    r.claim("every family beats the trivial (mean) predictor", all_beat_sigma);
+    r.claim("every family explains a meaningful share of variance (R2 > 0.3)", all_positive_r2);
+    r.claim("GP predictive variance is positive and finite", var > 0.0 && var.is_finite());
 }

@@ -9,18 +9,16 @@
 //! 2. Apriori over per-wafer fail-bin transactions to surface the
 //!    signature bins that co-occur with excursion lots.
 
-use edm_bench::{claim, finish, header, pct};
+use crate::{pct, Report};
 use edm_cluster::kmeans::kmeans;
 use edm_cluster::metrics::rand_index;
 use edm_learn::rules::apriori::{mine, AprioriParams};
 use edm_mfgtest::wafer::{SpatialSignature, WaferMap};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
-fn main() {
-    edm_bench::init_trace();
-    header("ref [32]: inter-wafer abnormality pattern mining");
-    let mut rng = StdRng::seed_from_u64(32);
+pub fn run(s: u64, r: &mut Report) {
+    r.header("ref [32]: inter-wafer abnormality pattern mining");
+    let mut rng = crate::rng(32, s);
     let n_per_class = 40;
     let mut wafers = Vec::new();
     let mut truth = Vec::new();
@@ -54,12 +52,13 @@ fn main() {
     let scaled: Vec<Vec<f64>> = features.iter().map(|f| scaler.transform_sample(f)).collect();
     let clustering = kmeans(&scaled, 3, 200, &mut rng).expect("kmeans runs");
     let ri = rand_index(&clustering.labels, &truth);
-    println!(
+    outln!(
+        r,
         "{} wafers, 3 signature families; k-means on {:?}",
         wafers.len(),
         WaferMap::spatial_feature_names()
     );
-    println!("rand index vs injected ground truth: {ri:.3}");
+    outln!(r, "rand index vs injected ground truth: {ri:.3}");
 
     // Pass 2: association mining over per-wafer fail-bin transactions.
     // Item space: fail bins (1 = random, 2 = edge, 4 = scratch) plus a
@@ -77,16 +76,11 @@ fn main() {
     let (frequent, rules) =
         mine(&transactions, AprioriParams { min_support: 0.1, min_confidence: 0.7, max_len: 3 })
             .expect("mining runs");
-    println!("\nfrequent itemsets: {}   rules: {}", frequent.len(), rules.len());
-    for r in rules.iter().take(5) {
-        println!(
-            "  {:?} => {:?}  (supp {}, conf {}, lift {:.2})",
-            r.antecedent,
-            r.consequent,
-            pct(r.support),
-            pct(r.confidence),
-            r.lift
-        );
+    outln!(r, "\nfrequent itemsets: {}   rules: {}", frequent.len(), rules.len());
+    for rule in rules.iter().take(5) {
+        let (from, to, lift) = (&rule.antecedent, &rule.consequent, rule.lift);
+        let (supp, conf) = (pct(rule.support), pct(rule.confidence));
+        outln!(r, "  {from:?} => {to:?}  (supp {supp}, conf {conf}, lift {lift:.2})");
     }
     // The signature bins should imply the low-yield marker.
     let signature_implies_low_yield = rules.iter().any(|r| {
@@ -95,13 +89,9 @@ fn main() {
             && r.lift > 1.0
     });
 
-    let claims = [
-        claim(
-            &format!("clusters recover the signature families (rand index {ri:.2} >= 0.85)"),
-            ri >= 0.85,
-        ),
-        claim("association mining links signature bins to low yield", signature_implies_low_yield),
-    ];
-    edm_bench::emit_trace("ref32_wafer_patterns", 32);
-    finish(&claims);
+    r.claim(
+        &format!("clusters recover the signature families (rand index {ri:.2} >= 0.85)"),
+        ri >= 0.85,
+    );
+    r.claim("association mining links signature bins to low yield", signature_implies_low_yield);
 }

@@ -1,40 +1,43 @@
 //! # edm-bench — experiment harnesses for every table and figure
 //!
-//! One binary per paper result (run with
-//! `cargo run --release -p edm-bench --bin <name>`):
+//! One harness per paper result, listed once in [`HARNESSES`] and run
+//! by the `figures` binary (`cargo run --release -p edm-bench --bin
+//! figures [-- <name>… | --sweep]`):
 //!
-//! | Binary | Paper result |
+//! | Harness | Paper result |
 //! |---|---|
 //! | `fig03_kernel_trick` | Fig. 3 — kernel trick separability |
 //! | `fig05_overfitting` | Fig. 5 — training vs validation error |
 //! | `fig07_novel_test_selection` | Fig. 7 — simulation saving |
-//! | `table1_template_refinement` | Table 1 — coverage after learning |
 //! | `fig09_litho_variability` | Fig. 9 — fast variability prediction |
 //! | `fig10_dstc` | Fig. 10 — slow-path diagnosis |
 //! | `fig11_customer_returns` | Fig. 11 — return screening |
 //! | `fig12_difficult_case` | Fig. 12 — the escapes |
-//! | `tune_coverage` | (diagnostic) coverage profile of a template |
+//! | `ref03_boolean_learning` | ref \[3\] — Boolean learning without guarantees |
+//! | `ref20_fmax_regressors` | ref \[20\] — five regressors on Fmax |
+//! | `ref32_wafer_patterns` | ref \[32\] — inter-wafer pattern mining |
+//! | `table1_template_refinement` | Table 1 — coverage after learning |
+//! | `ablations` | kernel, filter and feature-selection ablations |
 //!
-//! `bench_kernel_compute` times the Gram build's thread scaling and
-//! tile sweep. End-to-end and per-layer timing lives in the stand-alone
-//! `perfbench/` package; the claims the older timing harnesses made
-//! (bitwise serving, solver iteration cuts, trace invariance) are exact
-//! tests in the crates they describe.
+//! Each harness is a function of a seed offset `s`: every RNG it draws
+//! is `seed_from_u64(literal + 1000·s)`, so `s = 0` is the canonical
+//! run whose stdout is checked in as `results/<name>.txt`. A [`Report`]
+//! collects the run's stdout and its `[PASS]`/`[FAIL]` claims.
 //!
-//! Every binary is seeded and deterministic; all print plain-text tables
-//! mirroring the rows/series the paper reports, and exit non-zero if the
-//! paper's qualitative claim fails to hold (so CI catches regressions in
-//! the reproductions).
+//! The `tune_coverage` binary prints a template's coverage profile (a
+//! diagnostic, no claims); `bench_kernel_compute` times the Gram
+//! build's thread scaling and tile sweep. End-to-end and per-layer
+//! timing lives in the stand-alone `perfbench/` package; the claims the
+//! older timing harnesses made (bitwise serving, solver iteration cuts,
+//! trace invariance) are exact tests in the crates they describe.
 
 #![forbid(unsafe_code)]
 
-use serde::Serialize;
+use std::fmt::Write as _;
 
-/// Prints a section header in a uniform style.
-pub fn header(title: &str) {
-    println!();
-    println!("=== {title} ===");
-}
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use serde::Serialize;
 
 /// Initializes telemetry for a harness run: level from `EDM_TRACE`
 /// when set, else `summary`, so run manifests ([`emit_trace`]) carry
@@ -77,9 +80,9 @@ pub struct TraceSummary {
 /// (name, seed, trace level) plus the full telemetry snapshot.
 #[derive(Debug, Clone, Serialize)]
 pub struct TraceManifest {
-    /// Harness binary name.
+    /// Harness or binary name.
     pub name: String,
-    /// RNG seed of the run.
+    /// Seed of the run (a harness's seed offset `s`).
     pub seed: u64,
     /// Headline numbers.
     pub summary: TraceSummary,
@@ -111,48 +114,29 @@ impl TraceManifest {
 }
 
 /// Captures the trace registry and writes the run manifest to
-/// `results/<name>.trace.json` (creating `results/` if needed). Call
-/// once at the end of a harness `main`, after all phase spans have
-/// closed. Failures are reported on stderr but never fail the run —
+/// `results/<name>.trace.json` (creating `results/` if needed); at
+/// `EDM_TRACE=full` also a flamegraph-ready `<name>.folded` and a
+/// Chrome Trace Event `<name>.chrome.json` (load in Perfetto). Call
+/// once at the end of a run, after all phase spans have closed. The
+/// file lines go to stderr, and failures never fail the run —
 /// telemetry must not break a reproduction.
 pub fn emit_trace(name: &str, seed: u64) {
     let manifest = TraceManifest::capture(name, seed);
     let json = match serde_json::to_string(&manifest) {
         Ok(j) => j,
-        Err(e) => {
-            eprintln!("trace manifest for {name} not serializable: {e}");
-            return;
-        }
+        Err(e) => return eprintln!("trace manifest for {name} not serializable: {e}"),
     };
-    let path = std::path::Path::new("results").join(format!("{name}.trace.json"));
-    let write = std::fs::create_dir_all("results").and_then(|()| std::fs::write(&path, json));
-    // At `EDM_TRACE=full` also drop a flamegraph-ready collapsed-stack
-    // file and a Chrome Trace Event file (load in Perfetto or
-    // chrome://tracing) next to the manifest.
+    let mut files = vec![("trace manifest", "trace.json", json)];
     if manifest.report.level == "full" {
-        let folded = std::path::Path::new("results").join(format!("{name}.folded"));
-        if let Err(e) = std::fs::write(&folded, manifest.report.to_collapsed_stacks()) {
-            eprintln!("could not write {}: {e}", folded.display());
-        } else {
-            eprintln!("collapsed stacks: {}", folded.display());
-        }
-        let chrome = std::path::Path::new("results").join(format!("{name}.chrome.json"));
-        if let Err(e) = std::fs::write(&chrome, manifest.report.to_chrome_trace()) {
-            eprintln!("could not write {}: {e}", chrome.display());
-        } else {
-            eprintln!("chrome trace: {}", chrome.display());
-        }
+        files.push(("collapsed stacks", "folded", manifest.report.to_collapsed_stacks()));
+        files.push(("chrome trace", "chrome.json", manifest.report.to_chrome_trace()));
     }
-    // The manifest lines go to stderr, so a harness's stdout holds only
-    // its figure.
-    match write {
-        Ok(()) => eprintln!(
-            "trace manifest: {} ({} spans, level {})",
-            path.display(),
-            manifest.summary.span_count,
-            manifest.report.level,
-        ),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
+    for (what, ext, body) in files {
+        let path = std::path::Path::new("results").join(format!("{name}.{ext}"));
+        match std::fs::create_dir_all("results").and_then(|()| std::fs::write(&path, body)) {
+            Ok(()) => eprintln!("{what}: {}", path.display()),
+            Err(e) => eprintln!("could not write {}: {e}", path.display()),
+        }
     }
 }
 
@@ -161,20 +145,96 @@ pub fn pct(x: f64) -> String {
     format!("{:.1}%", 100.0 * x)
 }
 
-/// Asserts a reproduction claim, printing PASS/FAIL and returning
-/// whether it held (binaries aggregate these into the exit code).
-pub fn claim(description: &str, holds: bool) -> bool {
-    println!("[{}] {description}", if holds { "PASS" } else { "FAIL" });
-    holds
+/// `println!` into a [`Report`].
+macro_rules! outln {
+    ($r:expr) => { $r.line(format_args!("")) };
+    ($r:expr, $($arg:tt)*) => { $r.line(format_args!($($arg)*)) };
 }
 
-/// Exits with status 1 if any claim failed.
-pub fn finish(claims: &[bool]) {
-    if claims.iter().all(|&c| c) {
-        println!("\nall {} reproduction claims hold", claims.len());
-    } else {
-        let failed = claims.iter().filter(|&&c| !c).count();
-        eprintln!("\n{failed} reproduction claim(s) FAILED");
-        std::process::exit(1);
+/// A paper figure or table: its name (also its golden file's stem,
+/// `results/<name>.txt`) and the function that reproduces it.
+#[derive(Debug)]
+pub struct Harness {
+    /// Harness name, e.g. `fig03_kernel_trick`.
+    pub name: &'static str,
+    body: fn(u64, &mut Report),
+}
+
+macro_rules! harnesses {
+    ($($m:ident),*) => {
+        mod harness { $(pub mod $m;)* }
+        /// Every figure/table harness, in run order.
+        pub const HARNESSES: &[Harness] =
+            &[$(Harness { name: stringify!($m), body: harness::$m::run }),*];
+    };
+}
+
+harnesses! {
+    fig03_kernel_trick, fig05_overfitting, fig07_novel_test_selection, fig09_litho_variability,
+    fig10_dstc, fig11_customer_returns, fig12_difficult_case, ref03_boolean_learning,
+    ref20_fmax_regressors, ref32_wafer_patterns, table1_template_refinement, ablations
+}
+
+impl Harness {
+    /// Runs the harness at seed offset `s`. When every claim holds, the
+    /// output ends with the `all N reproduction claims hold` line.
+    pub fn run(&self, s: u64) -> Report {
+        let mut r = Report::default();
+        (self.body)(s, &mut r);
+        if r.failed() == 0 {
+            outln!(r, "\nall {} reproduction claims hold", r.claims.len());
+        }
+        r
+    }
+}
+
+/// The RNG a harness draws for stream `literal` at seed offset `s`:
+/// `seed_from_u64(literal + 1000·s)`, so `s = 0` is the canonical run.
+pub(crate) fn rng(literal: u64, s: u64) -> StdRng {
+    StdRng::seed_from_u64(literal + 1000 * s)
+}
+
+/// One harness run: the stdout it prints and the claims it checks.
+#[derive(Debug, Default)]
+pub struct Report {
+    out: String,
+    claims: Vec<(String, bool)>,
+}
+
+impl Report {
+    /// Appends one line to the run's stdout.
+    pub(crate) fn line(&mut self, args: std::fmt::Arguments<'_>) {
+        // Writing into a `String` cannot fail.
+        let _ = writeln!(self.out, "{args}");
+    }
+
+    /// Prints a section header in a uniform style.
+    pub(crate) fn header(&mut self, title: &str) {
+        outln!(self, "\n=== {title} ===");
+    }
+
+    /// Checks a reproduction claim and prints its `[PASS]`/`[FAIL]`
+    /// line. Measured numbers belong in a trailing ` (…)`: the text
+    /// before it is the claim's key across seeds (`figures --sweep`).
+    pub(crate) fn claim(&mut self, description: &str, holds: bool) {
+        outln!(self, "[{}] {description}", if holds { "PASS" } else { "FAIL" });
+        let key = description.strip_suffix(')').and_then(|d| d.rsplit_once(" ("));
+        let key = key.map_or(description, |(k, _)| k);
+        self.claims.push((key.to_string(), holds));
+    }
+
+    /// The run's stdout.
+    pub fn stdout(&self) -> &str {
+        &self.out
+    }
+
+    /// `(key, held)` per claim, in check order.
+    pub fn claims(&self) -> &[(String, bool)] {
+        &self.claims
+    }
+
+    /// How many claims failed.
+    pub fn failed(&self) -> usize {
+        self.claims.iter().filter(|(_, held)| !held).count()
     }
 }
