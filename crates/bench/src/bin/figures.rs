@@ -2,13 +2,15 @@
 //!
 //! ```text
 //! figures [<name>…]           run at s = 0, diff stdout against results/<name>.txt
-//! figures --sweep [<name>…]   print each claim's pass count over s = 1..=16
+//! figures --sweep [<name>…]   tally each claim over s = 1..=16, diff against results/sweep/<name>.txt
 //! ```
 //!
-//! Run it from the repository root. The default run prints each harness's stdout, writes its trace
-//! manifest to `results/<name>.trace.json`, and rewrites any
-//! `results/<name>.txt` that differs from this run, exiting 1 if one
-//! did — so `git diff` shows what moved. `--sweep` writes nothing.
+//! Run it from the repository root. The default run prints each
+//! harness's stdout and writes its trace manifest to
+//! `results/<name>.trace.json`; `--sweep` prints each harness's
+//! per-claim pass counts. Either way the printed text is checked against
+//! its golden file, which is rewritten when it differs, and the run
+//! exits 1 if one did — so `git diff` shows what moved.
 
 use std::process::ExitCode;
 
@@ -28,11 +30,8 @@ fn main() -> ExitCode {
     }
     edm_bench::init_trace();
     let chosen = HARNESSES.iter().filter(|h| names.is_empty() || names.contains(&h.name));
-    if sweep {
-        chosen.for_each(sweep_one);
-        return ExitCode::SUCCESS;
-    }
-    let diffs = chosen.map(golden).filter(|matched| !matched).count();
+    let run = if sweep { sweep_one } else { golden };
+    let diffs = chosen.map(run).filter(|matched| !matched).count();
     if diffs == 0 {
         return ExitCode::SUCCESS;
     }
@@ -50,20 +49,14 @@ fn golden(h: &Harness) -> bool {
         eprintln!("\n{}: {} reproduction claim(s) FAILED", h.name, r.failed());
     }
     edm_bench::emit_trace(h.name, 0);
-    let path = format!("results/{}.txt", h.name);
-    if std::fs::read_to_string(&path).is_ok_and(|g| g == r.stdout()) {
-        return true;
-    }
-    match std::fs::write(&path, r.stdout()) {
-        Ok(()) => eprintln!("{path}: differs from this run; rewritten"),
-        Err(e) => eprintln!("{path}: differs from this run; could not rewrite: {e}"),
-    }
-    false
+    matches_golden(&format!("results/{}.txt", h.name), r.stdout())
 }
 
-/// Prints how many seeds of [`SWEEP`] each claim of `h` holds at. A
-/// claim a run never reaches counts as failed at that seed.
-fn sweep_one(h: &Harness) {
+/// Prints how many seeds of [`SWEEP`] each claim of `h` holds at, and
+/// checks that tally against `results/sweep/<name>.txt` (rewriting it on
+/// a mismatch). A claim a run never reaches counts as failed at that
+/// seed.
+fn sweep_one(h: &Harness) -> bool {
     let mut tally: Vec<(String, u64)> = Vec::new();
     let mut red = 0;
     for s in SWEEP {
@@ -78,8 +71,24 @@ fn sweep_one(h: &Harness) {
         }
     }
     let n = SWEEP.count();
-    println!("{}: runs with a failed claim {red}/{n}", h.name);
+    let mut out = format!("{}: runs with a failed claim {red}/{n}\n", h.name);
     for (key, passed) in tally {
-        println!("  {passed:>2}/{n} {key}");
+        out += &format!("  {passed:>2}/{n} {key}\n");
     }
+    print!("{out}");
+    matches_golden(&format!("results/sweep/{}.txt", h.name), &out)
+}
+
+/// Whether the golden file at `path` holds exactly `out`; if not, the
+/// file is rewritten with `out`.
+fn matches_golden(path: &str, out: &str) -> bool {
+    if std::fs::read_to_string(path).is_ok_and(|g| g == out) {
+        return true;
+    }
+    let dir = std::path::Path::new(path).parent().expect("golden paths name a directory");
+    match std::fs::create_dir_all(dir).and_then(|()| std::fs::write(path, out)) {
+        Ok(()) => eprintln!("{path}: differs from this run; rewritten"),
+        Err(e) => eprintln!("{path}: differs from this run; could not rewrite: {e}"),
+    }
+    false
 }

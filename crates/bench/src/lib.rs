@@ -21,7 +21,9 @@
 //!
 //! Each harness is a function of a seed offset `s`: every RNG it draws
 //! is `seed_from_u64(literal + 1000·s)`, so `s = 0` is the canonical
-//! run whose stdout is checked in as `results/<name>.txt`. A [`Report`]
+//! run whose stdout is checked in as `results/<name>.txt`; the per-claim
+//! tally over the sweep seeds `s = 1..=16` is checked in as
+//! `results/sweep/<name>.txt`. A [`Report`]
 //! collects the run's stdout and its `[PASS]`/`[FAIL]` claims.
 //!
 //! The `tune_coverage` binary prints a template's coverage profile (a

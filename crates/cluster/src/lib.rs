@@ -1,34 +1,25 @@
-//! # edm-cluster — the unsupervised clustering methods of paper §2.4
+//! # edm-cluster — the clustering a reproduced result uses (paper §2.4)
 //!
 //! "Clustering is among the most widely used unsupervised learning
-//! methods in data mining" — the paper names six algorithm families, all
-//! implemented here:
+//! methods in data mining." Of the families the paper names, one backs a
+//! reproduced result, and it is the one kept here:
 //!
-//! * [`kmeans`] — Lloyd's algorithm with k-means++ seeding
-//! * [`hierarchical`] — agglomerative clustering with selectable linkage
-//! * [`dbscan`] — density-based clustering with noise labeling
-//! * [`spectral`] — normalized-Laplacian spectral embedding + k-means
-//! * [`meanshift`] — flat-kernel mode seeking
-//! * [`affinity`] — affinity propagation message passing
+//! * [`kmeans`] — Lloyd's algorithm with k-means++ seeding, used by the
+//!   Fig. 10 DSTC flow in `edm-core` and the ref \[32\] wafer-pattern
+//!   harness.
 //!
 //! The paper's caveat applies verbatim: "the result may not be robust
 //! \[and\] largely depends on the definition of the learning space" — the
-//! Fig. 10 DSTC flow in `edm-core` demonstrates the point by clustering
-//! paths in a (predicted, measured) delay space where the structure is
-//! visible.
+//! Fig. 10 DSTC flow demonstrates the point by clustering paths in a
+//! (predicted, measured) delay space where the structure is visible.
 //!
-//! [`metrics`] has silhouette scores and the Rand index for validating a
-//! clustering against ground truth in tests.
+//! [`metrics`] has silhouette scores, silhouette-based k selection and
+//! the Rand index for validating a clustering against ground truth.
 
 #![forbid(unsafe_code)]
 
-pub mod affinity;
-pub mod dbscan;
-pub mod hierarchical;
 pub mod kmeans;
-pub mod meanshift;
 pub mod metrics;
-pub mod spectral;
 
 use std::fmt;
 
@@ -47,8 +38,6 @@ pub enum ClusterError {
         /// Human-readable constraint.
         constraint: &'static str,
     },
-    /// An internal numeric step failed (e.g. the spectral eigensolve).
-    Numeric(String),
 }
 
 impl fmt::Display for ClusterError {
@@ -58,7 +47,6 @@ impl fmt::Display for ClusterError {
             ClusterError::InvalidParameter { name, value, constraint } => {
                 write!(f, "parameter {name} = {value} {constraint}")
             }
-            ClusterError::Numeric(m) => write!(f, "numeric failure: {m}"),
         }
     }
 }

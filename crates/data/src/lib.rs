@@ -5,19 +5,12 @@
 //! class label vector, a continuous `y`, or a full matrix `Y`
 //! (multivariate regression / CCA-style setups).
 //!
-//! On top of the dataset type this crate provides the supporting cast a
-//! practical mining methodology needs (paper §2.4):
+//! On top of the dataset type this crate provides the preprocessing and
+//! evaluation the flows and harnesses use:
 //!
-//! * train/test and k-fold splitting ([`split`])
-//! * feature scaling ([`scale`])
-//! * imbalanced-data rebalancing, including SMOTE ([`rebalance`]) —
-//!   the paper's reference \[15\]
-//! * feature selection for extreme imbalance ([`feature_select`]) —
-//!   the paper's references \[17\]\[18\]
+//! * seeded train/test, stratified and k-fold splitting ([`split`])
+//! * z-score and min–max feature scaling ([`scale`])
 //! * classification / regression / ranking metrics ([`metrics`])
-//! * cross-validation and grid search ([`model_select`]) — the paper's
-//!   "choosing the best model for the given data" made mechanical
-//! * flat-file import/export ([`csv`]) for the numeric logs EDA tools emit
 //!
 //! # Example
 //!
@@ -35,12 +28,8 @@
 
 #![forbid(unsafe_code)]
 
-pub mod csv;
 mod dataset;
-pub mod feature_select;
 pub mod metrics;
-pub mod model_select;
-pub mod rebalance;
 pub mod scale;
 pub mod split;
 

@@ -1,23 +1,22 @@
-//! # edm-learn — the paper's §2 catalogue of learning algorithms
+//! # edm-learn — the paper's §2 learners that a reproduced result uses
 //!
-//! One module per algorithm family the paper surveys, each illustrating
-//! one of the four "basic ideas" of §2.1:
+//! One module per algorithm family, each illustrating one of the four
+//! "basic ideas" of §2.1, and each kept because a figure, table or
+//! served model reaches it:
 //!
 //! | Basic idea | Modules |
 //! |---|---|
 //! | Nearest neighbor | [`knn`] |
-//! | Model estimation | [`linreg`], [`logistic`], [`tree`], [`forest`], [`mlp`], [`rules`] |
-//! | Density estimation | [`discriminant`] (Eq. 1), [`nbayes`] |
-//! | Bayesian inference | [`nbayes`], [`gp`] |
+//! | Model estimation | [`linreg`], [`tree`], [`forest`], [`rules`] |
+//! | Density estimation | [`discriminant`] (Eq. 1) |
+//! | Bayesian inference | [`gp`] |
 //!
 //! The five regression families compared by the paper's Fmax-prediction
 //! reference \[20\] are all here or in `edm-svm`: nearest neighbor
 //! ([`knn::KnnRegressor`]), least-squares fit ([`linreg::LeastSquares`]),
 //! regularized LSF ([`linreg::Ridge`]), SVR (`edm_svm::SvrTrainer`), and
-//! Gaussian processes ([`gp::GpRegressor`]).
-//!
-//! [`semi`] covers the semi-supervised case of the paper's Fig. 1
-//! (few labels, many unlabeled samples) via self-training.
+//! Gaussian processes ([`gp::GpRegressor`]). The tree classifier and
+//! forest back ref \[3\]'s Boolean-learning harness.
 //!
 //! Rule learning ([`rules`]) is the knowledge-discovery backbone of the
 //! paper's applications: CN2-SD subgroup discovery drives the
@@ -33,11 +32,7 @@ pub mod forest;
 pub mod gp;
 pub mod knn;
 pub mod linreg;
-pub mod logistic;
-pub mod mlp;
-pub mod nbayes;
 pub mod rules;
-pub mod semi;
 pub mod tree;
 
 pub use error::LearnError;

@@ -1,6 +1,6 @@
-//! CART decision trees (paper ref \[7\]) — an assumed model that is "not
-//! an equation" (§2.1): axis-aligned threshold splits grown greedily by
-//! Gini impurity (classification) or variance reduction (regression).
+//! CART classification trees (paper ref \[7\]) — an assumed model that
+//! is "not an equation" (§2.1): axis-aligned threshold splits grown
+//! greedily by Gini impurity.
 
 use serde::Serialize;
 
@@ -26,9 +26,9 @@ impl Default for TreeParams {
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub(crate) enum Node {
     Leaf {
-        /// Majority label (classification) or mean target (regression).
+        /// Majority label.
         value: f64,
-        /// Class histogram for probability output; empty for regression.
+        /// Class histogram for probability output.
         counts: Vec<(i32, usize)>,
     },
     Split {
@@ -46,10 +46,9 @@ pub(crate) enum Node {
 /// trees as a flat record stream.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FlatNode {
-    /// A leaf carrying the predicted value and the class histogram
-    /// (empty for regression trees).
+    /// A leaf carrying the predicted label and the class histogram.
     Leaf {
-        /// Majority label (classification) or mean target (regression).
+        /// Majority label.
         value: f64,
         /// Class histogram as `(label, count)` pairs.
         counts: Vec<(i32, usize)>,
@@ -134,14 +133,6 @@ fn gini(labels: &[i32], idx: &[usize]) -> f64 {
     1.0 - counts.iter().map(|&(_, c)| (c as f64 / n).powi(2)).sum::<f64>()
 }
 
-fn variance_of(values: &[f64], idx: &[usize]) -> f64 {
-    if idx.len() < 2 {
-        return 0.0;
-    }
-    let mean = idx.iter().map(|&i| values[i]).sum::<f64>() / idx.len() as f64;
-    idx.iter().map(|&i| (values[i] - mean).powi(2)).sum::<f64>() / idx.len() as f64
-}
-
 /// Finds the best (feature, threshold) over the candidate features by
 /// minimizing weighted child impurity. Returns `None` if no split
 /// improves on the parent.
@@ -183,8 +174,7 @@ fn best_split(
     best.map(|(_, f, t)| (f, t))
 }
 
-/// Leaf payload: representative value plus (for classification) the
-/// class histogram.
+/// Leaf payload: majority label plus the class histogram.
 type LeafValue = (f64, Vec<(i32, usize)>);
 
 fn grow(
@@ -355,46 +345,6 @@ impl DecisionTreeClassifier {
     }
 }
 
-/// A CART regression tree (variance-reduction splits, mean-value leaves).
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct DecisionTreeRegressor {
-    root: Node,
-}
-
-impl DecisionTreeRegressor {
-    /// Grows a tree on continuous targets.
-    ///
-    /// # Errors
-    ///
-    /// [`LearnError::InvalidInput`] on inconsistent or empty input.
-    pub fn fit(x: &[Vec<f64>], y: &[f64], params: TreeParams) -> Result<Self, LearnError> {
-        let d = check_xy(x, y.len())?;
-        let features: Vec<usize> = (0..d).collect();
-        let idx: Vec<usize> = (0..x.len()).collect();
-        let impurity = |idx: &[usize]| variance_of(y, idx);
-        let leaf_value = |idx: &[usize]| {
-            let mean = idx.iter().map(|&i| y[i]).sum::<f64>() / idx.len().max(1) as f64;
-            (mean, Vec::new())
-        };
-        Ok(DecisionTreeRegressor {
-            root: grow(x, &idx, 0, &params, &impurity, &leaf_value, &features),
-        })
-    }
-
-    /// Predicts the mean target of the reached leaf.
-    pub fn predict(&self, x: &[f64]) -> f64 {
-        match self.root.descend(x) {
-            Node::Leaf { value, .. } => *value,
-            Node::Split { .. } => unreachable!("descend returns leaves"),
-        }
-    }
-
-    /// Number of leaves.
-    pub fn n_leaves(&self) -> usize {
-        self.root.n_leaves()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -444,15 +394,6 @@ mod tests {
         let p = m.predict_proba(&[10.0]);
         let p1 = p.iter().find(|&&(l, _)| l == 1).map(|&(_, v)| v).unwrap_or(0.0);
         assert!((p1 - 2.0 / 3.0).abs() < 1e-12, "got {p:?}");
-    }
-
-    #[test]
-    fn regressor_fits_step_function() {
-        let x: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64]).collect();
-        let y: Vec<f64> = (0..20).map(|i| if i < 10 { 1.0 } else { 5.0 }).collect();
-        let m = DecisionTreeRegressor::fit(&x, &y, TreeParams::default()).unwrap();
-        assert!((m.predict(&[3.0]) - 1.0).abs() < 1e-12);
-        assert!((m.predict(&[15.0]) - 5.0).abs() < 1e-12);
     }
 
     #[test]

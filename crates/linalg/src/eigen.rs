@@ -5,12 +5,12 @@ use crate::{LinalgError, Matrix};
 /// Eigen-decomposition `A = V Λ Vᵀ` of a real symmetric matrix, computed
 /// with cyclic Jacobi rotations.
 ///
-/// Eigenpairs are sorted by descending eigenvalue, which is the order PCA,
-/// spectral clustering, and kernel centering all want.
+/// Eigenpairs are sorted by descending eigenvalue, which is the order PCA
+/// and kernel centering want.
 ///
 /// Jacobi is O(n³) per sweep and typically needs < 10 sweeps; for the
-/// matrix sizes in this workspace (covariances and graph Laplacians up to
-/// a few hundred) it is both fast enough and highly accurate.
+/// matrix sizes in this workspace (covariances and Gram matrices up to a
+/// few hundred) it is both fast enough and highly accurate.
 ///
 /// # Example
 ///

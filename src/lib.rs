@@ -7,8 +7,8 @@
 //! The workspace has three layers:
 //!
 //! 1. **Learning toolkit** — [`linalg`], [`data`], [`kernels`], [`svm`],
-//!    [`learn`], [`cluster`], [`transform`], [`novelty`]: every algorithm
-//!    family the paper's Section 2 surveys.
+//!    [`learn`], [`cluster`], [`transform`], [`novelty`]: the algorithm
+//!    families of the paper's Section 2 that a reproduced result uses.
 //! 2. **EDA substrates** — [`verif`], [`litho`], [`timing`], [`mfgtest`]:
 //!    synthetic stand-ins for the industrial environments the paper
 //!    evaluated on.
@@ -49,8 +49,8 @@
 //!
 //! See `examples/` for the domain scenarios (verification coverage,
 //! litho hotspot screening, customer-return screening) and
-//! `crates/bench/src/bin/` for the harnesses that regenerate every table
-//! and figure of the paper.
+//! `crates/bench/src/harness/` for the harnesses that regenerate every
+//! table and figure of the paper (run by the `figures` binary).
 
 #![forbid(unsafe_code)]
 
@@ -101,8 +101,6 @@ pub enum Error {
     Transform(transform::TransformError),
     /// A linear-algebra kernel failed ([`linalg::LinalgError`]).
     Linalg(linalg::LinalgError),
-    /// CSV ingestion failed ([`data::csv::CsvError`]).
-    Csv(data::csv::CsvError),
     /// Dataset assembly failed ([`data::DatasetError`]).
     Dataset(data::DatasetError),
     /// Model persistence failed ([`model_io::IoError`]): bad magic,
@@ -131,7 +129,6 @@ impl fmt::Display for Error {
             Error::Novelty(e) => write!(f, "novelty: {e}"),
             Error::Transform(e) => write!(f, "transform: {e}"),
             Error::Linalg(e) => write!(f, "linalg: {e}"),
-            Error::Csv(e) => write!(f, "csv: {e}"),
             Error::Dataset(e) => write!(f, "dataset: {e}"),
             Error::ModelIo(e) => write!(f, "model-io: {e}"),
             Error::Shape { row, expected, found } => {
@@ -150,7 +147,6 @@ impl std::error::Error for Error {
             Error::Novelty(e) => Some(e),
             Error::Transform(e) => Some(e),
             Error::Linalg(e) => Some(e),
-            Error::Csv(e) => Some(e),
             Error::Dataset(e) => Some(e),
             Error::ModelIo(e) => Some(e),
             Error::Shape { .. } => None,
@@ -191,12 +187,6 @@ impl From<transform::TransformError> for Error {
 impl From<linalg::LinalgError> for Error {
     fn from(e: linalg::LinalgError) -> Self {
         Error::Linalg(e)
-    }
-}
-
-impl From<data::csv::CsvError> for Error {
-    fn from(e: data::csv::CsvError) -> Self {
-        Error::Csv(e)
     }
 }
 
@@ -391,8 +381,5 @@ pub mod prelude {
     pub use crate::learn::rules::cn2sd::{learn_rules, Cn2SdParams};
     pub use crate::learn::LearnError;
 
-    pub use crate::novelty::{
-        KnnDistanceDetector, LofDetector, MahalanobisDetector, NoveltyDetector, NoveltyError,
-        OneClassSvmDetector,
-    };
+    pub use crate::novelty::{MahalanobisDetector, NoveltyDetector, NoveltyError};
 }

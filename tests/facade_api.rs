@@ -88,23 +88,6 @@ fn linalg_error_round_trips() {
 }
 
 #[test]
-fn csv_error_round_trips() {
-    // `CsvError` wraps `std::io::Error`, so it is neither `Clone` nor
-    // `PartialEq`; check the same properties by hand.
-    use edm::data::csv::CsvError;
-    let wrapped: edm::Error = CsvError::Empty.into();
-    assert!(matches!(wrapped, edm::Error::Csv(_)));
-    let shown = wrapped.to_string();
-    assert!(shown.starts_with("csv: "), "display was {shown:?}");
-    assert!(shown.ends_with(&CsvError::Empty.to_string()));
-    let source = wrapped.source().expect("source present");
-    assert!(
-        matches!(source.downcast_ref::<CsvError>(), Some(CsvError::Empty)),
-        "source should downcast to CsvError::Empty"
-    );
-}
-
-#[test]
 fn dataset_error_round_trips() {
     use edm::data::DatasetError;
     assert_round_trip!(

@@ -157,8 +157,6 @@ fn learners_agree_on_an_easy_problem() {
     use edm::learn::discriminant::{Covariance, DiscriminantAnalysis};
     use edm::learn::forest::{ForestParams, RandomForestClassifier};
     use edm::learn::knn::KnnClassifier;
-    use edm::learn::logistic::{LogisticParams, LogisticRegression};
-    use edm::learn::nbayes::GaussianNb;
     use edm::learn::tree::{DecisionTreeClassifier, TreeParams};
     let mut rng = StdRng::seed_from_u64(77);
     let mut x = Vec::new();
@@ -179,19 +177,15 @@ fn learners_agree_on_an_easy_problem() {
     let probe_hi = [3.0, 3.0];
 
     let knn = KnnClassifier::fit(5, &x, &y).unwrap();
-    let nb = GaussianNb::fit(&x, &y).unwrap();
     let lda = DiscriminantAnalysis::fit(&x, &y, Covariance::Pooled).unwrap();
     let tree = DecisionTreeClassifier::fit(&x, &y, TreeParams::default()).unwrap();
     let forest = RandomForestClassifier::fit(&x, &y, ForestParams::default(), &mut rng).unwrap();
-    let logit = LogisticRegression::fit(&x, &y, LogisticParams::default()).unwrap();
 
     for (name, lo, hi) in [
         ("knn", knn.predict(&probe_lo), knn.predict(&probe_hi)),
-        ("nb", nb.predict(&probe_lo), nb.predict(&probe_hi)),
         ("lda", lda.predict(&probe_lo), lda.predict(&probe_hi)),
         ("tree", tree.predict(&probe_lo), tree.predict(&probe_hi)),
         ("forest", forest.predict(&probe_lo), forest.predict(&probe_hi)),
-        ("logit", logit.predict(&probe_lo), logit.predict(&probe_hi)),
     ] {
         assert_eq!(lo, 0, "{name} misclassified the low probe");
         assert_eq!(hi, 1, "{name} misclassified the high probe");
