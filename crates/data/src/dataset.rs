@@ -229,29 +229,6 @@ impl Dataset {
         c
     }
 
-    /// Per-class sample counts as `(label, count)`, ascending by label.
-    pub fn class_counts(&self) -> Vec<(i32, usize)> {
-        let classes = self.classes();
-        let labels = self.labels().unwrap_or(&[]);
-        classes.into_iter().map(|c| (c, labels.iter().filter(|&&l| l == c).count())).collect()
-    }
-
-    /// Imbalance ratio `max class count / min class count`; `1.0` when
-    /// there are fewer than two classes.
-    ///
-    /// The paper (§2.4) treats ratios in the thousands as "no longer a
-    /// classification problem" — callers use this to route to
-    /// feature-selection/novelty formulations instead.
-    pub fn imbalance_ratio(&self) -> f64 {
-        let counts = self.class_counts();
-        if counts.len() < 2 {
-            return 1.0;
-        }
-        let max = counts.iter().map(|&(_, c)| c).max().unwrap_or(1) as f64;
-        let min = counts.iter().map(|&(_, c)| c).min().unwrap_or(1).max(1) as f64;
-        max / min
-    }
-
     /// Selects a subset of samples by index, preserving the target.
     ///
     /// # Panics
@@ -263,20 +240,6 @@ impl Dataset {
             x: self.x.select(idx, &cols),
             target: self.target.select(idx),
             feature_names: self.feature_names.clone(),
-        }
-    }
-
-    /// Projects onto a subset of features by column index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a column index is out of bounds.
-    pub fn select_features(&self, cols: &[usize]) -> Dataset {
-        let rows: Vec<usize> = (0..self.n_samples()).collect();
-        Dataset {
-            x: self.x.select(&rows, cols),
-            target: self.target.clone(),
-            feature_names: cols.iter().map(|&c| self.feature_names[c].clone()).collect(),
         }
     }
 
@@ -305,8 +268,6 @@ mod tests {
         assert_eq!(ds.n_features(), 2);
         assert_eq!(ds.sample(1), &[2.0, 3.0]);
         assert_eq!(ds.classes(), vec![0, 1]);
-        assert_eq!(ds.class_counts(), vec![(0, 3), (1, 1)]);
-        assert!((ds.imbalance_ratio() - 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -321,16 +282,6 @@ mod tests {
         let sub = ds.select(&[3, 0]);
         assert_eq!(sub.labels().unwrap(), &[1, 0]);
         assert_eq!(sub.sample(0), &[6.0, 7.0]);
-    }
-
-    #[test]
-    fn select_features_renames() {
-        let ds = small().with_feature_names(vec!["a", "b"]).unwrap();
-        let sub = ds.select_features(&[1]);
-        assert_eq!(sub.feature_names(), &["b".to_string()]);
-        assert_eq!(sub.sample(2), &[5.0]);
-        // target untouched
-        assert_eq!(sub.labels().unwrap(), ds.labels().unwrap());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!
 //! * seeded train/test, stratified and k-fold splitting ([`split`])
 //! * z-score and min–max feature scaling ([`scale`])
-//! * classification / regression / ranking metrics ([`metrics`])
+//! * accuracy, RMSE and R² ([`metrics`])
 //!
 //! # Example
 //!

@@ -1,116 +1,8 @@
-//! Evaluation metrics for classification, regression, and ranking.
+//! Evaluation metrics: classification accuracy and regression error.
 //!
 //! The paper's application results are reported as coverage counts,
 //! accuracy against a golden simulator (Fig. 9), and escape counts
-//! (Fig. 12); these metrics back all of those plus the standard ML
-//! diagnostics used in unit tests.
-
-use std::collections::BTreeMap;
-
-/// A confusion matrix over an arbitrary label alphabet.
-///
-/// Rows are true labels, columns are predictions, both in ascending label
-/// order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConfusionMatrix {
-    labels: Vec<i32>,
-    counts: Vec<Vec<usize>>,
-}
-
-impl ConfusionMatrix {
-    /// Builds the matrix from paired truth/prediction label vectors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the vectors have different lengths.
-    pub fn from_pairs(truth: &[i32], predicted: &[i32]) -> Self {
-        assert_eq!(truth.len(), predicted.len(), "paired labels must have equal length");
-        let mut labels: Vec<i32> = truth.iter().chain(predicted).copied().collect();
-        labels.sort_unstable();
-        labels.dedup();
-        let index: BTreeMap<i32, usize> = labels.iter().enumerate().map(|(i, &l)| (l, i)).collect();
-        let n = labels.len();
-        let mut counts = vec![vec![0usize; n]; n];
-        for (&t, &p) in truth.iter().zip(predicted) {
-            counts[index[&t]][index[&p]] += 1;
-        }
-        ConfusionMatrix { labels, counts }
-    }
-
-    /// The label alphabet, ascending.
-    pub fn labels(&self) -> &[i32] {
-        &self.labels
-    }
-
-    /// Count of samples with true label `t` predicted as `p`; `0` for
-    /// labels never seen.
-    pub fn count(&self, t: i32, p: i32) -> usize {
-        let ti = self.labels.iter().position(|&l| l == t);
-        let pi = self.labels.iter().position(|&l| l == p);
-        match (ti, pi) {
-            (Some(ti), Some(pi)) => self.counts[ti][pi],
-            _ => 0,
-        }
-    }
-
-    /// Overall accuracy.
-    pub fn accuracy(&self) -> f64 {
-        let total: usize = self.counts.iter().map(|r| r.iter().sum::<usize>()).sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let correct: usize = (0..self.labels.len()).map(|i| self.counts[i][i]).sum();
-        correct as f64 / total as f64
-    }
-
-    /// Precision for one class: `tp / (tp + fp)`; `0.0` when undefined.
-    pub fn precision(&self, class: i32) -> f64 {
-        let Some(ci) = self.labels.iter().position(|&l| l == class) else {
-            return 0.0;
-        };
-        let tp = self.counts[ci][ci];
-        let predicted: usize = (0..self.labels.len()).map(|r| self.counts[r][ci]).sum();
-        if predicted == 0 {
-            0.0
-        } else {
-            tp as f64 / predicted as f64
-        }
-    }
-
-    /// Recall for one class: `tp / (tp + fn)`; `0.0` when undefined.
-    pub fn recall(&self, class: i32) -> f64 {
-        let Some(ci) = self.labels.iter().position(|&l| l == class) else {
-            return 0.0;
-        };
-        let tp = self.counts[ci][ci];
-        let actual: usize = self.counts[ci].iter().sum();
-        if actual == 0 {
-            0.0
-        } else {
-            tp as f64 / actual as f64
-        }
-    }
-
-    /// F1 score for one class; `0.0` when undefined.
-    pub fn f1(&self, class: i32) -> f64 {
-        let p = self.precision(class);
-        let r = self.recall(class);
-        if p + r == 0.0 {
-            0.0
-        } else {
-            2.0 * p * r / (p + r)
-        }
-    }
-
-    /// Mean of per-class recalls — robust to imbalance (paper §2.4).
-    pub fn balanced_accuracy(&self) -> f64 {
-        if self.labels.is_empty() {
-            return 0.0;
-        }
-        let sum: f64 = self.labels.iter().map(|&l| self.recall(l)).sum();
-        sum / self.labels.len() as f64
-    }
-}
+//! (Fig. 12); the harnesses print these metrics beside them.
 
 /// Fraction of positions where the labels agree.
 ///
@@ -126,51 +18,8 @@ pub fn accuracy(truth: &[i32], predicted: &[i32]) -> f64 {
     correct as f64 / truth.len() as f64
 }
 
-/// Area under the ROC curve for binary scores.
-///
-/// `truth` uses `1` for positive and any other value for negative;
-/// `score` is "higher = more positive". Computed via the rank-sum
-/// (Mann–Whitney) formulation with midrank tie handling. Returns `0.5`
-/// when either class is empty.
-///
-/// # Panics
-///
-/// Panics if the vectors have different lengths or a score is NaN.
-pub fn roc_auc(truth: &[i32], score: &[f64]) -> f64 {
-    assert_eq!(truth.len(), score.len(), "paired scores must have equal length");
-    let n_pos = truth.iter().filter(|&&t| t == 1).count();
-    let n_neg = truth.len() - n_pos;
-    if n_pos == 0 || n_neg == 0 {
-        return 0.5;
-    }
-    // Midranks of the scores.
-    let mut order: Vec<usize> = (0..score.len()).collect();
-    order.sort_by(|&a, &b| score[a].partial_cmp(&score[b]).expect("NaN score"));
-    let mut ranks = vec![0.0; score.len()];
-    let mut i = 0;
-    while i < order.len() {
-        let mut j = i;
-        while j + 1 < order.len() && score[order[j + 1]] == score[order[i]] {
-            j += 1;
-        }
-        let midrank = (i + j) as f64 / 2.0 + 1.0;
-        for &k in &order[i..=j] {
-            ranks[k] = midrank;
-        }
-        i = j + 1;
-    }
-    let rank_sum_pos: f64 =
-        truth.iter().zip(&ranks).filter(|(&t, _)| t == 1).map(|(_, &r)| r).sum();
-    let u = rank_sum_pos - n_pos as f64 * (n_pos as f64 + 1.0) / 2.0;
-    u / (n_pos as f64 * n_neg as f64)
-}
-
-/// Mean squared error.
-///
-/// # Panics
-///
-/// Panics if the vectors have different lengths or are empty.
-pub fn mse(truth: &[f64], predicted: &[f64]) -> f64 {
+/// Mean squared error, behind [`rmse`].
+fn mse(truth: &[f64], predicted: &[f64]) -> f64 {
     assert_eq!(truth.len(), predicted.len(), "paired values must have equal length");
     assert!(!truth.is_empty(), "mse of empty vectors is undefined");
     truth.iter().zip(predicted).map(|(t, p)| (t - p) * (t - p)).sum::<f64>() / truth.len() as f64
@@ -180,20 +29,9 @@ pub fn mse(truth: &[f64], predicted: &[f64]) -> f64 {
 ///
 /// # Panics
 ///
-/// See [`mse`].
+/// Panics if the vectors have different lengths or are empty.
 pub fn rmse(truth: &[f64], predicted: &[f64]) -> f64 {
     mse(truth, predicted).sqrt()
-}
-
-/// Mean absolute error.
-///
-/// # Panics
-///
-/// Panics if the vectors have different lengths or are empty.
-pub fn mae(truth: &[f64], predicted: &[f64]) -> f64 {
-    assert_eq!(truth.len(), predicted.len(), "paired values must have equal length");
-    assert!(!truth.is_empty(), "mae of empty vectors is undefined");
-    truth.iter().zip(predicted).map(|(t, p)| (t - p).abs()).sum::<f64>() / truth.len() as f64
 }
 
 /// Coefficient of determination R².
@@ -221,48 +59,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn confusion_matrix_counts_and_accuracy() {
+    fn accuracy_counts_agreeing_positions() {
         let truth = [0, 0, 1, 1, 2];
         let pred = [0, 1, 1, 1, 0];
-        let cm = ConfusionMatrix::from_pairs(&truth, &pred);
-        assert_eq!(cm.count(0, 0), 1);
-        assert_eq!(cm.count(0, 1), 1);
-        assert_eq!(cm.count(2, 0), 1);
-        assert!((cm.accuracy() - 3.0 / 5.0).abs() < 1e-12);
-        assert!((accuracy(&truth, &pred) - cm.accuracy()).abs() < 1e-15);
-    }
-
-    #[test]
-    fn precision_recall_f1() {
-        let truth = [1, 1, 1, 0, 0];
-        let pred = [1, 1, 0, 1, 0];
-        let cm = ConfusionMatrix::from_pairs(&truth, &pred);
-        assert!((cm.precision(1) - 2.0 / 3.0).abs() < 1e-12);
-        assert!((cm.recall(1) - 2.0 / 3.0).abs() < 1e-12);
-        assert!((cm.f1(1) - 2.0 / 3.0).abs() < 1e-12);
-        // unknown class is total but zero
-        assert_eq!(cm.precision(42), 0.0);
-    }
-
-    #[test]
-    fn balanced_accuracy_resists_imbalance() {
-        // Predict-all-majority on a 9:1 dataset: plain accuracy 0.9,
-        // balanced accuracy 0.5.
-        let truth: Vec<i32> = std::iter::repeat_n(0, 9).chain(std::iter::once(1)).collect();
-        let pred = vec![0; 10];
-        let cm = ConfusionMatrix::from_pairs(&truth, &pred);
-        assert!((cm.accuracy() - 0.9).abs() < 1e-12);
-        assert!((cm.balanced_accuracy() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn auc_perfect_random_inverted() {
-        let truth = [0, 0, 1, 1];
-        assert!((roc_auc(&truth, &[0.1, 0.2, 0.8, 0.9]) - 1.0).abs() < 1e-12);
-        assert!((roc_auc(&truth, &[0.9, 0.8, 0.2, 0.1]) - 0.0).abs() < 1e-12);
-        assert!((roc_auc(&truth, &[0.5, 0.5, 0.5, 0.5]) - 0.5).abs() < 1e-12);
-        // single-class degenerates to 0.5
-        assert_eq!(roc_auc(&[1, 1], &[0.3, 0.4]), 0.5);
+        assert!((accuracy(&truth, &pred) - 3.0 / 5.0).abs() < 1e-12);
+        assert_eq!(accuracy(&[], &[]), 0.0);
     }
 
     #[test]
@@ -271,7 +72,6 @@ mod tests {
         let p = [1.0, 2.0, 5.0];
         assert!((mse(&t, &p) - 4.0 / 3.0).abs() < 1e-12);
         assert!((rmse(&t, &p) - (4.0_f64 / 3.0).sqrt()).abs() < 1e-12);
-        assert!((mae(&t, &p) - 2.0 / 3.0).abs() < 1e-12);
         assert!((r2(&t, &t) - 1.0).abs() < 1e-12);
         assert!(r2(&t, &p) < 1.0);
         // constant truth -> 0

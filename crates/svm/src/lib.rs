@@ -23,13 +23,15 @@
 //! heuristic, both on by default and switchable per trainer through the
 //! `shrinking` / `working_set` params (see [`solver::SolverOptions`]).
 //! The solver reads `Q` through the row-oriented [`qmatrix::QMatrix`]
-//! trait; the vector `fit` entry points compute kernel rows on demand
+//! trait, which lends rows ([`qmatrix::Rows`]) for the length of one
+//! fetch; the vector `fit` entry points compute kernel rows on demand
 //! behind a byte-budgeted LRU row cache ([`qmatrix::CachedQ`],
 //! LIBSVM-style) so the n×n Gram matrix is never materialized, while
 //! the precomputed-Gram entry points read rows straight from the
 //! caller's matrix. The cache budget is the `cache_bytes` knob on each
-//! params struct; caching and parallel row fills never change results —
-//! rows are bitwise identical however they are produced. Batch
+//! params struct: one slab, committed as rows fill and released when
+//! the fit returns. Caching and parallel row fills never change
+//! results: rows are bitwise identical however they are produced. Batch
 //! prediction (`predict_batch` / `decision_function_batch`) fans
 //! samples out across worker threads with the same bitwise-determinism
 //! guarantee.
@@ -86,7 +88,7 @@ mod svr;
 pub use error::SvmError;
 pub use model::{OneClass, OneClassModel, SvFamily, SvModel, Svc, SvcModel, Svr, SvrModel};
 pub use one_class::{solve_one_class, OneClassParams, OneClassSvm};
-pub use qmatrix::{CacheStats, CachedQ, DenseQ, KernelQ, QMatrix, QRow, QSource, SvrQ};
+pub use qmatrix::{CacheStats, CachedQ, DenseQ, KernelQ, QMatrix, QSource, Rows, SvrQ};
 pub use solver::{SolverOptions, WorkingSet};
 pub use svc::{solve_svc, SvcParams, SvcTrainer};
 pub use svr::{SvrParams, SvrTrainer};

@@ -5,16 +5,20 @@
 //! block form for SVR, plain `K` for one-class) is n×n and often too
 //! large to materialize. The solver therefore consumes it through the
 //! [`QMatrix`] trait — whole rows at a time, because SMO's gradient
-//! update reads `Q(t, i)` for *all* `t` at a fixed `i` — and this module
-//! provides the implementations:
+//! update reads `Q(t, i)` for *all* `t` at a fixed `i`. A fetch lends
+//! its rows ([`Rows`]) for as long as the caller holds them, which is
+//! until its next call on the matrix, so rows are read where they live.
+//! This module provides the implementations:
 //!
 //! * [`DenseQ`] — rows read from an already-materialized [`Matrix`],
 //!   with optional label signs (`Q(i, j) = sᵢ sⱼ K(i, j)`); unsigned,
-//!   unpermuted rows are borrowed zero-copy (the precomputed-Gram entry
-//!   points, tests);
+//!   unpermuted rows are lent straight from the matrix (the
+//!   precomputed-Gram entry points, tests);
 //! * [`CachedQ`] — the workhorse: wraps any [`QSource`] in an LRU row
-//!   cache bounded by a byte budget, so the working set of an SMO run
-//!   (typically a small fraction of all rows) is computed once.
+//!   cache bounded by a byte budget and held in one slab, so the
+//!   working set of an SMO run (typically a small fraction of all rows)
+//!   is computed once, and the budget's memory is released when the
+//!   cache drops.
 //!
 //! A [`QSource`] computes `Q` values from scratch through one gathered,
 //! batched fill, [`QSource::fill_rows`]:
@@ -38,10 +42,7 @@
 //! results.
 
 use std::borrow::Borrow;
-use std::cell::RefCell;
 use std::marker::PhantomData;
-use std::ops::Deref;
-use std::rc::Rc;
 
 use edm_kernels::{gram_block, Kernel};
 use edm_linalg::Matrix;
@@ -51,26 +52,43 @@ use serde::Serialize;
 /// magnitude (its `-m` option defaults to 100 MB).
 pub const DEFAULT_CACHE_BYTES: usize = 64 << 20;
 
-/// One row of `Q`, either borrowed from backing storage or shared with
-/// the row cache.
+/// Smallest row slab a [`CachedQ`] allocates (the untouched rest is
+/// address space only): just over glibc's largest dynamic mmap
+/// threshold (32 MiB on 64-bit hosts). A block that size is always
+/// mapped of its own, zeroed lazily, and unmapped when freed without
+/// raising the threshold; freeing a smaller mapped block would raise it
+/// and send the process's later large allocations to the heap, which
+/// is rarely given back.
+const MIN_SLAB_BYTES: usize = (32 << 20) + (64 << 10);
+
+/// Rows of `Q` lent by [`QMatrix::rows_prefix`] for the length of one
+/// fetch.
 ///
-/// Dereferences to `&[f64]`. The `Shared` form keeps the row alive even
-/// if the cache evicts it while the solver still holds the handle.
-pub enum QRow<'a> {
-    /// A row borrowed directly from a materialized matrix.
-    Borrowed(&'a [f64]),
-    /// A row shared with (or just computed by) a [`CachedQ`].
-    Shared(Rc<[f64]>),
+/// Row `r` is the `len`-entry prefix of row `idxs[r]`, read where it
+/// lives: in the cache's row slab, in a materialized matrix, or in a
+/// buffer the matrix reuses between fetches. The loan ends before the
+/// next fetch or [`QMatrix::swap_index`].
+#[derive(Debug, Clone, Copy)]
+pub struct Rows<'a> {
+    buf: &'a [f64],
+    starts: &'a [usize],
+    len: usize,
 }
 
-impl Deref for QRow<'_> {
-    type Target = [f64];
+impl<'a> Rows<'a> {
+    /// Row `r` of the fetch: the prefix of row `idxs[r]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r >= idxs.len()`.
+    pub fn row(&self, r: usize) -> &'a [f64] {
+        &self.buf[self.starts[r]..][..self.len]
+    }
 
-    fn deref(&self) -> &[f64] {
-        match self {
-            QRow::Borrowed(r) => r,
-            QRow::Shared(r) => r,
-        }
+    /// The fetched rows in request order.
+    pub fn iter(&self) -> impl Iterator<Item = &'a [f64]> {
+        let Rows { buf, starts, len } = *self;
+        starts.iter().map(move |&s| &buf[s..][..len])
     }
 }
 
@@ -92,19 +110,18 @@ pub trait QMatrix {
     /// The precomputed diagonal `Q(i, i)`.
     fn diag(&self) -> &[f64];
 
-    /// Row `i` of `Q` with at least the first `len` entries valid; the
-    /// returned slice may be shorter than `self.n()` but never shorter
-    /// than `len`. A one-row [`QMatrix::rows_prefix`].
+    /// The first `len` entries of row `i` of `Q`. A one-row
+    /// [`QMatrix::rows_prefix`].
     ///
     /// # Panics
     ///
     /// Panics if `i >= self.n()` or `len > self.n()`.
-    fn row_prefix(&self, i: usize, len: usize) -> QRow<'_> {
-        self.rows_prefix(&[i], len).pop().expect("one row requested, one row returned")
+    fn row_prefix(&mut self, i: usize, len: usize) -> &[f64] {
+        self.rows_prefix(&[i], len).row(0)
     }
 
-    /// Several row prefixes at once: slot `r` of the result is row
-    /// `idxs[r]` with at least the first `len` entries valid.
+    /// Several row prefixes at once: row `r` of the result is the first
+    /// `len` entries of row `idxs[r]`, lent until the next call.
     ///
     /// [`CachedQ`] materializes all rows missing from its cache in
     /// *one* batched pass over the data (the hot case: WSS2's two
@@ -116,15 +133,13 @@ pub trait QMatrix {
     /// # Panics
     ///
     /// Panics if any index is `>= self.n()` or `len > self.n()`.
-    fn rows_prefix(&self, idxs: &[usize], len: usize) -> Vec<QRow<'_>>;
+    fn rows_prefix(&mut self, idxs: &[usize], len: usize) -> Rows<'_>;
 
     /// Renumbers variables `a` and `b` (rows *and* columns swap, since
     /// `Q` is symmetric): after the call, row `a` is the old row `b`
     /// with entries `a`/`b` exchanged, and `diag()` reflects the new
     /// order. Used by the solver's shrinking heuristic to keep the
     /// active set a contiguous prefix.
-    ///
-    /// Rows handed out *before* the swap keep the old numbering.
     ///
     /// # Panics
     ///
@@ -166,10 +181,11 @@ pub trait QSource {
 /// optional label signs: `Q(i, j) = sᵢ sⱼ K(i, j)`, or plain `K` when
 /// `signs` is `None`. No cache is needed.
 ///
-/// Unsigned rows are borrowed zero-copy until the first
+/// Unsigned rows are lent straight from the matrix until the first
 /// [`QMatrix::swap_index`]; after that, and always when signed, a
-/// fetch gathers the requested prefix through the permutation (an
-/// O(len) copy per fetch, still no O(n²) duplicate of the matrix).
+/// fetch gathers the requested prefixes through the permutation into
+/// one reused buffer (an O(len) copy per row, never an O(n²) duplicate
+/// of the matrix).
 pub struct DenseQ<'a> {
     m: &'a Matrix,
     signs: Option<&'a [f64]>,
@@ -177,6 +193,9 @@ pub struct DenseQ<'a> {
     /// `perm[view index] = backing-matrix index`.
     perm: Vec<usize>,
     permuted: bool,
+    /// Gathered rows of the current fetch.
+    buf: Vec<f64>,
+    starts: Vec<usize>,
 }
 
 impl<'a> DenseQ<'a> {
@@ -193,7 +212,8 @@ impl<'a> DenseQ<'a> {
         }
         // Signs are ±1, so sᵢ² = 1 and the diagonal is K's.
         let diag = (0..m.rows()).map(|i| m[(i, i)]).collect();
-        DenseQ { m, signs, diag, perm: (0..m.rows()).collect(), permuted: false }
+        let perm = (0..m.rows()).collect();
+        DenseQ { m, signs, diag, perm, permuted: false, buf: Vec::new(), starts: Vec::new() }
     }
 }
 
@@ -206,21 +226,29 @@ impl QMatrix for DenseQ<'_> {
         &self.diag
     }
 
-    fn rows_prefix(&self, idxs: &[usize], len: usize) -> Vec<QRow<'_>> {
+    fn rows_prefix(&mut self, idxs: &[usize], len: usize) -> Rows<'_> {
         let n = self.m.rows();
         assert!(len <= n, "prefix {len} out of bounds for n = {n}");
-        let cols = &self.perm[..len];
-        let row = |i: usize| {
+        for &i in idxs {
             assert!(i < n, "row {i} out of bounds for n = {n}");
+        }
+        self.starts.clear();
+        if self.signs.is_none() && !self.permuted {
+            self.starts.extend(idxs.iter().map(|&i| i * n));
+            return Rows { buf: self.m.as_slice(), starts: &self.starts, len };
+        }
+        self.buf.clear();
+        let cols = &self.perm[..len];
+        for &i in idxs {
             let pi = self.perm[i];
             let src = self.m.row(pi);
+            self.starts.push(self.buf.len());
             match self.signs {
-                None if !self.permuted => QRow::Borrowed(src),
-                None => QRow::Shared(cols.iter().map(|&t| src[t]).collect()),
-                Some(s) => QRow::Shared(cols.iter().map(|&t| s[pi] * s[t] * src[t]).collect()),
+                None => self.buf.extend(cols.iter().map(|&t| src[t])),
+                Some(s) => self.buf.extend(cols.iter().map(|&t| s[pi] * s[t] * src[t])),
             }
-        };
-        idxs.iter().map(|&i| row(i)).collect()
+        }
+        Rows { buf: &self.buf, starts: &self.starts, len }
     }
 
     fn swap_index(&mut self, a: usize, b: usize) {
@@ -411,24 +439,32 @@ impl CacheStats {
     }
 }
 
-struct CacheEntry {
-    /// The cached row prefix: `data.len()` entries are valid, which may
-    /// be fewer than `n` when the row was filled for a shrunk active
-    /// set. A request for a longer prefix extends the row in place
-    /// (keeping the already-computed entries bit-for-bit).
-    data: Rc<[f64]>,
+/// A resident row: the `len`-entry valid prefix of slab slot `slot`.
+/// A request for a longer prefix extends the row in place (keeping the
+/// already-computed entries bit-for-bit).
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    slot: usize,
+    len: usize,
     /// Logical access time; smallest stamp = least recently used.
     stamp: u64,
 }
 
-struct CacheState {
-    /// Slot per row index; `None` = not resident.
-    entries: Vec<Option<CacheEntry>>,
-    resident: usize,
-    clock: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
+/// One distinct row of a fetch that missed the fast path.
+struct Want {
+    /// View-space row index.
+    i: usize,
+    miss: bool,
+    /// Stamp a miss is inserted with (its last request's).
+    stamp: u64,
+    /// The slot and valid length of the row's data when the fetch
+    /// began: all of a hit, the prefix a miss extends.
+    src: Option<(usize, usize)>,
+    /// The slot holding the row when the fetch ends, if it is resident.
+    home: Option<usize>,
+    /// A scratch slot past the budget, for a row lent from scratch or
+    /// staged out of a slot that changed hands.
+    stage: Option<usize>,
 }
 
 /// LIBSVM-style LRU row cache over any [`QSource`].
@@ -438,12 +474,21 @@ struct CacheState {
 /// entirely). Eviction is exact LRU via access stamps; the O(n)
 /// victim scan is negligible next to the O(n·d) row fill it avoids.
 ///
-/// Rows are handed out as [`Rc`]-shared slices, so a row the solver
-/// still holds survives its own eviction. Every miss is filled by
+/// Resident rows live in one slab of `budget_rows` slots of `n` values,
+/// allocated zeroed when the cache is built and freed when the cache
+/// drops. The allocation is at least `MIN_SLAB_BYTES` (just over
+/// 32 MiB), so the allocator maps it fresh (its pages are committed
+/// only as slots fill) and unmaps it on drop. Each resident row owns
+/// one slot, and an evicted row's slot is reused in place by the row
+/// that evicted it. Fetches lend rows out of the slab: a hit copies
+/// nothing, and a miss is filled straight into its slot by
 /// [`QSource::fill_rows`] over the view's columns `perm[start..len]`
-/// (`start` is the end of any resident prefix being extended), and
-/// each cell is one independent evaluation, so caching never changes
-/// results — only how often rows are recomputed.
+/// (`start` is the end of any resident prefix being extended). Rows
+/// that cannot stay resident until the fetch ends — evicted by a later
+/// row of the same batch, or with caching disabled — are lent from
+/// scratch slots past the budget instead. Each cell is one independent
+/// evaluation, so caching never changes results — only how often rows
+/// are recomputed.
 ///
 /// [`QMatrix::swap_index`] mirrors LIBSVM's cache handling: resident
 /// rows long enough to cover both swapped columns get the two entries
@@ -452,10 +497,22 @@ struct CacheState {
 pub struct CachedQ<S> {
     source: S,
     diag: Vec<f64>,
-    budget_rows: usize,
     /// `perm[view index] = source index`.
     perm: Vec<usize>,
-    state: RefCell<CacheState>,
+    budget_rows: usize,
+    /// Slots of `n` values: `budget_rows` for resident rows, then
+    /// scratch slots for the current fetch.
+    slab: Vec<f64>,
+    /// Slots no resident row holds.
+    free: Vec<usize>,
+    /// Per view-space row; `None` = not resident.
+    entries: Vec<Option<Entry>>,
+    clock: u64,
+    hits: u64,
+    misses: u64,
+    evictions: u64,
+    /// Where each row of the current fetch starts in the slab.
+    starts: Vec<usize>,
 }
 
 impl<S: QSource> CachedQ<S> {
@@ -470,53 +527,167 @@ impl<S: QSource> CachedQ<S> {
         CachedQ {
             source,
             diag,
-            budget_rows,
             perm: (0..n).collect(),
-            state: RefCell::new(CacheState {
-                entries: (0..n).map(|_| None).collect(),
-                resident: 0,
-                clock: 0,
-                hits: 0,
-                misses: 0,
-                evictions: 0,
-            }),
-        }
-    }
-
-    /// Makes `data` the resident entry for (view-space) row `i` with
-    /// the given access stamp, evicting the LRU row first if the budget
-    /// requires it. No-op when caching is disabled.
-    fn insert_row(&self, i: usize, data: &Rc<[f64]>, stamp: u64) {
-        if self.budget_rows == 0 {
-            return;
-        }
-        let mut st = self.state.borrow_mut();
-        let replacing = st.entries[i].is_some();
-        if !replacing && st.resident >= self.budget_rows {
-            let victim = st
-                .entries
-                .iter()
-                .enumerate()
-                .filter_map(|(k, e)| e.as_ref().map(|e| (k, e.stamp)))
-                .min_by_key(|&(_, s)| s)
-                .map(|(k, _)| k);
-            if let Some(v) = victim {
-                st.entries[v] = None;
-                st.resident -= 1;
-                st.evictions += 1;
-            }
-        }
-        st.entries[i] = Some(CacheEntry { data: Rc::clone(data), stamp });
-        if !replacing {
-            st.resident += 1;
+            budget_rows,
+            slab: if budget_rows == 0 {
+                Vec::new()
+            } else {
+                vec![0.0; (budget_rows * n).max(MIN_SLAB_BYTES / 8)]
+            },
+            // Popped from the back: slots fill from the front.
+            free: (0..budget_rows).rev().collect(),
+            entries: vec![None; n],
+            clock: 0,
+            hits: 0,
+            misses: 0,
+            evictions: 0,
+            starts: Vec::new(),
         }
     }
 
     /// Hit/miss/eviction counters so far.
     pub fn stats(&self) -> CacheStats {
-        let st = self.state.borrow();
-        CacheStats { hits: st.hits, misses: st.misses, evictions: st.evictions }
+        CacheStats { hits: self.hits, misses: self.misses, evictions: self.evictions }
     }
+
+    /// Makes view-space row `i` resident with the given stamp and a
+    /// `len`-entry prefix, evicting the LRU row first if the budget
+    /// requires it. A row already resident keeps its slot. No-op when
+    /// caching is disabled.
+    fn insert(&mut self, i: usize, len: usize, stamp: u64) {
+        if self.budget_rows == 0 {
+            return;
+        }
+        let slot = if let Some(e) = self.entries[i] {
+            e.slot
+        } else if let Some(slot) = self.free.pop() {
+            slot
+        } else {
+            let (victim, _) = self
+                .entries
+                .iter()
+                .enumerate()
+                .filter_map(|(k, e)| e.map(|e| (k, e.stamp)))
+                .min_by_key(|&(_, s)| s)
+                .expect("a full cache has a resident row");
+            self.evictions += 1;
+            self.entries[victim].take().expect("victim is resident").slot
+        };
+        self.entries[i] = Some(Entry { slot, len, stamp });
+    }
+
+    /// The fetch behind [`QMatrix::rows_prefix`] when some row misses:
+    /// stamps, counts, evicts and inserts exactly as a sequence of
+    /// single-row fetches would, fills the misses, and records in
+    /// `self.starts` where each requested row is lent from.
+    fn fetch(&mut self, idxs: &[usize], len: usize) {
+        let n = self.diag.len();
+        // Pass 1: stamp hits, classify misses. Repeats of a row map to
+        // one `Want`; a repeat of a pending miss is a hit, since once
+        // the first fetch lands the row would be resident.
+        let mut wants: Vec<Want> = Vec::new();
+        let mut want_of = Vec::with_capacity(idxs.len());
+        for &i in idxs {
+            assert!(i < n, "row {i} out of bounds for n = {n}");
+            self.clock += 1;
+            let stamp = self.clock;
+            if let Some(w) = wants.iter().position(|w| w.i == i) {
+                self.hits += 1;
+                match self.entries[i].as_mut() {
+                    Some(e) if !wants[w].miss => e.stamp = stamp,
+                    _ => wants[w].stamp = stamp,
+                }
+                want_of.push(w);
+                continue;
+            }
+            let src = self.entries[i].as_mut().map(|e| {
+                e.stamp = stamp;
+                (e.slot, e.len)
+            });
+            let miss = src.is_none_or(|(_, l)| l < len);
+            if miss {
+                self.misses += 1;
+            } else {
+                self.hits += 1;
+            }
+            want_of.push(wants.len());
+            wants.push(Want { i, miss, stamp, src, home: None, stage: None });
+        }
+        // Pass 2: insert the misses in request order (what sequential
+        // fetches would do to the LRU state). Only then is it known
+        // which rows stay resident: a later insert may evict a row this
+        // fetch lends.
+        for w in wants.iter().filter(|w| w.miss) {
+            self.insert(w.i, len, w.stamp);
+        }
+        let mut staged = self.budget_rows;
+        for w in &mut wants {
+            w.home = self.entries[w.i].map(|e| e.slot);
+            if w.home.is_none() || w.src.is_some_and(|(slot, _)| w.home != Some(slot)) {
+                w.stage = Some(staged);
+                staged += 1;
+            }
+        }
+        if self.slab.len() < staged * n {
+            self.slab.resize(staged * n, 0.0);
+        }
+        // Stage every row whose slot changes hands out of the slab
+        // before any slot is written, then move staged prefixes into
+        // their new slots (only a miss can have one: a hit is never
+        // re-inserted, so it keeps its slot or loses it).
+        let keep = |w: &Want| w.src.map_or(0, |(_, valid)| valid.min(len));
+        for w in &wants {
+            if let (Some((slot, _)), Some(to)) = (w.src, w.stage) {
+                self.slab.copy_within(slot * n..slot * n + keep(w), to * n);
+            }
+        }
+        for w in &wants {
+            if let (Some(from), Some(home)) = (w.stage, w.home) {
+                self.slab.copy_within(from * n..from * n + keep(w), home * n);
+            }
+        }
+        // Pass 3: fill the misses. Rows whose valid prefixes end at the
+        // same point share one `fill_rows` pass over the columns they
+        // lack, each written straight into the slot it is lent from.
+        let lent_from = |w: &Want| w.home.or(w.stage).expect("a row is resident or staged");
+        let start_of = |w: &Want| w.src.map_or(0, |(_, valid)| valid);
+        let mut order: Vec<usize> = (0..wants.len()).filter(|&w| wants[w].miss).collect();
+        order.sort_by_key(|&w| start_of(&wants[w]));
+        let mut batched_passes = 0u64;
+        for group in order.chunk_by(|&a, &b| start_of(&wants[a]) == start_of(&wants[b])) {
+            let start = start_of(&wants[group[0]]);
+            let rows: Vec<usize> = group.iter().map(|&w| self.perm[wants[w].i]).collect();
+            let slots: Vec<usize> = group.iter().map(|&w| lent_from(&wants[w])).collect();
+            let mut tails: Vec<&mut [f64]> = rows_mut(&mut self.slab, n, &slots)
+                .into_iter()
+                .map(|row| &mut row[start..len])
+                .collect();
+            self.source.fill_rows(&rows, &self.perm[start..len], &mut tails);
+            if group.len() > 1 {
+                batched_passes += 1;
+            }
+        }
+        if batched_passes > 0 && edm_trace::enabled() {
+            edm_trace::counter_add("svm.q.batch_fills", batched_passes);
+        }
+        self.starts.extend(want_of.iter().map(|&w| lent_from(&wants[w]) * n));
+    }
+}
+
+/// Disjoint mutable views of the `width`-long rows `which` (distinct
+/// indices, any order) of `buf`, in the order of `which`.
+fn rows_mut<'b>(buf: &'b mut [f64], width: usize, which: &[usize]) -> Vec<&'b mut [f64]> {
+    let mut order: Vec<usize> = (0..which.len()).collect();
+    order.sort_unstable_by_key(|&k| which[k]);
+    let mut out: Vec<Option<&'b mut [f64]>> = which.iter().map(|_| None).collect();
+    let (mut rest, mut base) = (buf, 0);
+    for k in order {
+        let tail = std::mem::take(&mut rest).split_at_mut((which[k] - base) * width).1;
+        let (row, tail) = tail.split_at_mut(width);
+        out[k] = Some(row);
+        (rest, base) = (tail, which[k] + 1);
+    }
+    out.into_iter().map(|r| r.expect("every requested row split off")).collect()
 }
 
 impl<S> Drop for CachedQ<S> {
@@ -525,14 +696,10 @@ impl<S> Drop for CachedQ<S> {
     /// `svm.qcache.{hits,misses,evictions}` without the caller doing
     /// anything.
     fn drop(&mut self) {
-        if !edm_trace::enabled() {
-            return;
-        }
-        let st = self.state.borrow();
-        if st.hits + st.misses > 0 {
-            edm_trace::counter_add("svm.qcache.hits", st.hits);
-            edm_trace::counter_add("svm.qcache.misses", st.misses);
-            edm_trace::counter_add("svm.qcache.evictions", st.evictions);
+        if edm_trace::enabled() && self.hits + self.misses > 0 {
+            edm_trace::counter_add("svm.qcache.hits", self.hits);
+            edm_trace::counter_add("svm.qcache.misses", self.misses);
+            edm_trace::counter_add("svm.qcache.evictions", self.evictions);
         }
     }
 }
@@ -546,129 +713,31 @@ impl<S: QSource> QMatrix for CachedQ<S> {
         &self.diag
     }
 
-    fn rows_prefix(&self, idxs: &[usize], len: usize) -> Vec<QRow<'_>> {
+    fn rows_prefix(&mut self, idxs: &[usize], len: usize) -> Rows<'_> {
         let n = self.diag.len();
         assert!(len <= n, "prefix {len} out of bounds for n = {n}");
+        self.starts.clear();
         // Fast path: every requested row is resident with a long
         // enough prefix. This is the solver's steady state (a warm
-        // cache serving the per-iteration working-set pair), so skip
-        // the miss-classification machinery entirely; stamps and hit
-        // counts advance exactly as the general path would.
-        {
-            let mut st = self.state.borrow_mut();
-            let all_hit = idxs.iter().all(|&i| {
-                assert!(i < n, "row {i} out of bounds for n = {n}");
-                st.entries[i].as_ref().is_some_and(|e| e.data.len() >= len)
-            });
-            if all_hit {
-                let mut out = Vec::with_capacity(idxs.len());
-                for &i in idxs {
-                    st.clock += 1;
-                    st.hits += 1;
-                    let stamp = st.clock;
-                    let entry = st.entries[i].as_mut().expect("resident row checked above");
-                    entry.stamp = stamp;
-                    out.push(QRow::Shared(Rc::clone(&entry.data)));
-                }
-                return out;
+        // cache serving the per-iteration working-set pair): stamps and
+        // hit counts advance exactly as the general path would, and the
+        // rows are lent from their slots.
+        let all_hit = idxs.iter().all(|&i| {
+            assert!(i < n, "row {i} out of bounds for n = {n}");
+            self.entries[i].is_some_and(|e| e.len >= len)
+        });
+        if all_hit {
+            for &i in idxs {
+                self.clock += 1;
+                self.hits += 1;
+                let e = self.entries[i].as_mut().expect("resident row checked above");
+                e.stamp = self.clock;
+                self.starts.push(e.slot * n);
             }
+        } else {
+            self.fetch(idxs, len);
         }
-        let mut results: Vec<Option<QRow<'_>>> = (0..idxs.len()).map(|_| None).collect();
-        // Pass 1 (one cache borrow): stamp hits, classify misses.
-        // `slots` collects every result position wanting the same row,
-        // so duplicate indices are computed once.
-        struct Miss {
-            i: usize,
-            stamp: u64,
-            prior: Option<Rc<[f64]>>,
-            slots: Vec<usize>,
-        }
-        let mut misses: Vec<Miss> = Vec::new();
-        {
-            let mut st = self.state.borrow_mut();
-            'next: for (slot, &i) in idxs.iter().enumerate() {
-                assert!(i < n, "row {i} out of bounds for n = {n}");
-                st.clock += 1;
-                let stamp = st.clock;
-                for m in misses.iter_mut() {
-                    if m.i == i {
-                        // Duplicate of a pending miss: once the first
-                        // fetch lands it would be resident, so the
-                        // repeat is a hit.
-                        st.hits += 1;
-                        m.stamp = stamp;
-                        m.slots.push(slot);
-                        continue 'next;
-                    }
-                }
-                if let Some(entry) = st.entries[i].as_mut() {
-                    entry.stamp = stamp;
-                    let data = Rc::clone(&entry.data);
-                    if data.len() >= len {
-                        st.hits += 1;
-                        results[slot] = Some(QRow::Shared(data));
-                        continue;
-                    }
-                    st.misses += 1;
-                    misses.push(Miss { i, stamp, prior: Some(data), slots: vec![slot] });
-                } else {
-                    st.misses += 1;
-                    misses.push(Miss { i, stamp, prior: None, slots: vec![slot] });
-                }
-            }
-        }
-        // Pass 2 (cache borrow released, so the possibly slow and
-        // parallel fill never observes a live borrow): fill the misses.
-        // Rows whose cached prefixes end at the same point share one
-        // `fill_rows` pass over the columns they lack; each row's
-        // contents are exactly what a lone fetch would have computed.
-        let mut filled: Vec<Option<Rc<[f64]>>> = (0..misses.len()).map(|_| None).collect();
-        let start_of = |m: &Miss| m.prior.as_ref().map_or(0, |p| p.len());
-        let mut order: Vec<usize> = (0..misses.len()).collect();
-        order.sort_by_key(|&p| start_of(&misses[p]));
-        let mut batched_passes = 0u64;
-        let mut g0 = 0;
-        while g0 < order.len() {
-            let start = start_of(&misses[order[g0]]);
-            let mut g1 = g0;
-            while g1 < order.len() && start_of(&misses[order[g1]]) == start {
-                g1 += 1;
-            }
-            let group = &order[g0..g1];
-            let mut bufs: Vec<Vec<f64>> = group
-                .iter()
-                .map(|&p| {
-                    let mut buf = vec![0.0; len];
-                    if let Some(prev) = &misses[p].prior {
-                        buf[..start].copy_from_slice(prev);
-                    }
-                    buf
-                })
-                .collect();
-            let rows: Vec<usize> = group.iter().map(|&p| self.perm[misses[p].i]).collect();
-            let mut tails: Vec<&mut [f64]> = bufs.iter_mut().map(|buf| &mut buf[start..]).collect();
-            self.source.fill_rows(&rows, &self.perm[start..len], &mut tails);
-            if group.len() > 1 {
-                batched_passes += 1;
-            }
-            for (&p, buf) in group.iter().zip(bufs) {
-                filled[p] = Some(buf.into());
-            }
-            g0 = g1;
-        }
-        if batched_passes > 0 && edm_trace::enabled() {
-            edm_trace::counter_add("svm.q.batch_fills", batched_passes);
-        }
-        // Insert in request order (matching what sequential fetches
-        // would have done to the LRU state), then hand out the rows.
-        for (m, data) in misses.iter().zip(&filled) {
-            let data = data.as_ref().expect("every miss filled by its group");
-            self.insert_row(m.i, data, m.stamp);
-            for &slot in &m.slots {
-                results[slot] = Some(QRow::Shared(Rc::clone(data)));
-            }
-        }
-        results.into_iter().map(|r| r.expect("every slot is a hit or a filled miss")).collect()
+        Rows { buf: &self.slab, starts: &self.starts, len }
     }
 
     fn swap_index(&mut self, a: usize, b: usize) {
@@ -679,36 +748,23 @@ impl<S: QSource> QMatrix for CachedQ<S> {
         }
         self.perm.swap(a, b);
         self.diag.swap(a, b);
-        let st = self.state.get_mut();
-        st.entries.swap(a, b);
+        self.entries.swap(a, b);
         let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-        let mut dropped = 0u64;
-        for slot in st.entries.iter_mut() {
-            let Some(entry) = slot else { continue };
-            let len = entry.data.len();
-            if len > hi {
+        for entry in &mut self.entries {
+            let Some(e) = *entry else { continue };
+            if e.len > hi {
                 // Row covers both columns: exchange the two entries so
                 // the cached contents match the new numbering.
-                match Rc::get_mut(&mut entry.data) {
-                    Some(d) => d.swap(lo, hi),
-                    None => {
-                        // A solver-held handle shares this row; leave
-                        // the shared copy (old numbering) untouched.
-                        let mut v = entry.data.to_vec();
-                        v.swap(lo, hi);
-                        entry.data = v.into();
-                    }
-                }
-            } else if len > lo {
+                self.slab[e.slot * n..][..e.len].swap(lo, hi);
+            } else if e.len > lo {
                 // Covers `lo` but not `hi`: the prefix can no longer be
                 // represented under the new numbering. Drop it (LIBSVM
                 // does the same).
-                *slot = None;
-                dropped += 1;
+                *entry = None;
+                self.free.push(e.slot);
+                self.evictions += 1;
             }
         }
-        st.resident -= dropped as usize;
-        st.evictions += dropped;
     }
 }
 
@@ -780,11 +836,11 @@ mod tests {
     fn cached_rows_are_bitwise_identical_to_source() {
         let x = cloud(16);
         let k = RbfKernel::new(0.4);
-        let cached = CachedQ::new(KernelQ::<[f64], _, _>::new(&k, &x, None), 1 << 20);
+        let mut cached = CachedQ::new(KernelQ::<[f64], _, _>::new(&k, &x, None), 1 << 20);
         // Access pattern with revisits so both hit and miss paths run.
         for &i in &[0usize, 3, 0, 7, 3, 15, 0, 7] {
             let direct: Vec<f64> = x.iter().map(|xj| k.eval(&x[i], xj)).collect();
-            assert_eq!(bits(&cached.row_prefix(i, 16)), bits(&direct));
+            assert_eq!(bits(cached.row_prefix(i, 16)), bits(&direct));
         }
         let s = cached.stats();
         assert_eq!(s.misses, 4, "4 distinct rows touched");
@@ -796,7 +852,7 @@ mod tests {
     fn lru_evicts_least_recently_used() {
         let (x, k) = (cloud(8), RbfKernel::new(1.0));
         // Budget of exactly 2 rows: 2 rows × 8 cols × 8 bytes = 128.
-        let q = CachedQ::new(KernelQ::<[f64], _, _>::new(&k, &x, None), 128);
+        let mut q = CachedQ::new(KernelQ::<[f64], _, _>::new(&k, &x, None), 128);
         q.row_prefix(0, 8); // miss — resident {0}
         q.row_prefix(1, 8); // miss — resident {0, 1}
         q.row_prefix(0, 8); // hit  — 0 now more recent than 1
@@ -813,7 +869,7 @@ mod tests {
     #[test]
     fn zero_budget_disables_caching() {
         let (x, k) = (cloud(5), RbfKernel::new(1.0));
-        let q = CachedQ::new(KernelQ::<[f64], _, _>::new(&k, &x, None), 0);
+        let mut q = CachedQ::new(KernelQ::<[f64], _, _>::new(&k, &x, None), 0);
         for _ in 0..3 {
             q.row_prefix(2, 5);
         }
@@ -827,24 +883,24 @@ mod tests {
     #[test]
     fn dense_q_borrows_rows() {
         let gram = gram_matrix(&RbfKernel::new(1.0), &cloud(4));
-        let q = DenseQ::new(&gram, None);
+        let mut q = DenseQ::new(&gram, None);
         assert_eq!(q.n(), 4);
         for i in 0..4 {
+            assert_eq!(q.diag()[i], gram[(i, i)]);
             let row = q.row_prefix(i, 4);
-            assert!(matches!(row, QRow::Borrowed(_)));
+            assert!(std::ptr::eq(row, gram.row(i)), "unsigned rows are lent from the matrix");
             for j in 0..4 {
                 assert_eq!(row[j], gram[(i, j)]);
             }
-            assert_eq!(q.diag()[i], gram[(i, i)]);
         }
         // Signed rows are computed `sᵢ sⱼ K(i, j)`; the diagonal stays K's.
         let y = [1.0, -1.0, -1.0, 1.0];
-        let q = DenseQ::new(&gram, Some(&y));
+        let mut q = DenseQ::new(&gram, Some(&y));
         for i in 0..4 {
+            assert_eq!(q.diag()[i].to_bits(), gram[(i, i)].to_bits());
             let row = q.row_prefix(i, 4);
             let want: Vec<f64> = (0..4).map(|j| y[i] * y[j] * gram[(i, j)]).collect();
-            assert_eq!(bits(&row), bits(&want));
-            assert_eq!(q.diag()[i].to_bits(), gram[(i, i)].to_bits());
+            assert_eq!(bits(row), bits(&want));
         }
     }
 
@@ -893,7 +949,7 @@ mod tests {
         for i in 0..6 {
             assert_eq!(q.diag()[i].to_bits(), gram[(perm[i], perm[i])].to_bits());
             let row = q.row_prefix(i, 6);
-            assert!(matches!(row, QRow::Shared(_)), "permuted rows are gathered");
+            assert!(!std::ptr::eq(row, gram.row(perm[i])), "permuted rows are gathered");
             for j in 0..6 {
                 assert_eq!(row[j].to_bits(), gram[(perm[i], perm[j])].to_bits());
             }
@@ -906,15 +962,15 @@ mod tests {
     fn prefix_rows_extend_in_place() {
         let x = cloud(10);
         let k = RbfKernel::new(0.5);
-        let q = CachedQ::new(KernelQ::<[f64], _, _>::new(&k, &x, None), 1 << 20);
+        let mut q = CachedQ::new(KernelQ::<[f64], _, _>::new(&k, &x, None), 1 << 20);
         let full: Vec<f64> = x.iter().map(|xj| k.eval(&x[3], xj)).collect();
         let short = q.row_prefix(3, 4);
         assert_eq!(short.len(), 4);
-        assert_eq!(bits(&short), bits(&full[..4]));
+        assert_eq!(bits(short), bits(&full[..4]));
         // Extension keeps the cached prefix and computes the rest.
         let long = q.row_prefix(3, 10);
         assert_eq!(long.len(), 10);
-        assert_eq!(bits(&long), bits(&full));
+        assert_eq!(bits(long), bits(&full));
         // Now a full-length entry is resident: any prefix is a hit.
         q.row_prefix(3, 2);
         let s = q.stats();
@@ -980,15 +1036,44 @@ mod tests {
     }
 
     #[test]
-    fn shared_row_survives_eviction() {
+    fn rows_evicted_mid_batch_are_lent_from_scratch() {
         let (x, k) = (cloud(8), RbfKernel::new(1.0));
-        let q = CachedQ::new(KernelQ::<[f64], _, _>::new(&k, &x, None), 128); // 2-row budget
-        let row0 = q.row_prefix(0, 8);
-        let copy: Vec<f64> = row0.to_vec();
-        q.row_prefix(1, 8);
-        q.row_prefix(2, 8);
-        q.row_prefix(3, 8); // row 0 long since evicted
-        assert_eq!(q.stats().evictions, 2, "rows 0 and 1 were evicted");
-        assert_eq!(&row0[..], &copy[..], "held row unchanged by eviction");
+        let row =
+            |i: usize| -> Vec<u64> { x.iter().map(|xj| k.eval(&x[i], xj).to_bits()).collect() };
+        let mut q = CachedQ::new(KernelQ::<[f64], _, _>::new(&k, &x, None), 128); // 2-row budget
+        q.rows_prefix(&[0, 1], 8);
+        // Row 0 hits, then rows 2 and 3 miss and evict rows 1 and 0: the
+        // slot row 0 was lent from is refilled within the same fetch.
+        let rows = q.rows_prefix(&[0, 2, 3], 8);
+        for (&i, got) in [0, 2, 3].iter().zip(rows.iter()) {
+            assert_eq!(bits(got), row(i), "row {i}");
+        }
+        assert_eq!(q.stats(), CacheStats { hits: 1, misses: 4, evictions: 2 });
+        // With caching disabled every row is lent from scratch.
+        let mut off = CachedQ::new(KernelQ::<[f64], _, _>::new(&k, &x, None), 0);
+        let rows = off.rows_prefix(&[5, 1, 5], 8);
+        for (&i, got) in [5, 1, 5].iter().zip(rows.iter()) {
+            assert_eq!(bits(got), row(i), "uncached row {i}");
+        }
+    }
+
+    #[test]
+    fn prefix_evicted_mid_batch_moves_to_its_new_slot() {
+        let (x, k) = (cloud(8), RbfKernel::new(0.6));
+        let row =
+            |i: usize| -> Vec<u64> { x.iter().map(|xj| k.eval(&x[i], xj).to_bits()).collect() };
+        let mut q = CachedQ::new(KernelQ::<[f64], _, _>::new(&k, &x, None), 128); // 2-row budget
+        q.row_prefix(0, 3); // slot 0: a 3-entry prefix of row 0
+        q.row_prefix(2, 8); // slot 1: row 2
+                            // Row 1 misses and (stamped last by its repeat) evicts row 0,
+                            // taking slot 0; row 0 then misses, evicts row 2 (a hit of this
+                            // fetch) and lands in slot 1, carrying its 3-entry prefix along.
+        let rows = q.rows_prefix(&[1, 0, 2, 1], 8);
+        for (&i, got) in [1, 0, 2, 1].iter().zip(rows.iter()) {
+            assert_eq!(bits(got), row(i), "row {i}");
+        }
+        assert_eq!(q.stats(), CacheStats { hits: 2, misses: 4, evictions: 2 });
+        assert_eq!(bits(q.row_prefix(0, 8)), row(0), "row 0 stays resident, whole");
+        assert_eq!(q.stats().hits, 3);
     }
 }

@@ -167,6 +167,9 @@ struct Smo {
     /// shrinking is on, and what makes gradient reconstruction O(n ·
     /// free) instead of O(n²).
     g_bar: Vec<f64>,
+    /// `Q(t, t)` in solver order: a copy of the matrix's diagonal, so
+    /// the update needs no access to `Q` while its rows are on loan.
+    diag: Vec<f64>,
     /// Solver position → original variable index.
     idx: Vec<usize>,
     active_size: usize,
@@ -193,14 +196,6 @@ impl Smo {
         self.alpha[t] <= 0.0
     }
 
-    fn in_up(&self, t: usize) -> bool {
-        (self.y[t] > 0.0 && !self.is_upper(t)) || (self.y[t] < 0.0 && !self.is_lower(t))
-    }
-
-    fn in_low(&self, t: usize) -> bool {
-        (self.y[t] < 0.0 && !self.is_upper(t)) || (self.y[t] > 0.0 && !self.is_lower(t))
-    }
-
     /// Renumbers variables `a` and `b` across all solver state and the
     /// `Q` view.
     fn swap_all(&mut self, q: &mut dyn QMatrix, a: usize, b: usize) {
@@ -210,12 +205,13 @@ impl Smo {
         self.alpha.swap(a, b);
         self.g.swap(a, b);
         self.g_bar.swap(a, b);
+        self.diag.swap(a, b);
         self.idx.swap(a, b);
         q.swap_index(a, b);
     }
 
     /// Working-set selection over the active prefix.
-    fn select(&self, q: &dyn QMatrix) -> Selection {
+    fn select(&self, q: &mut dyn QMatrix) -> Selection {
         if self.second_order {
             self.select_second(q)
         } else {
@@ -223,81 +219,68 @@ impl Smo {
         }
     }
 
+    /// `i` maximizing `−yₜGₜ` over the up set (the first index of the
+    /// strict maximum) and that maximum; `usize::MAX` when the set is
+    /// empty.
+    fn max_up(&self) -> (usize, f64) {
+        let a = self.active_size;
+        let (y, g, alpha, c) = (&self.y[..a], &self.g[..a], &self.alpha[..a], &self.c[..a]);
+        let (mut i, mut g_max) = (usize::MAX, f64::NEG_INFINITY);
+        for t in 0..a {
+            let v = -y[t] * g[t];
+            let take = up_low(y[t], alpha[t], c[t]).0 & (v > g_max);
+            g_max = if take { v } else { g_max };
+            i = if take { t } else { i };
+        }
+        (i, g_max)
+    }
+
     /// Maximal violating pair: `i` maximizes `−yₜGₜ` over the up set,
-    /// `j` minimizes it over the low set (the seed solver's rule,
-    /// replayed with identical comparison order).
+    /// `j` minimizes it over the low set (the seed solver's rule, with
+    /// identical comparisons).
     fn select_first(&self) -> Selection {
-        let mut i: Option<usize> = None;
-        let mut g_max = f64::NEG_INFINITY;
-        let mut j: Option<usize> = None;
-        let mut g_min = f64::INFINITY;
-        for t in 0..self.active_size {
-            let v = -self.y[t] * self.g[t];
-            if self.in_up(t) && v > g_max {
-                g_max = v;
-                i = Some(t);
-            }
-            if self.in_low(t) && v < g_min {
-                g_min = v;
-                j = Some(t);
-            }
+        let a = self.active_size;
+        let (i, g_max) = self.max_up();
+        let (y, g, alpha, c) = (&self.y[..a], &self.g[..a], &self.alpha[..a], &self.c[..a]);
+        let (mut j, mut g_min) = (usize::MAX, f64::INFINITY);
+        for t in 0..a {
+            let v = -y[t] * g[t];
+            let take = up_low(y[t], alpha[t], c[t]).1 & (v < g_min);
+            g_min = if take { v } else { g_min };
+            j = if take { t } else { j };
         }
-        let gap = g_max - g_min;
-        match (i, j) {
-            (Some(i), Some(j)) if gap >= self.tol => Selection::Pair(i, j, gap),
-            _ => Selection::Optimal(gap.max(0.0)),
-        }
+        pair(i, j, g_max - g_min, self.tol)
     }
 
     /// Second-order rule: `i` as in the first-order rule; `j` minimizes
     /// `−(g_max + yₜGₜ)² / (Qᵢᵢ + Qₜₜ − 2yᵢyₜQᵢₜ)` over low-set
-    /// candidates that still violate against `i`, reading row `i` from
-    /// the cache and the precomputed diagonal.
-    fn select_second(&self, q: &dyn QMatrix) -> Selection {
-        let mut i: Option<usize> = None;
-        let mut g_max = f64::NEG_INFINITY;
-        for t in 0..self.active_size {
-            if self.in_up(t) {
-                let v = -self.y[t] * self.g[t];
-                if v > g_max {
-                    g_max = v;
-                    i = Some(t);
-                }
-            }
+    /// candidates that still violate against `i` (the last index of the
+    /// minimum), reading row `i` from `q` and the diagonal copy.
+    fn select_second(&self, q: &mut dyn QMatrix) -> Selection {
+        let a = self.active_size;
+        let (i, g_max) = self.max_up();
+        if i == usize::MAX {
+            // No up candidate: `g_max = −∞`, so the gap clamps to 0.
+            return Selection::Optimal(0.0);
         }
-        let diag = q.diag();
-        let row_i = i.map(|i| q.row_prefix(i, self.active_size));
-        let mut j: Option<usize> = None;
-        let mut g_min = f64::INFINITY;
-        let mut obj_min = f64::INFINITY;
-        for t in 0..self.active_size {
-            if !self.in_low(t) {
-                continue;
-            }
-            let v = -self.y[t] * self.g[t];
-            if v < g_min {
-                g_min = v;
-            }
-            if let (Some(i), Some(row_i)) = (i, row_i.as_deref()) {
-                let grad_diff = g_max - v;
-                if grad_diff > 0.0 {
-                    let mut quad = diag[i] + diag[t] - 2.0 * self.y[i] * self.y[t] * row_i[t];
-                    if quad <= 0.0 {
-                        quad = TAU;
-                    }
-                    let obj = -(grad_diff * grad_diff) / quad;
-                    if obj <= obj_min {
-                        obj_min = obj;
-                        j = Some(t);
-                    }
-                }
-            }
+        let row_i = &q.row_prefix(i, a)[..a];
+        let (y, g, alpha, c) = (&self.y[..a], &self.g[..a], &self.alpha[..a], &self.c[..a]);
+        let diag = &self.diag[..a];
+        let (d_i, y_i) = (diag[i], y[i]);
+        let (mut j, mut g_min, mut obj_min) = (usize::MAX, f64::INFINITY, f64::INFINITY);
+        for t in 0..a {
+            let low = up_low(y[t], alpha[t], c[t]).1;
+            let v = -y[t] * g[t];
+            g_min = if low & (v < g_min) { v } else { g_min };
+            let grad_diff = g_max - v;
+            let quad = d_i + diag[t] - 2.0 * y_i * y[t] * row_i[t];
+            let quad = if quad <= 0.0 { TAU } else { quad };
+            let obj = -(grad_diff * grad_diff) / quad;
+            let take = low & (grad_diff > 0.0) & (obj <= obj_min);
+            obj_min = if take { obj } else { obj_min };
+            j = if take { t } else { j };
         }
-        let gap = g_max - g_min;
-        match (i, j) {
-            (Some(i), Some(j)) if gap >= self.tol => Selection::Pair(i, j, gap),
-            _ => Selection::Optimal(gap.max(0.0)),
-        }
+        pair(i, j, g_max - g_min, self.tol)
     }
 
     /// Can variable `t` be removed from the active set? True when `t`
@@ -376,7 +359,7 @@ impl Smo {
 
     /// Rebuilds `G` on the inactive tail from `Ḡ` plus the active free
     /// variables' rows: `Gₜ = Ḡₜ + pₜ + Σ_{s active, free} αₛ Qₜₛ`.
-    fn reconstruct_gradient(&mut self, q: &dyn QMatrix) {
+    fn reconstruct_gradient(&mut self, q: &mut dyn QMatrix) {
         let n = self.n();
         if self.active_size == n {
             return;
@@ -392,7 +375,7 @@ impl Smo {
             (0..self.active_size).filter(|&s| !(self.is_lower(s) || self.is_upper(s))).collect();
         for chunk in free.chunks(ROW_BATCH) {
             let rows = q.rows_prefix(chunk, n);
-            for (&s, row_s) in chunk.iter().zip(&rows) {
+            for (&s, row_s) in chunk.iter().zip(rows.iter()) {
                 let a = self.alpha[s];
                 for t in self.active_size..n {
                     self.g[t] += a * row_s[t];
@@ -400,6 +383,25 @@ impl Smo {
             }
         }
         self.reconstructions += 1;
+    }
+}
+
+/// Membership of one variable in the "up" and "low" sets, as
+/// branch-free masks: up when `αₜ` can move so that `−yₜGₜ` grows
+/// (`yₜ > 0` below `Cₜ`, or `yₜ < 0` above 0), low when it can shrink.
+fn up_low(y: f64, alpha: f64, c: f64) -> (bool, bool) {
+    let (pos, neg) = (y > 0.0, y < 0.0);
+    let (upper, lower) = (alpha >= c, alpha <= 0.0);
+    ((pos & !upper) | (neg & !lower), (neg & !upper) | (pos & !lower))
+}
+
+/// The selection for candidates `i`, `j` (`usize::MAX` = none) and KKT
+/// gap `gap`.
+fn pair(i: usize, j: usize, gap: f64, tol: f64) -> Selection {
+    if i != usize::MAX && j != usize::MAX && gap >= tol {
+        Selection::Pair(i, j, gap)
+    } else {
+        Selection::Optimal(gap.max(0.0))
     }
 }
 
@@ -464,6 +466,7 @@ pub fn solve(q: &mut dyn QMatrix, problem: &DualProblem) -> Result<DualSolution,
         c: problem.c.clone(),
         alpha: problem.alpha0.clone(),
         g: problem.p.clone(),
+        diag: q.diag().to_vec(),
         g_bar: vec![0.0; if opts.shrinking { n } else { 0 }],
         idx: (0..n).collect(),
         active_size: n,
@@ -485,7 +488,7 @@ pub fn solve(q: &mut dyn QMatrix, problem: &DualProblem) -> Result<DualSolution,
     let nonzero: Vec<usize> = (0..n).filter(|&j| smo.alpha[j] != 0.0).collect();
     for chunk in nonzero.chunks(ROW_BATCH) {
         let rows = q.rows_prefix(chunk, n);
-        for (&j, row_j) in chunk.iter().zip(&rows) {
+        for (&j, row_j) in chunk.iter().zip(rows.iter()) {
             let aj = smo.alpha[j];
             for (gt, &qtj) in smo.g.iter_mut().zip(row_j.iter()) {
                 *gt += qtj * aj;
@@ -512,7 +515,7 @@ pub fn solve(q: &mut dyn QMatrix, problem: &DualProblem) -> Result<DualSolution,
             }
         }
 
-        let (i, j, cur_gap) = match smo.select(&*q) {
+        let (i, j, cur_gap) = match smo.select(q) {
             Selection::Pair(i, j, g) => (i, j, g),
             Selection::Optimal(g) => {
                 if smo.active_size == n {
@@ -522,9 +525,9 @@ pub fn solve(q: &mut dyn QMatrix, problem: &DualProblem) -> Result<DualSolution,
                 // Optimal over the shrunk set: rebuild the full
                 // gradient and re-select over everything, so the
                 // result meets `tol` on the *unshrunk* problem.
-                smo.reconstruct_gradient(&*q);
+                smo.reconstruct_gradient(q);
                 smo.active_size = n;
-                match smo.select(&*q) {
+                match smo.select(q) {
                     Selection::Optimal(g) => {
                         gap = g;
                         break;
@@ -546,16 +549,14 @@ pub fn solve(q: &mut dyn QMatrix, problem: &DualProblem) -> Result<DualSolution,
         // active prefix — fetched as one batch so that when both miss
         // the cache they are filled in a single pass over the data.
         let active = smo.active_size;
-        let mut pair = q.rows_prefix(&[i, j], active).into_iter();
-        let row_i = pair.next().expect("pair fetch yields row i");
-        let row_j = pair.next().expect("pair fetch yields row j");
-        let diag = q.diag();
+        let pair = q.rows_prefix(&[i, j], active);
+        let (row_i, row_j) = (pair.row(0), pair.row(1));
 
         let old_ai = smo.alpha[i];
         let old_aj = smo.alpha[j];
         let was_upper_i = smo.is_upper(i);
         let was_upper_j = smo.is_upper(j);
-        let (alpha, y, c, g) = (&mut smo.alpha, &smo.y, &smo.c, &mut smo.g);
+        let (alpha, y, c, g, diag) = (&mut smo.alpha, &smo.y, &smo.c, &mut smo.g, &smo.diag);
         let qij = row_i[j];
         if (y[i] - y[j]).abs() > 0.5 {
             // y_i != y_j
@@ -627,8 +628,6 @@ pub fn solve(q: &mut dyn QMatrix, problem: &DualProblem) -> Result<DualSolution,
         let hit_i = alpha[i] == 0.0 || alpha[i] == c[i];
         let hit_j = alpha[j] == 0.0 || alpha[j] == c[j];
         smo.bound_hits += u64::from(hit_i) + u64::from(hit_j);
-        drop(row_i);
-        drop(row_j);
 
         // Ḡ tracks Σ_{upper} C Q rows: patch it whenever i or j crossed
         // the upper bound (needs the *full* rows — the cache extends
@@ -646,7 +645,7 @@ pub fn solve(q: &mut dyn QMatrix, problem: &DualProblem) -> Result<DualSolution,
                     wanted.push(j);
                 }
                 let rows = q.rows_prefix(&wanted, n);
-                for (&t, row) in wanted.iter().zip(&rows) {
+                for (&t, row) in wanted.iter().zip(rows.iter()) {
                     let was_upper = if t == i { was_upper_i } else { was_upper_j };
                     let ct = smo.c[t];
                     if was_upper {
@@ -704,6 +703,175 @@ mod tests {
     use super::*;
     use crate::qmatrix::DenseQ;
     use edm_linalg::Matrix;
+    use proptest::prelude::*;
+
+    fn in_up(smo: &Smo, t: usize) -> bool {
+        (smo.y[t] > 0.0 && !smo.is_upper(t)) || (smo.y[t] < 0.0 && !smo.is_lower(t))
+    }
+
+    fn in_low(smo: &Smo, t: usize) -> bool {
+        (smo.y[t] < 0.0 && !smo.is_upper(t)) || (smo.y[t] > 0.0 && !smo.is_lower(t))
+    }
+
+    /// The branchy first-order selection the branch-free scan replaced:
+    /// the oracle it must match.
+    fn select_first_oracle(smo: &Smo) -> Selection {
+        let mut i: Option<usize> = None;
+        let mut g_max = f64::NEG_INFINITY;
+        let mut j: Option<usize> = None;
+        let mut g_min = f64::INFINITY;
+        for t in 0..smo.active_size {
+            let v = -smo.y[t] * smo.g[t];
+            if in_up(smo, t) && v > g_max {
+                g_max = v;
+                i = Some(t);
+            }
+            if in_low(smo, t) && v < g_min {
+                g_min = v;
+                j = Some(t);
+            }
+        }
+        let gap = g_max - g_min;
+        match (i, j) {
+            (Some(i), Some(j)) if gap >= smo.tol => Selection::Pair(i, j, gap),
+            _ => Selection::Optimal(gap.max(0.0)),
+        }
+    }
+
+    /// The branchy second-order selection the branch-free scan replaced.
+    fn select_second_oracle(smo: &Smo, q: &mut dyn QMatrix) -> Selection {
+        let mut i: Option<usize> = None;
+        let mut g_max = f64::NEG_INFINITY;
+        for t in 0..smo.active_size {
+            if in_up(smo, t) {
+                let v = -smo.y[t] * smo.g[t];
+                if v > g_max {
+                    g_max = v;
+                    i = Some(t);
+                }
+            }
+        }
+        let diag = q.diag().to_vec();
+        let row_i = i.map(|i| q.row_prefix(i, smo.active_size).to_vec());
+        let mut j: Option<usize> = None;
+        let mut g_min = f64::INFINITY;
+        let mut obj_min = f64::INFINITY;
+        for t in 0..smo.active_size {
+            if !in_low(smo, t) {
+                continue;
+            }
+            let v = -smo.y[t] * smo.g[t];
+            if v < g_min {
+                g_min = v;
+            }
+            if let (Some(i), Some(row_i)) = (i, row_i.as_deref()) {
+                let grad_diff = g_max - v;
+                if grad_diff > 0.0 {
+                    let mut quad = diag[i] + diag[t] - 2.0 * smo.y[i] * smo.y[t] * row_i[t];
+                    if quad <= 0.0 {
+                        quad = TAU;
+                    }
+                    let obj = -(grad_diff * grad_diff) / quad;
+                    if obj <= obj_min {
+                        obj_min = obj;
+                        j = Some(t);
+                    }
+                }
+            }
+        }
+        let gap = g_max - g_min;
+        match (i, j) {
+            (Some(i), Some(j)) if gap >= smo.tol => Selection::Pair(i, j, gap),
+            _ => Selection::Optimal(gap.max(0.0)),
+        }
+    }
+
+    /// `(i, j, gap bits)` of a selection, `usize::MAX` for no pair.
+    fn key(sel: Selection) -> (usize, usize, u64) {
+        match sel {
+            Selection::Pair(i, j, gap) => (i, j, gap.to_bits()),
+            Selection::Optimal(gap) => (usize::MAX, usize::MAX, gap.to_bits()),
+        }
+    }
+
+    /// A random solver state over a random symmetric (not necessarily
+    /// positive definite) `Q`: labels ±1, each α at 0, at C or strictly
+    /// between, gradients drawn from a handful of values so that the
+    /// scans meet ties, and an active prefix of any length.
+    fn random_state(seed: u64, n: usize, active: usize) -> (Smo, Matrix) {
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let mut unit = move || (next() >> 11) as f64 / (1u64 << 53) as f64;
+        let y: Vec<f64> = (0..n).map(|_| if unit() < 0.5 { 1.0 } else { -1.0 }).collect();
+        let c: Vec<f64> = (0..n).map(|_| 0.5 + 2.0 * unit()).collect();
+        let alpha: Vec<f64> = c
+            .iter()
+            .map(|&ct| match (unit() * 3.0) as u32 {
+                0 => 0.0,
+                1 => ct,
+                _ => ct * unit(),
+            })
+            .collect();
+        let levels = [-1.5, -1.0, -0.25, 0.0, 0.25, 1.0];
+        let g: Vec<f64> = (0..n).map(|_| levels[(unit() * 6.0) as usize % 6]).collect();
+        // Entries in [−1, 1] with diagonals in [−0.5, 1]: many pairs
+        // have `Qᵢᵢ + Qₜₜ − 2yᵢyₜQᵢₜ ≤ 0`.
+        let mut m = Matrix::zeros(n, n);
+        for i in 0..n {
+            m[(i, i)] = 1.5 * unit() - 0.5;
+            for j in 0..i {
+                let v = 2.0 * unit() - 1.0;
+                m[(i, j)] = v;
+                m[(j, i)] = v;
+            }
+        }
+        let diag = (0..n).map(|i| m[(i, i)]).collect();
+        let smo = Smo {
+            p: vec![-1.0; n],
+            y,
+            c,
+            alpha,
+            g,
+            diag,
+            g_bar: Vec::new(),
+            idx: (0..n).collect(),
+            active_size: active,
+            unshrunk: false,
+            tol: 1e-3,
+            second_order: true,
+            shrinking: false,
+            bound_hits: 0,
+            shrink_events: 0,
+            reconstructions: 0,
+        };
+        (smo, m)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The branch-free scans select exactly what the branchy scans
+        /// they replaced selected: the same `i`, `j` and gap bits.
+        #[test]
+        fn branch_free_selection_matches_the_branchy_oracle(
+            seed in 0u64..u64::MAX,
+            n in 1usize..40,
+            cut in 0usize..40,
+        ) {
+            let active = n - cut % n;
+            let (smo, m) = random_state(seed, n, active);
+            prop_assert_eq!(key(smo.select_first()), key(select_first_oracle(&smo)));
+            let mut q = DenseQ::new(&m, None);
+            let want = key(select_second_oracle(&smo, &mut q));
+            prop_assert_eq!(key(smo.select_second(&mut q)), want);
+        }
+    }
 
     fn base_problem(
         p: Vec<f64>,

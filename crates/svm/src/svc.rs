@@ -20,7 +20,9 @@ pub struct SvcParams {
     pub max_iter: usize,
     /// Byte budget of the Q-row cache used during training
     /// ([`DEFAULT_CACHE_BYTES`] by default; `0` disables caching so
-    /// every row access recomputes its kernel evaluations).
+    /// every row access recomputes its kernel evaluations). The budget
+    /// is one allocation, committed as rows fill and released when the
+    /// fit returns.
     /// [`solve_svc`] ignores it: it reads rows straight from the
     /// caller's Gram, with no cache and no `svm.qcache.*` counters.
     pub cache_bytes: usize,

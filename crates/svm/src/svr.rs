@@ -19,7 +19,9 @@ pub struct SvrParams {
     /// SMO iteration cap.
     pub max_iter: usize,
     /// Byte budget of the Q-row cache used during training
-    /// ([`DEFAULT_CACHE_BYTES`] by default; `0` disables caching).
+    /// ([`DEFAULT_CACHE_BYTES`] by default; `0` disables caching). The
+    /// budget is one allocation, committed as rows fill and released
+    /// when the fit returns.
     pub cache_bytes: usize,
     /// SMO shrinking heuristic (on by default; `false` reproduces the
     /// unshrunk solver).

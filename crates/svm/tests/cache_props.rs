@@ -213,8 +213,8 @@ proptest! {
             let len = 1 + (next() % n as u64) as usize;
             let len = len.max(idxs.iter().copied().max().unwrap_or(0) + 1);
             let rows = cached.rows_prefix(&idxs, len);
-            prop_assert_eq!(rows.len(), idxs.len());
-            for (&i, row) in idxs.iter().zip(&rows) {
+            prop_assert_eq!(rows.iter().count(), idxs.len());
+            for (&i, row) in idxs.iter().zip(rows.iter()) {
                 let want: Vec<u64> =
                     perm[..len].iter().map(|&j| k.eval(&x[perm[i]], &x[j]).to_bits()).collect();
                 let got: Vec<u64> = row[..len].iter().map(|v| v.to_bits()).collect();
@@ -254,7 +254,7 @@ proptest! {
             let batch = 1 + (next() % 4) as usize;
             let idxs: Vec<usize> = (0..batch).map(|_| (next() % n as u64) as usize).collect();
             let rows = cached.rows_prefix(&idxs, n);
-            for (&i, row) in idxs.iter().zip(&rows) {
+            for (&i, row) in idxs.iter().zip(rows.iter()) {
                 let want: Vec<u64> = perm.iter().map(|&j| entry(perm[i], j).to_bits()).collect();
                 let got: Vec<u64> = row[..n].iter().map(|v| v.to_bits()).collect();
                 prop_assert_eq!(got, want, "svr row {}", i);
@@ -278,8 +278,8 @@ proptest! {
         let x = points(seed, n, 2);
         let k = RbfKernel::new(1.1);
         let cache_bytes = 1usize << 20;
-        let batched = CachedQ::new(KernelQ::<[f64], _, _>::new(&k, &x, None), cache_bytes);
-        let sequential = CachedQ::new(KernelQ::<[f64], _, _>::new(&k, &x, None), cache_bytes);
+        let mut batched = CachedQ::new(KernelQ::<[f64], _, _>::new(&k, &x, None), cache_bytes);
+        let mut sequential = CachedQ::new(KernelQ::<[f64], _, _>::new(&k, &x, None), cache_bytes);
         let mut state = seed ^ 0xFACE;
         let mut next = move || {
             state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -295,7 +295,7 @@ proptest! {
                 }
             }
             let rows = batched.rows_prefix(&idxs, n);
-            for (&i, row) in idxs.iter().zip(&rows) {
+            for (&i, row) in idxs.iter().zip(rows.iter()) {
                 let lone = sequential.row_prefix(i, n);
                 prop_assert_eq!(
                     row[..n].iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -314,7 +314,7 @@ proptest! {
     ) {
         let x = points(seed, n, 3);
         let k = RbfKernel::new(0.9);
-        let cached = CachedQ::new(KernelQ::<[f64], _, _>::new(&k, &x, None), cache_bytes);
+        let mut cached = CachedQ::new(KernelQ::<[f64], _, _>::new(&k, &x, None), cache_bytes);
         let mut state = seed ^ 0xD00D;
         for _ in 0..200 {
             state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -381,7 +381,7 @@ fn row_fills_cost_one_kernel_evaluation_per_distinct_sample() {
     fill(&sq, &batch2, &all2);
     assert_eq!(k.take(), batch2.len() * m, "B-row SvrQ batch");
     // The same row through the cache: one miss, m evaluations.
-    let cached = CachedQ::new(SvrQ::<[f64], _, _>::new(&k, &x), 1 << 20);
+    let mut cached = CachedQ::new(SvrQ::<[f64], _, _>::new(&k, &x), 1 << 20);
     k.take();
     cached.row_prefix(m + 17, 2 * m);
     assert_eq!(k.take(), m, "cached full SvrQ row");
