@@ -96,109 +96,19 @@ where
     I: Borrow<S> + Sync,
 {
     let mut out = vec![0.0; items.len()];
-    fill_block(kernel, &[x], items.len(), |t| items[t].borrow(), &mut out);
-    out
-}
-
-/// Columns per parallel chunk of a row or block fill: large enough
-/// that the per-chunk dispatch cost is negligible next to the kernel
-/// evaluations, small enough that the chunk's samples (512 × 32
-/// features = 128 KiB) stay cache-resident while every query row
-/// sweeps them.
-const GRAM_ROW_CHUNK: usize = 512;
-
-/// Evaluates several kernel rows in one pass: `out[r][t] =
-/// k(xs[r], items[t])`. [`gram_block`] over every column.
-pub fn gram_rows<S, K, I>(kernel: &K, xs: &[&S], items: &[I]) -> Vec<Vec<f64>>
-where
-    S: Sync + ?Sized,
-    K: Kernel<S> + ?Sized,
-    I: Borrow<S> + Sync,
-{
-    let cols: Vec<usize> = (0..items.len()).collect();
-    let mut out: Vec<Vec<f64>> = xs.iter().map(|_| vec![0.0; cols.len()]).collect();
-    let mut outs: Vec<&mut [f64]> = out.iter_mut().map(Vec::as_mut_slice).collect();
-    gram_block(kernel, xs, items, &cols, &mut outs);
-    out
-}
-
-/// Evaluates a block of kernel values in one pass: `outs[r][t] =
-/// k(xs[r], items[cols[t]])` — the fill behind every SMO Q-row cache
-/// miss.
-///
-/// The block is computed sample-major: every chunk of the selected
-/// `items` is gathered once and scored against *all* query samples
-/// while it is cache-hot, one [`Kernel::eval_many`] call per query, so
-/// scoring B rows together costs one stream over the data instead of
-/// B. Worker threads split the sample axis; each cell is bitwise the
-/// single evaluation `k(xs[r], items[cols[t]])`, so the result is
-/// identical to calling [`gram_row`] per query in any order, for any
-/// batch composition and column order.
-///
-/// # Panics
-///
-/// Panics if `xs.len() != outs.len()`, if any output row is not
-/// `cols.len()` long, or if a column index is out of bounds.
-pub fn gram_block<S, K, I>(
-    kernel: &K,
-    xs: &[&S],
-    items: &[I],
-    cols: &[usize],
-    outs: &mut [&mut [f64]],
-) where
-    S: Sync + ?Sized,
-    K: Kernel<S> + ?Sized,
-    I: Borrow<S> + Sync,
-{
-    assert_eq!(xs.len(), outs.len(), "one output row per query sample");
-    assert!(outs.iter().all(|o| o.len() == cols.len()), "one output cell per column");
-    let col = |t: usize| items[cols[t]].borrow();
-    match outs {
-        [] => {}
-        // A lone row is its own block.
-        [out] => fill_block(kernel, xs, cols.len(), col, out),
-        _ => {
-            let b = xs.len();
-            let mut block = vec![0.0; cols.len() * b];
-            fill_block(kernel, xs, cols.len(), col, &mut block);
-            for (c, chunk) in block.chunks(GRAM_ROW_CHUNK * b).enumerate() {
-                let t0 = c * GRAM_ROW_CHUNK;
-                let len = chunk.len() / b;
-                for (out, run) in outs.iter_mut().zip(chunk.chunks_exact(len)) {
-                    out[t0..t0 + len].copy_from_slice(run);
-                }
-            }
-        }
-    }
-}
-
-/// The one row/block fill loop: `block` holds `n_cols.div_ceil(512)`
-/// chunks in column order, and the chunk over columns `t0..t0 + len`
-/// stores query `r`'s values `k(xs[r], col(t0..t0 + len))` as one
-/// contiguous run at `t0 * xs.len() + r * len`. A parallel job is one
-/// chunk: its columns are gathered once, then each query scores them
-/// with one `eval_many`. With one query the layout is the plain row.
-fn fill_block<'a, S, K>(
-    kernel: &K,
-    xs: &[&S],
-    n_cols: usize,
-    col: impl Fn(usize) -> &'a S + Sync,
-    block: &mut [f64],
-) where
-    S: Sync + ?Sized + 'a,
-    K: Kernel<S> + ?Sized,
-{
-    let b = xs.len();
-    debug_assert_eq!(block.len(), n_cols * b);
-    edm_par::for_each_chunk(block, GRAM_ROW_CHUNK * b, |c, chunk| {
+    edm_par::for_each_chunk(&mut out, GRAM_ROW_CHUNK, |c, run| {
         let t0 = c * GRAM_ROW_CHUNK;
-        let len = chunk.len() / b;
-        let bs: Vec<&S> = (t0..t0 + len).map(&col).collect();
-        for (x, run) in xs.iter().zip(chunk.chunks_exact_mut(len)) {
-            kernel.eval_many(x, &bs, run);
-        }
+        let bs: Vec<&S> = items[t0..t0 + run.len()].iter().map(Borrow::borrow).collect();
+        kernel.eval_many(x, &bs, run);
     });
+    out
 }
+
+/// Columns per parallel chunk of a row: large enough that the
+/// per-chunk dispatch cost is negligible next to the kernel
+/// evaluations, small enough that the chunk's samples (512 × 32
+/// features = 128 KiB) stay cache-resident.
+const GRAM_ROW_CHUNK: usize = 512;
 
 /// Centers a Gram matrix in feature space:
 /// `K' = K − 1ₙK − K1ₙ + 1ₙK1ₙ` where `1ₙ` is the constant `1/n` matrix.
@@ -340,23 +250,5 @@ mod tests {
         for (a, b) in row.iter().zip(g.row(2)) {
             assert!((a - b).abs() < 1e-15);
         }
-    }
-
-    #[test]
-    fn gram_rows_matches_per_row_scoring_bitwise() {
-        let items = cloud();
-        let k = RbfKernel::new(1.1);
-        let xs: Vec<&[f64]> = vec![&items[0], &items[3], &items[0]];
-        let batch = gram_rows(&k, &xs, &items);
-        assert_eq!(batch.len(), 3);
-        for (x, got) in xs.iter().zip(&batch) {
-            let solo = gram_row(&k, x, &items);
-            assert_eq!(
-                got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                solo.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            );
-        }
-        let empty: Vec<&[f64]> = vec![];
-        assert!(gram_rows(&k, &empty, &items).is_empty());
     }
 }

@@ -49,7 +49,7 @@ mod vector_kernels;
 
 pub use any::AnyKernel;
 pub use composite::{NormalizedKernel, ProductKernel, ScaledKernel, SumKernel};
-pub use gram::{center_gram, gram_block, gram_matrix, gram_row, gram_rows, is_psd};
+pub use gram::{center_gram, gram_matrix, gram_row, is_psd};
 pub use sequence::{SpectrumKernel, SpectrumProfile};
 pub use vector_kernels::{
     Chi2Kernel, HistogramIntersectionKernel, LinearKernel, PolyKernel, RbfKernel, SigmoidKernel,

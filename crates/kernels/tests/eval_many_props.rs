@@ -13,7 +13,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use edm_kernels::{
-    gram_block, gram_matrix, gram_row, AnyKernel, Chi2Kernel, HistogramIntersectionKernel, Kernel,
+    gram_matrix, gram_row, AnyKernel, Chi2Kernel, HistogramIntersectionKernel, Kernel,
     LinearKernel, NormalizedKernel, PolyKernel, ProductKernel, RbfKernel, ScaledKernel,
     SigmoidKernel, SpectrumKernel, SumKernel,
 };
@@ -246,9 +246,4 @@ fn eval_many_overrides_are_reached_through_wrappers_and_builders() {
     assert_eq!(probe.take(), 1, "gram_row: one call per 512-sample chunk");
     let _ = gram_matrix(&probe, &data);
     assert_eq!(probe.take(), 40, "gram_matrix: one call per row per panel");
-    let cols = [5, 1, 39];
-    let mut outs = vec![vec![0.0; cols.len()]; 2];
-    let mut slots: Vec<&mut [f64]> = outs.iter_mut().map(Vec::as_mut_slice).collect();
-    gram_block(&probe, &bs[..2], &data, &cols, &mut slots);
-    assert_eq!(probe.take(), 2, "gram_block: one call per query per chunk");
 }

@@ -10,7 +10,7 @@
 //! than a fork: that case is certain to run the forked path (under the
 //! default `parallel` feature) and checks that it did.
 
-use edm_kernels::{gram_matrix, gram_row, gram_rows, Kernel, LinearKernel, RbfKernel};
+use edm_kernels::{gram_matrix, gram_row, Kernel, LinearKernel, RbfKernel};
 use edm_linalg::Matrix;
 use proptest::prelude::*;
 use std::time::{Duration, Instant};
@@ -160,31 +160,6 @@ proptest! {
             .flat_map(|i| sharded.row(i).iter().map(|v| v.to_bits()))
             .collect();
         prop_assert_eq!(tb, sb);
-    }
-
-    /// Batched scoring must be indistinguishable from per-row calls:
-    /// `gram_rows` returns exactly what `gram_row` would for each
-    /// probe, independent of batch width.
-    #[test]
-    fn batched_gram_rows_match_per_row_calls(
-        seed in 0u64..1_000_000,
-        n in 1usize..120,
-        b in 1usize..6,
-        gamma in 0.2f64..2.0,
-    ) {
-        let pts = points(seed, n, 3);
-        let probes = points(seed ^ 0xBEEF, b, 3);
-        let k = RbfKernel::new(gamma);
-        let refs: Vec<&[f64]> = probes.iter().map(Vec::as_slice).collect();
-        let batched = gram_rows(&k, &refs, &pts);
-        prop_assert_eq!(batched.len(), b);
-        for (probe, got) in probes.iter().zip(&batched) {
-            let lone = gram_row(&k, probe.as_slice(), &pts);
-            prop_assert_eq!(
-                got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                lone.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            );
-        }
     }
 
     /// The forked path, made certain: with two workers, ~1 µs per

@@ -1,8 +1,8 @@
 //! Deterministic parallel primitives for the edm workspace.
 //!
 //! All heavy kernel-compute loops (Gram matrices, matrix products,
-//! per-tree forest training, k-means sweeps, CV folds, Q-row fills)
-//! funnel through the two primitives here:
+//! per-tree forest training, k-means sweeps, CV folds) funnel through
+//! the two primitives here:
 //!
 //! - [`for_each_row`] — run a closure over the rows of a flat buffer,
 //!   each row visited exactly once by exactly one thread;
@@ -13,9 +13,16 @@
 //! persistent bounded [`pool::WorkerPool`] instead of these fork-join
 //! primitives; see that module's docs for its admission protocol.
 //!
+//! A computation that makes thousands of calls too small to fork for —
+//! the Q-row fills of one SMO solve — opens a [`team()`] instead: helper
+//! threads spawned once, parked on a condvar between calls, and joined
+//! when the computation ends. A [`Team::map`] call wakes them only when
+//! its work outweighs the wake-up; see the [`team`](mod@team) module.
+//!
 //! **Fork only when it pays.** A fork-join costs 60–70 µs on a small
 //! host (`FORK_COST` rounds it up to 100 µs), more than many whole
-//! calls — a 60-row batch predict, a 5120-entry Q-row fill. So no
+//! calls — a 60-row batch predict, a 5120-entry Q-row fill (which is
+//! why fills go through a [`team()`] instead). So no
 //! primitive forks up front: the calling thread runs jobs itself, and
 //! after jobs 1, 2, 4, 8, …
 //! estimates the serial time left as the mean job time so far times
@@ -28,8 +35,9 @@
 //!
 //! **No fan-out from owned threads.** A primitive called on a thread
 //! `edm-par` already owns — a [`pool::WorkerPool`] worker, a fork-join
-//! helper, or a caller working beside its helpers — runs the plain
-//! serial loop. The pool was sized for the cores it owns, so a server
+//! or team helper, or a caller working beside forked helpers or inside
+//! a team — runs the plain serial loop (and a [`team()`] opened there
+//! has no helpers). The pool was sized for the cores it owns, so a server
 //! batch flush or an online `:train` never fans out on top of it, and
 //! nested primitives never multiply the thread count.
 //!
@@ -51,6 +59,9 @@
 
 #[cfg(feature = "parallel")]
 pub mod pool;
+pub mod team;
+
+pub use team::{team, Team};
 
 /// Debug-checked synchronization wrappers (re-export of [`edm_sync`]).
 ///
@@ -188,16 +199,17 @@ const FORK_COST: Duration = Duration::from_micros(100);
 #[cfg(feature = "parallel")]
 thread_local! {
     /// Set on every thread `edm-par` owns — [`pool::WorkerPool`]
-    /// workers, fork-join helpers, and a calling thread while it works
-    /// beside its helpers. Those cores are already spoken for, so a
-    /// primitive called there runs its plain serial loop.
+    /// workers, fork-join and team helpers, and a calling thread while
+    /// it works beside forked helpers or inside a team with helpers.
+    /// Those cores are already spoken for, so a primitive called there
+    /// runs its plain serial loop.
     static PAR_OWNED: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Marks the current thread `edm-par`-owned until dropped (also on
-/// unwind), then restores the previous mark. Pool workers and
-/// fork-join helpers hold one for their whole life; a calling thread
-/// holds one while it works beside its helpers.
+/// unwind), then restores the previous mark. Pool workers, fork-join
+/// and team helpers hold one for their whole life; a calling thread
+/// holds one while it works beside forked helpers or inside a team.
 #[cfg(feature = "parallel")]
 pub(crate) struct OwnedGuard(bool);
 

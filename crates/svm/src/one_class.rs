@@ -3,7 +3,7 @@ use edm_linalg::Matrix;
 use serde::Serialize;
 
 use crate::error::check_positive;
-use crate::qmatrix::{CachedQ, DenseQ, KernelQ, QMatrix, DEFAULT_CACHE_BYTES};
+use crate::qmatrix::{fill_team, CachedQ, DenseQ, KernelQ, QMatrix, DEFAULT_CACHE_BYTES};
 use crate::solver::{solve, DualProblem, SolverOptions, WorkingSet};
 use crate::{OneClassModel, SvmError};
 
@@ -156,11 +156,15 @@ impl<K: Kernel<[f64]> + Clone> OneClassSvm<K> {
         }
         self.params.validate()?;
         // One-class Q is the kernel matrix itself; rows are computed on
-        // demand behind the LRU cache, never materializing the Gram.
-        let source = KernelQ::<[f64], _, _>::new(&self.kernel, x, None);
-        let mut q = CachedQ::new(source, self.params.cache_bytes);
-        let (alpha, rho, iterations) = solve_one_class_q(&mut q, x.len(), &self.params)?;
-        Ok(OneClassModel::from_dual(self.kernel.clone(), x, alpha, rho, iterations, q.stats()))
+        // demand behind the LRU cache, never materializing the Gram,
+        // and each fill is shared with the team's parked helpers.
+        let (solved, stats) = fill_team(x.len(), |team| {
+            let source = KernelQ::<[f64], _, _>::new(&self.kernel, x, None).with_team(team);
+            let mut q = CachedQ::new(source, self.params.cache_bytes);
+            (solve_one_class_q(&mut q, x.len(), &self.params), q.stats())
+        });
+        let (alpha, rho, iterations) = solved?;
+        Ok(OneClassModel::from_dual(self.kernel.clone(), x, alpha, rho, iterations, stats))
     }
 }
 

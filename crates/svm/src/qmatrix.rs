@@ -31,21 +31,23 @@
 //!
 //! On a cache miss, [`CachedQ`] hands all missing rows of a
 //! [`QMatrix::rows_prefix`] request to `fill_rows` together, which
-//! evaluates them in *one* sample-major pass over the data
-//! ([`edm_kernels::gram_block`]: each item is loaded once per batch
-//! instead of once per row, and each row scores a chunk of items with
-//! one `Kernel::eval_many` call) on worker threads (under the
-//! `parallel` feature). Every entry is bitwise one independent
-//! kernel evaluation, so serial, parallel, batched and gathered fills
-//! are bitwise identical, and a cached row is bitwise identical to a
-//! recomputed one — caching can change solver timings but never
+//! evaluates them in *one* sample-major pass over the data (each item
+//! is loaded once per batch instead of once per row, and each row
+//! scores a chunk of items with one `Kernel::eval_many` call). The
+//! chunks are shared with the fit's [`Team`] of parked helper threads
+//! (under the `parallel` feature), which are woken only for fills that
+//! outweigh the wake-up. Every entry is bitwise one independent
+//! kernel evaluation, so caller-only, shared, batched and gathered
+//! fills are bitwise identical, and a cached row is bitwise identical
+//! to a recomputed one — caching can change solver timings but never
 //! results.
 
 use std::borrow::Borrow;
 use std::marker::PhantomData;
 
-use edm_kernels::{gram_block, Kernel};
+use edm_kernels::Kernel;
 use edm_linalg::Matrix;
+use edm_par::Team;
 use serde::Serialize;
 
 /// Default row-cache budget (64 MiB), mirroring LIBSVM's order of
@@ -67,7 +69,7 @@ const MIN_SLAB_BYTES: usize = (32 << 20) + (64 << 10);
 /// Row `r` is the `len`-entry prefix of row `idxs[r]`, read where it
 /// lives: in the cache's row slab, in a materialized matrix, or in a
 /// buffer the matrix reuses between fetches. The loan ends before the
-/// next fetch or [`QMatrix::swap_index`].
+/// next fetch or [`QMatrix::swap_indices`].
 #[derive(Debug, Clone, Copy)]
 pub struct Rows<'a> {
     buf: &'a [f64],
@@ -99,10 +101,10 @@ impl<'a> Rows<'a> {
 /// just `row_prefix(i, j + 1)[j]`.
 ///
 /// The shrinking heuristic renumbers variables so the active set is
-/// always a prefix `0..active_size`. [`QMatrix::swap_index`] applies
-/// that renumbering to the matrix view (and to any resident cache
-/// rows), and row fetches ask for only the active prefix of a row so
-/// shrunk iterations never pay for inactive columns.
+/// always a prefix `0..active_size`. [`QMatrix::swap_indices`] applies
+/// one shrink pass's renumbering to the matrix view (and to any
+/// resident cache rows), and row fetches ask for only the active prefix
+/// of a row so shrunk iterations never pay for inactive columns.
 pub trait QMatrix {
     /// Problem size (Q is `n × n`).
     fn n(&self) -> usize;
@@ -135,16 +137,18 @@ pub trait QMatrix {
     /// Panics if any index is `>= self.n()` or `len > self.n()`.
     fn rows_prefix(&mut self, idxs: &[usize], len: usize) -> Rows<'_>;
 
-    /// Renumbers variables `a` and `b` (rows *and* columns swap, since
-    /// `Q` is symmetric): after the call, row `a` is the old row `b`
-    /// with entries `a`/`b` exchanged, and `diag()` reflects the new
-    /// order. Used by the solver's shrinking heuristic to keep the
-    /// active set a contiguous prefix.
+    /// Renumbers variables by the swaps `(a, b)`, in order (rows *and*
+    /// columns swap, since `Q` is symmetric): after a swap, row `a` is
+    /// the old row `b` with entries `a`/`b` exchanged, and `diag()`
+    /// reflects the new order. The solver's shrinking heuristic passes
+    /// each pass's swaps in one call to keep the active set a
+    /// contiguous prefix. The result is exactly that of applying the
+    /// swaps one at a time.
     ///
     /// # Panics
     ///
-    /// Panics if `a >= self.n()` or `b >= self.n()`.
-    fn swap_index(&mut self, a: usize, b: usize);
+    /// Panics if any index is `>= self.n()`.
+    fn swap_indices(&mut self, swaps: &[(usize, usize)]);
 }
 
 /// A strategy for computing `Q` values from scratch — what [`CachedQ`]
@@ -182,10 +186,10 @@ pub trait QSource {
 /// `signs` is `None`. No cache is needed.
 ///
 /// Unsigned rows are lent straight from the matrix until the first
-/// [`QMatrix::swap_index`]; after that, and always when signed, a
-/// fetch gathers the requested prefixes through the permutation into
-/// one reused buffer (an O(len) copy per row, never an O(n²) duplicate
-/// of the matrix).
+/// renumbering ([`QMatrix::swap_indices`]); after that, and always
+/// when signed, a fetch gathers the requested prefixes through the
+/// permutation into one reused buffer (an O(len) copy per row, never
+/// an O(n²) duplicate of the matrix).
 pub struct DenseQ<'a> {
     m: &'a Matrix,
     signs: Option<&'a [f64]>,
@@ -251,15 +255,16 @@ impl QMatrix for DenseQ<'_> {
         Rows { buf: &self.buf, starts: &self.starts, len }
     }
 
-    fn swap_index(&mut self, a: usize, b: usize) {
+    fn swap_indices(&mut self, swaps: &[(usize, usize)]) {
         let n = self.m.rows();
-        assert!(a < n && b < n, "swap ({a}, {b}) out of bounds for n = {n}");
-        if a == b {
-            return;
+        for &(a, b) in swaps {
+            assert!(a < n && b < n, "swap ({a}, {b}) out of bounds for n = {n}");
+            if a != b {
+                self.perm.swap(a, b);
+                self.diag.swap(a, b);
+                self.permuted = true;
+            }
         }
-        self.perm.swap(a, b);
-        self.diag.swap(a, b);
-        self.permuted = true;
     }
 }
 
@@ -267,18 +272,95 @@ impl QMatrix for DenseQ<'_> {
 // KernelQ: rows computed on demand from a kernel over the raw samples.
 // ---------------------------------------------------------------------
 
+/// Columns per chunk of a kernel-block fill, the unit a [`Team`]
+/// hands out: large enough that a chunk's hand-out and copy-out are
+/// negligible next to its kernel evaluations, small enough that the
+/// chunk's samples (512 × 32 features = 128 KiB) stay cache-resident
+/// while every row of the batch scores them, and that a 5120-column
+/// row splits into ten chunks to share.
+const FILL_CHUNK: usize = 512;
+
+/// Runs `body` with the team a fit's fills over `m` distinct samples
+/// go through: parked helpers ([`edm_par::team`]) when a row spans
+/// more than one chunk, a solo team otherwise. A one-chunk fill has
+/// nothing to share, and opening and closing a one-helper team costs
+/// about 65 µs (2-vCPU VM), 2 % of a 300-sample fit.
+pub(crate) fn fill_team<'a, R>(m: usize, body: impl FnOnce(&Team<'a>) -> R) -> R {
+    if m > FILL_CHUNK {
+        edm_par::team(body)
+    } else {
+        body(&Team::solo())
+    }
+}
+
+/// Fills `outs[r][t] = k(xs[r], items[cols[t]])`, times
+/// `row_signs[r] · signs[cols[t]]` when signed, through `team`.
+///
+/// The block is computed sample-major: each chunk of `FILL_CHUNK`
+/// columns is gathered once and scored against *every* row while it
+/// is cache-hot, one [`Kernel::eval_many`] call per row, so a B-row
+/// batch streams the data once instead of B times. A chunk is one team
+/// job: it borrows only the kernel and the samples, owns the row and
+/// column lists, and returns its values, which are copied into `outs`
+/// here. Each cell is one kernel evaluation (and the same sign
+/// product), so the result is bitwise independent of batch
+/// composition, column order, and which thread ran which chunk.
+fn fill_block<'a, S, K, I>(
+    team: &Team<'a>,
+    (kernel, items): (&'a K, &'a [I]),
+    xs: Vec<&'a S>,
+    cols: &[usize],
+    signs: Option<(Vec<f64>, &'a [f64])>,
+    outs: &mut [&mut [f64]],
+) where
+    S: Sync + ?Sized,
+    K: Kernel<S>,
+    I: Borrow<S> + Sync,
+{
+    assert_eq!(xs.len(), outs.len(), "one output slice per batch row");
+    assert!(outs.iter().all(|o| o.len() == cols.len()), "one output cell per column");
+    if xs.is_empty() {
+        return;
+    }
+    let owned_cols = cols.to_vec();
+    let chunks = team.map(cols.len().div_ceil(FILL_CHUNK), move |c| {
+        let cs = &owned_cols[c * FILL_CHUNK..owned_cols.len().min((c + 1) * FILL_CHUNK)];
+        let bs: Vec<&S> = cs.iter().map(|&j| items[j].borrow()).collect();
+        let mut values = vec![0.0; xs.len() * cs.len()];
+        for (r, (x, run)) in xs.iter().zip(values.chunks_exact_mut(cs.len())).enumerate() {
+            kernel.eval_many(x, &bs, run);
+            if let Some((row_signs, s)) = &signs {
+                let si = row_signs[r];
+                for (v, &j) in run.iter_mut().zip(cs) {
+                    *v *= si * s[j];
+                }
+            }
+        }
+        values
+    });
+    for (c, values) in chunks.iter().enumerate() {
+        let t0 = c * FILL_CHUNK;
+        let len = values.len() / outs.len();
+        for (out, run) in outs.iter_mut().zip(values.chunks_exact(len)) {
+            out[t0..t0 + len].copy_from_slice(run);
+        }
+    }
+}
+
 /// [`QSource`] that evaluates the kernel on demand — the Gram matrix is
 /// never materialized, so memory stays `O(cache)` instead of `O(n²)`.
 ///
 /// `Q(i, j) = k(xᵢ, xⱼ) · (sᵢ sⱼ)`, or plain `k` when `signs` is `None`.
 /// A fill over `cols` costs `rows.len() · cols.len()` kernel
-/// evaluations, run on worker threads (with the `parallel` feature);
-/// each is independent, so serial and parallel fills are bitwise
-/// identical.
+/// evaluations. Built [`KernelQ::with_team`], a fill is split into
+/// column chunks shared with the team's parked helpers; otherwise it
+/// runs on the caller. Each evaluation is independent, so both give
+/// bitwise identical rows.
 pub struct KernelQ<'a, S: ?Sized, K, I> {
     kernel: &'a K,
     items: &'a [I],
     signs: Option<&'a [f64]>,
+    team: Team<'a>,
     _sample: PhantomData<&'a S>,
 }
 
@@ -289,6 +371,7 @@ where
     I: Borrow<S> + Sync,
 {
     /// Builds the source; `signs`, when given, must be `±1` per sample.
+    /// Fills run on the caller until [`KernelQ::with_team`].
     ///
     /// # Panics
     ///
@@ -297,7 +380,13 @@ where
         if let Some(s) = signs {
             assert_eq!(s.len(), items.len(), "signs length must match items");
         }
-        KernelQ { kernel, items, signs, _sample: PhantomData }
+        KernelQ { kernel, items, signs, team: Team::solo(), _sample: PhantomData }
+    }
+
+    /// Fills rows through `team` (builder-style): each fill that
+    /// outweighs a hand-off is shared with its parked helpers.
+    pub fn with_team(self, team: &Team<'a>) -> Self {
+        KernelQ { team: team.clone(), ..self }
     }
 }
 
@@ -316,15 +405,9 @@ where
     }
 
     fn fill_rows(&self, rows: &[usize], cols: &[usize], outs: &mut [&mut [f64]]) {
-        let xs: Vec<&S> = rows.iter().map(|&i| self.items[i].borrow()).collect();
-        gram_block(self.kernel, &xs, self.items, cols, outs);
-        if let Some(s) = self.signs {
-            for (&i, out) in rows.iter().zip(outs.iter_mut()) {
-                for (v, &j) in out.iter_mut().zip(cols) {
-                    *v *= s[i] * s[j];
-                }
-            }
-        }
+        let xs = rows.iter().map(|&i| self.items[i].borrow()).collect();
+        let signs = self.signs.map(|s| (rows.iter().map(|&i| s[i]).collect(), s));
+        fill_block(&self.team, (self.kernel, self.items), xs, cols, signs, outs);
     }
 }
 
@@ -337,13 +420,14 @@ where
 /// `Q(t, u) = s(t) s(u) K(base(t), base(u))` with `base(t) = t mod m`.
 ///
 /// A fill evaluates each distinct base sample among its columns once
-/// per row (in parallel) and mirrors the value with signs into every
-/// column sharing that base, so a full `2m`-column row costs `m`
-/// kernel evaluations and the block structure costs no extra kernel
-/// work.
+/// per row (through the team set by [`SvrQ::with_team`], as for
+/// [`KernelQ`]) and mirrors the value with signs into every column
+/// sharing that base, so a full `2m`-column row costs `m` kernel
+/// evaluations and the block structure costs no extra kernel work.
 pub struct SvrQ<'a, S: ?Sized, K, I> {
     kernel: &'a K,
     items: &'a [I],
+    team: Team<'a>,
     _sample: PhantomData<&'a S>,
 }
 
@@ -354,8 +438,15 @@ where
     I: Borrow<S> + Sync,
 {
     /// Builds the source over `m` samples; the dual has `2m` variables.
+    /// Fills run on the caller until [`SvrQ::with_team`].
     pub fn new(kernel: &'a K, items: &'a [I]) -> Self {
-        SvrQ { kernel, items, _sample: PhantomData }
+        SvrQ { kernel, items, team: Team::solo(), _sample: PhantomData }
+    }
+
+    /// Fills rows through `team` (builder-style), as
+    /// [`KernelQ::with_team`].
+    pub fn with_team(self, team: &Team<'a>) -> Self {
+        SvrQ { team: team.clone(), ..self }
     }
 }
 
@@ -389,10 +480,10 @@ where
                 bases.push(bu);
             }
         }
-        let xs: Vec<&S> = rows.iter().map(|&t| self.items[t % m].borrow()).collect();
+        let xs = rows.iter().map(|&t| self.items[t % m].borrow()).collect();
         let mut block = vec![vec![0.0; bases.len()]; rows.len()];
         let mut block_rows: Vec<&mut [f64]> = block.iter_mut().map(Vec::as_mut_slice).collect();
-        gram_block(self.kernel, &xs, self.items, &bases, &mut block_rows);
+        fill_block(&self.team, (self.kernel, self.items), xs, &bases, None, &mut block_rows);
         for ((&t, k), out) in rows.iter().zip(&block).zip(outs.iter_mut()) {
             assert_eq!(out.len(), cols.len(), "one output cell per column");
             let st = if t < m { 1.0 } else { -1.0 };
@@ -490,10 +581,14 @@ struct Want {
 /// evaluation, so caching never changes results — only how often rows
 /// are recomputed.
 ///
-/// [`QMatrix::swap_index`] mirrors LIBSVM's cache handling: resident
-/// rows long enough to cover both swapped columns get the two entries
-/// exchanged in place; rows covering only the lower index can no
-/// longer be represented and are dropped (counted as evictions).
+/// [`QMatrix::swap_indices`] mirrors LIBSVM's cache handling, swap by
+/// swap: resident rows long enough to cover both swapped columns get
+/// the two entries exchanged in place; rows covering only the lower
+/// index can no longer be represented and are dropped (counted as
+/// evictions). A swap's effect on a row depends only on the row's
+/// valid length, so a whole pass is applied in one sweep over the
+/// resident rows, each taking the pass's swaps in order, followed by
+/// one permutation of the row table.
 pub struct CachedQ<S> {
     source: S,
     diag: Vec<f64>,
@@ -740,30 +835,52 @@ impl<S: QSource> QMatrix for CachedQ<S> {
         Rows { buf: &self.slab, starts: &self.starts, len }
     }
 
-    fn swap_index(&mut self, a: usize, b: usize) {
+    fn swap_indices(&mut self, swaps: &[(usize, usize)]) {
         let n = self.diag.len();
-        assert!(a < n && b < n, "swap ({a}, {b}) out of bounds for n = {n}");
-        if a == b {
-            return;
+        for &(a, b) in swaps {
+            assert!(a < n && b < n, "swap ({a}, {b}) out of bounds for n = {n}");
         }
-        self.perm.swap(a, b);
-        self.diag.swap(a, b);
-        self.entries.swap(a, b);
-        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-        for entry in &mut self.entries {
+        // Each resident row takes the swaps in order, following its own
+        // view position. A row dropped at swap `k` while at position
+        // `pos` is recorded as `(k, pos, slot)`: sorted, that is the
+        // order in which one-at-a-time swaps free the slots.
+        let mut dropped = Vec::new();
+        let Self { entries, slab, .. } = self;
+        for (i, entry) in entries.iter_mut().enumerate() {
             let Some(e) = *entry else { continue };
-            if e.len > hi {
-                // Row covers both columns: exchange the two entries so
-                // the cached contents match the new numbering.
-                self.slab[e.slot * n..][..e.len].swap(lo, hi);
-            } else if e.len > lo {
-                // Covers `lo` but not `hi`: the prefix can no longer be
-                // represented under the new numbering. Drop it (LIBSVM
-                // does the same).
-                *entry = None;
-                self.free.push(e.slot);
-                self.evictions += 1;
+            let row = &mut slab[e.slot * n..][..e.len];
+            let mut pos = i;
+            for (k, &(a, b)) in swaps.iter().enumerate() {
+                if a == b {
+                    continue;
+                }
+                if pos == a {
+                    pos = b;
+                } else if pos == b {
+                    pos = a;
+                }
+                let (lo, hi) = if a < b { (a, b) } else { (b, a) };
+                if e.len > hi {
+                    // Row covers both columns: exchange the two entries so
+                    // the cached contents match the new numbering.
+                    row.swap(lo, hi);
+                } else if e.len > lo {
+                    // Covers `lo` but not `hi`: the prefix can no longer be
+                    // represented under the new numbering. Drop it (LIBSVM
+                    // does the same).
+                    dropped.push((k, pos, e.slot));
+                    *entry = None;
+                    break;
+                }
             }
+        }
+        dropped.sort_unstable();
+        self.evictions += dropped.len() as u64;
+        self.free.extend(dropped.iter().map(|&(_, _, slot)| slot));
+        for &(a, b) in swaps {
+            self.perm.swap(a, b);
+            self.diag.swap(a, b);
+            self.entries.swap(a, b);
         }
     }
 }
@@ -919,8 +1036,7 @@ mod tests {
             q.row_prefix(1, 8);
             q.row_prefix(5, 8);
             q.row_prefix(2, 8);
-            q.swap_index(1, 5);
-            q.swap_index(0, 2);
+            q.swap_indices(&[(1, 5), (0, 2)]);
             // View permutation: 0<->2 after 1<->5.
             let perm = [2usize, 5, 0, 3, 4, 1, 6, 7];
             for i in 0..8 {
@@ -943,8 +1059,7 @@ mod tests {
     fn dense_q_swap_matches_reference_permutation() {
         let gram = gram_matrix(&RbfKernel::new(1.3), &cloud(6));
         let mut q = DenseQ::new(&gram, None);
-        q.swap_index(0, 4);
-        q.swap_index(2, 3);
+        q.swap_indices(&[(0, 4), (2, 3)]);
         let perm = [4usize, 1, 3, 2, 0, 5];
         for i in 0..6 {
             assert_eq!(q.diag()[i].to_bits(), gram[(perm[i], perm[i])].to_bits());
@@ -984,7 +1099,7 @@ mod tests {
         let mut q = CachedQ::new(KernelQ::<[f64], _, _>::new(&k, &x, None), 1 << 20);
         q.row_prefix(0, 3); // covers column 1 but not column 5
         q.row_prefix(4, 1); // covers neither swapped column
-        q.swap_index(1, 5);
+        q.swap_indices(&[(1, 5)]);
         let s = q.stats();
         assert_eq!(s.evictions, 1, "row 0's prefix dropped, row 4's kept");
         // Re-fetching row 0 recomputes under the new numbering.

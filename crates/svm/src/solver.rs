@@ -34,10 +34,11 @@
 //!
 //! * **Shrinking**: every `min(n, 1000)` iterations, bound variables
 //!   whose gradient sign says they cannot re-enter the working set are
-//!   swapped past `active_size` (through [`QMatrix::swap_index`], which
-//!   keeps cached rows valid), and the solver iterates over the active
-//!   prefix only — row fetches shrink to [`QMatrix::row_prefix`]. A
-//!   running `Ḡₜ = Σ_{j at upper bound} Cⱼ Qₜⱼ` makes the gradient of
+//!   swapped past `active_size` (one [`QMatrix::swap_indices`] call per
+//!   pass, which keeps cached rows valid), and the solver iterates over
+//!   the active prefix only — row fetches shrink to
+//!   [`QMatrix::row_prefix`]. A running
+//!   `Ḡₜ = Σ_{j at upper bound} Cⱼ Qₜⱼ` makes the gradient of
 //!   inactive variables reconstructible; on (near-)convergence the full
 //!   gradient is rebuilt and a final unshrunk pass runs, so the
 //!   returned optimum satisfies the same `tol` as the unshrunk solver.
@@ -196,9 +197,9 @@ impl Smo {
         self.alpha[t] <= 0.0
     }
 
-    /// Renumbers variables `a` and `b` across all solver state and the
-    /// `Q` view.
-    fn swap_all(&mut self, q: &mut dyn QMatrix, a: usize, b: usize) {
+    /// Renumbers variables `a` and `b` across all solver state; the
+    /// `Q` view follows once per shrink pass.
+    fn swap_state(&mut self, a: usize, b: usize) {
         self.p.swap(a, b);
         self.y.swap(a, b);
         self.c.swap(a, b);
@@ -207,7 +208,6 @@ impl Smo {
         self.g_bar.swap(a, b);
         self.diag.swap(a, b);
         self.idx.swap(a, b);
-        q.swap_index(a, b);
     }
 
     /// Working-set selection over the active prefix.
@@ -338,6 +338,7 @@ impl Smo {
             self.reconstruct_gradient(q);
             self.active_size = self.n();
         }
+        let mut swaps = Vec::new();
         let mut t = 0;
         while t < self.active_size {
             if self.be_shrunk(t, gmax1, gmax2) {
@@ -345,13 +346,17 @@ impl Smo {
                 while self.active_size > t {
                     if !self.be_shrunk(self.active_size, gmax1, gmax2) {
                         let b = self.active_size;
-                        self.swap_all(q, t, b);
+                        self.swap_state(t, b);
+                        swaps.push((t, b));
                         break;
                     }
                     self.active_size -= 1;
                 }
             }
             t += 1;
+        }
+        if !swaps.is_empty() {
+            q.swap_indices(&swaps);
         }
         self.shrink_events += 1;
         edm_trace::record("svm.smo.active_set", self.active_size as f64);
@@ -444,7 +449,7 @@ fn compute_rho(alpha: &[f64], g: &[f64], y: &[f64], c: &[f64]) -> f64 {
 /// Runs SMO to convergence.
 ///
 /// `q` is taken mutably because the shrinking heuristic renumbers
-/// variables through [`QMatrix::swap_index`]; with `shrinking: false`
+/// variables through [`QMatrix::swap_indices`]; with `shrinking: false`
 /// the matrix is never mutated. The returned `alpha` is always in the
 /// caller's original variable order.
 ///

@@ -3,7 +3,7 @@ use edm_linalg::Matrix;
 use serde::Serialize;
 
 use crate::error::check_positive;
-use crate::qmatrix::{CachedQ, DenseQ, KernelQ, QMatrix, DEFAULT_CACHE_BYTES};
+use crate::qmatrix::{fill_team, CachedQ, DenseQ, KernelQ, QMatrix, DEFAULT_CACHE_BYTES};
 use crate::solver::{solve, DualProblem, SolverOptions, WorkingSet};
 use crate::{SvcModel, SvmError};
 
@@ -131,12 +131,16 @@ impl<K: Kernel<[f64]> + Clone> SvcTrainer<K> {
             return Err(SvmError::SingleClass);
         }
         // Kernel rows are computed on demand behind the LRU row cache —
-        // the n×n Gram matrix is never materialized.
-        let source = KernelQ::<[f64], _, _>::new(&self.kernel, x, Some(y));
-        let mut q = CachedQ::new(source, self.params.cache_bytes);
-        let (alpha, rho, iterations) = solve_svc_q(&mut q, y, &self.params)?;
+        // the n×n Gram matrix is never materialized — and each fill is
+        // shared with the team's parked helpers.
+        let (solved, stats) = fill_team(x.len(), |team| {
+            let source = KernelQ::<[f64], _, _>::new(&self.kernel, x, Some(y)).with_team(team);
+            let mut q = CachedQ::new(source, self.params.cache_bytes);
+            (solve_svc_q(&mut q, y, &self.params), q.stats())
+        });
+        let (alpha, rho, iterations) = solved?;
         let coef = y.iter().zip(&alpha).map(|(&yi, &a)| yi * a);
-        Ok(SvcModel::from_dual(self.kernel.clone(), x, coef, rho, iterations, q.stats()))
+        Ok(SvcModel::from_dual(self.kernel.clone(), x, coef, rho, iterations, stats))
     }
 }
 

@@ -2,7 +2,7 @@ use edm_kernels::{Kernel, RbfKernel};
 use serde::Serialize;
 
 use crate::error::check_positive;
-use crate::qmatrix::{CachedQ, SvrQ, DEFAULT_CACHE_BYTES};
+use crate::qmatrix::{fill_team, CachedQ, SvrQ, DEFAULT_CACHE_BYTES};
 use crate::solver::{solve, DualProblem, SolverOptions, WorkingSet};
 use crate::{SvmError, SvrModel};
 
@@ -172,10 +172,8 @@ impl<K: Kernel<[f64]> + Clone> SvrTrainer<K> {
         // m..2m are α* (sign −1); Q_ij = s_i s_j K(base_i, base_j). The
         // block structure lives in SvrQ, which computes each kernel row
         // on demand behind the LRU cache — the Gram matrix is never
-        // materialized.
+        // materialized — sharing each fill with the team's helpers.
         let sign = |t: usize| if t < m { 1.0 } else { -1.0 };
-        let mut q =
-            CachedQ::new(SvrQ::<[f64], _, _>::new(&self.kernel, x), self.params.cache_bytes);
         let mut p = Vec::with_capacity(2 * m);
         for &yi in y {
             p.push(self.params.epsilon - yi);
@@ -192,10 +190,15 @@ impl<K: Kernel<[f64]> + Clone> SvrTrainer<K> {
             max_iter: self.params.max_iter,
             opts: self.params.solver_opts(),
         };
-        let sol = solve(&mut q, &problem)?;
+        let (solved, stats) = fill_team(m, |team| {
+            let source = SvrQ::<[f64], _, _>::new(&self.kernel, x).with_team(team);
+            let mut q = CachedQ::new(source, self.params.cache_bytes);
+            (solve(&mut q, &problem), q.stats())
+        });
+        let sol = solved?;
         // β_i = α_i − α*_i; keep nonzero coefficients.
         let beta = (0..m).map(|i| sol.alpha[i] - sol.alpha[i + m]);
-        Ok(SvrModel::from_dual(self.kernel.clone(), x, beta, sol.rho, sol.iterations, q.stats()))
+        Ok(SvrModel::from_dual(self.kernel.clone(), x, beta, sol.rho, sol.iterations, stats))
     }
 }
 

@@ -3,8 +3,9 @@
 //! pathologically tiny budget) returns a `DualSolution` bitwise
 //! identical to solving with the cache **off** — for all three dual
 //! shapes (SVC, SVR, one-class). Also checks that cached rows under a
-//! random access pattern always match direct kernel evaluations, and
-//! pins how many kernel evaluations each row fill costs.
+//! random access pattern always match direct kernel evaluations, that
+//! a shrink pass's batched renumbering equals its swaps one at a time,
+//! and pins how many kernel evaluations each row fill costs.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -192,7 +193,7 @@ proptest! {
         let x = points(seed, n, 3);
         let k = RbfKernel::new(0.7);
         let mut cached = CachedQ::new(KernelQ::<[f64], _, _>::new(&k, &x, None), cache_bytes);
-        // Mirror of the renumbering applied via swap_index: logical
+        // Mirror of the renumbering applied via swap_indices: logical
         // position -> original index.
         let mut perm: Vec<usize> = (0..n).collect();
         let mut state = seed ^ 0xBA7C4;
@@ -205,7 +206,7 @@ proptest! {
             if next() % 3 == 0 {
                 let a = (next() % n as u64) as usize;
                 let b = (next() % n as u64) as usize;
-                cached.swap_index(a, b);
+                cached.swap_indices(&[(a, b)]);
                 perm.swap(a, b);
             }
             let batch = 1 + (next() % 5) as usize;
@@ -248,7 +249,7 @@ proptest! {
             if next() % 3 == 0 {
                 let a = (next() % n as u64) as usize;
                 let b = (next() % n as u64) as usize;
-                cached.swap_index(a, b);
+                cached.swap_indices(&[(a, b)]);
                 perm.swap(a, b);
             }
             let batch = 1 + (next() % 4) as usize;
@@ -302,6 +303,54 @@ proptest! {
                     lone[..n].iter().map(|v| v.to_bits()).collect::<Vec<_>>()
                 );
             }
+            prop_assert_eq!(batched.stats(), sequential.stats());
+        }
+    }
+
+    /// One `swap_indices` call over a pass's swap list must leave the
+    /// cache exactly as the same swaps one call at a time would: the
+    /// same rows dropped (and counted as evictions), the same entries
+    /// exchanged in the rows that stay, and the same state for every
+    /// later fetch. Resident rows get random prefix lengths, so swaps
+    /// that cover a row, drop it, or miss it all occur, repeated
+    /// indices and `a == b` swaps included.
+    #[test]
+    fn batched_swaps_match_sequential_swaps(
+        seed in 0u64..1_000_000,
+        n in 4usize..28,
+        cache_bytes in 0usize..3000,
+    ) {
+        let x = points(seed, n, 2);
+        let k = RbfKernel::new(0.8);
+        let mut batched = CachedQ::new(KernelQ::<[f64], _, _>::new(&k, &x, None), cache_bytes);
+        let mut sequential = CachedQ::new(KernelQ::<[f64], _, _>::new(&k, &x, None), cache_bytes);
+        let mut state = seed ^ 0x5A4B;
+        let mut next = move |m: usize| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (state ^ (state >> 31)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            ((z >> 33) % m as u64) as usize
+        };
+        for _ in 0..6 {
+            for _ in 0..next(12) {
+                let (i, len) = (next(n), 1 + next(n));
+                batched.row_prefix(i, len);
+                sequential.row_prefix(i, len);
+            }
+            let swaps: Vec<(usize, usize)> = (0..next(2 * n)).map(|_| (next(n), next(n))).collect();
+            batched.swap_indices(&swaps);
+            for &swap in &swaps {
+                sequential.swap_indices(&[swap]);
+            }
+            prop_assert_eq!(batched.stats(), sequential.stats(), "after {:?}", swaps);
+            prop_assert_eq!(
+                batched.diag().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                sequential.diag().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            );
+            let i = next(n);
+            let len = 1 + next(n);
+            let a: Vec<u64> = batched.row_prefix(i, len).iter().map(|v| v.to_bits()).collect();
+            let b: Vec<u64> = sequential.row_prefix(i, len).iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(a, b, "row {} len {}", i, len);
             prop_assert_eq!(batched.stats(), sequential.stats());
         }
     }

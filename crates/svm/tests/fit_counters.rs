@@ -10,6 +10,15 @@
 //! are compiled must never change which rows are resident or which pair
 //! is selected, so a change to either leaves every number here as it
 //! is.
+//!
+//! Every fit runs twice: at `EDM_NUM_THREADS=1`, where the caller fills
+//! every Q row alone, and at `4`, where a fit whose rows span more than
+//! one 512-column fill chunk (the SVC and one-class fits here) shares
+//! its fills with a team of parked helpers, also on a one-core host.
+//! One lock serializes the runs, since the thread count is
+//! process-wide.
+
+use std::sync::Mutex;
 
 use edm_kernels::RbfKernel;
 use edm_svm::{
@@ -45,6 +54,16 @@ fn fingerprint<F: SvFamily>(m: &SvModel<RbfKernel, F>) -> u64 {
     h
 }
 
+/// Runs `fit_and_check` at one and at four configured threads.
+fn at_thread_counts(fit_and_check: impl Fn()) {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    for threads in ["1", "4"] {
+        let _g = SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        std::env::set_var("EDM_NUM_THREADS", threads);
+        fit_and_check();
+    }
+}
+
 fn check<F: SvFamily>(
     what: &str,
     m: &SvModel<RbfKernel, F>,
@@ -63,51 +82,57 @@ fn check<F: SvFamily>(
 /// the fit runs past the first shrink pass (every 1000 iterations).
 #[test]
 fn svc_fit_counters_are_pinned() {
-    let x = points(0x5EC0_0001, 1200, 4);
-    let y: Vec<f64> = x
-        .iter()
-        .map(|p| if (3.0 * p[0]).sin() + p[1] + 0.3 * p[2] * p[3] > 0.0 { 1.0 } else { -1.0 })
-        .collect();
-    // 1 MiB over 1200-column rows: a 109-row budget.
-    let params = SvcParams { c: 10.0, ..SvcParams::default() }.with_cache_bytes(1 << 20);
-    let m = SvcTrainer::new(params).kernel(RbfKernel::new(2.0)).fit(&x, &y).unwrap();
-    check(
-        "svc",
-        &m,
-        1665,
-        CacheStats { hits: 4429, misses: 790, evictions: 629 },
-        0x109B_E847_6A83_623A,
-    );
+    at_thread_counts(|| {
+        let x = points(0x5EC0_0001, 1200, 4);
+        let y: Vec<f64> = x
+            .iter()
+            .map(|p| if (3.0 * p[0]).sin() + p[1] + 0.3 * p[2] * p[3] > 0.0 { 1.0 } else { -1.0 })
+            .collect();
+        // 1 MiB over 1200-column rows: a 109-row budget.
+        let params = SvcParams { c: 10.0, ..SvcParams::default() }.with_cache_bytes(1 << 20);
+        let m = SvcTrainer::new(params).kernel(RbfKernel::new(2.0)).fit(&x, &y).unwrap();
+        check(
+            "svc",
+            &m,
+            1665,
+            CacheStats { hits: 4429, misses: 790, evictions: 629 },
+            0x109B_E847_6A83_623A,
+        );
+    });
 }
 
 #[test]
 fn svr_fit_counters_are_pinned() {
-    let x = points(0x5E_0002, 400, 3);
-    let t: Vec<f64> = x.iter().map(|p| (2.0 * p[0]).sin() + 0.5 * p[1] * p[2]).collect();
-    // 512 KiB over 800-column rows: an 81-row budget.
-    let params =
-        SvrParams { c: 100.0, epsilon: 0.01, ..SvrParams::default() }.with_cache_bytes(512 << 10);
-    let m = SvrTrainer::new(params).kernel(RbfKernel::new(1.5)).fit(&x, &t).unwrap();
-    check(
-        "svr",
-        &m,
-        2099,
-        CacheStats { hits: 5652, misses: 748, evictions: 623 },
-        0x49E3_4D0C_7F1D_AE5F,
-    );
+    at_thread_counts(|| {
+        let x = points(0x5E_0002, 400, 3);
+        let t: Vec<f64> = x.iter().map(|p| (2.0 * p[0]).sin() + 0.5 * p[1] * p[2]).collect();
+        // 512 KiB over 800-column rows: an 81-row budget.
+        let params = SvrParams { c: 100.0, epsilon: 0.01, ..SvrParams::default() }
+            .with_cache_bytes(512 << 10);
+        let m = SvrTrainer::new(params).kernel(RbfKernel::new(1.5)).fit(&x, &t).unwrap();
+        check(
+            "svr",
+            &m,
+            2099,
+            CacheStats { hits: 5652, misses: 748, evictions: 623 },
+            0x49E3_4D0C_7F1D_AE5F,
+        );
+    });
 }
 
 #[test]
 fn one_class_fit_counters_are_pinned() {
-    let x = points(0x0C_0003, 1200, 3);
-    // 1 MiB over 1200-column rows: a 109-row budget.
-    let params = OneClassParams::default().with_nu(0.2).with_cache_bytes(1 << 20);
-    let m = OneClassSvm::new(params).kernel(RbfKernel::new(10.0)).fit(&x).unwrap();
-    check(
-        "one-class",
-        &m,
-        5958,
-        CacheStats { hits: 11216, misses: 7965, evictions: 7810 },
-        0x65FF_2C2C_0374_EE36,
-    );
+    at_thread_counts(|| {
+        let x = points(0x0C_0003, 1200, 3);
+        // 1 MiB over 1200-column rows: a 109-row budget.
+        let params = OneClassParams::default().with_nu(0.2).with_cache_bytes(1 << 20);
+        let m = OneClassSvm::new(params).kernel(RbfKernel::new(10.0)).fit(&x).unwrap();
+        check(
+            "one-class",
+            &m,
+            5958,
+            CacheStats { hits: 11216, misses: 7965, evictions: 7810 },
+            0x65FF_2C2C_0374_EE36,
+        );
+    });
 }
