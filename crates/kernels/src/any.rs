@@ -5,6 +5,9 @@
 //! kernel directly, so save → load round trips preserve decision
 //! values exactly.
 
+use std::ops::Range;
+
+use edm_linalg::LanePanel;
 use serde::Serialize;
 
 use crate::vector_kernels::{
@@ -14,9 +17,9 @@ use crate::Kernel;
 
 /// Any of the workspace's vector kernels, dispatched at runtime.
 ///
-/// `eval` and `eval_many` forward to the wrapped kernel's own methods,
-/// so an `AnyKernel` scores exactly like (and as fast as) the kernel it
-/// was built from.
+/// `eval`, `eval_many` and the panel methods forward to the wrapped
+/// kernel's own methods, so an `AnyKernel` scores exactly like (and as
+/// fast as) the kernel it was built from.
 // Deliberately exhaustive: the persistence format enumerates exactly
 // these kinds, so adding a variant is a schema change and should break
 // every match that needs updating.
@@ -71,6 +74,28 @@ impl Kernel<[f64]> for AnyKernel {
             AnyKernel::Sigmoid(k) => k.eval_many(a, bs, out),
             AnyKernel::HistogramIntersection(k) => k.eval_many(a, bs, out),
             AnyKernel::Chi2(k) => k.eval_many(a, bs, out),
+        }
+    }
+
+    fn pack_panel(&self, items: &[&[f64]]) -> Option<LanePanel> {
+        match self {
+            AnyKernel::Linear(k) => k.pack_panel(items),
+            AnyKernel::Poly(k) => k.pack_panel(items),
+            AnyKernel::Rbf(k) => k.pack_panel(items),
+            AnyKernel::Sigmoid(k) => k.pack_panel(items),
+            AnyKernel::HistogramIntersection(k) => k.pack_panel(items),
+            AnyKernel::Chi2(k) => k.pack_panel(items),
+        }
+    }
+
+    fn eval_panel(&self, a: &[f64], panel: &LanePanel, cols: Range<usize>, out: &mut [f64]) {
+        match self {
+            AnyKernel::Linear(k) => k.eval_panel(a, panel, cols, out),
+            AnyKernel::Poly(k) => k.eval_panel(a, panel, cols, out),
+            AnyKernel::Rbf(k) => k.eval_panel(a, panel, cols, out),
+            AnyKernel::Sigmoid(k) => k.eval_panel(a, panel, cols, out),
+            AnyKernel::HistogramIntersection(k) => k.eval_panel(a, panel, cols, out),
+            AnyKernel::Chi2(k) => k.eval_panel(a, panel, cols, out),
         }
     }
 }

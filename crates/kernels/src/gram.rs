@@ -21,16 +21,20 @@ use crate::Kernel;
 ///
 /// The fill is cache-blocked: worker threads take *bands* of rows (not
 /// single rows), and each band sweeps the upper triangle one
-/// [`BlockSpec::col_tile`]-wide panel of samples at a time, so the
-/// panel stays L1/L2-resident while every row of the band evaluates
+/// [`BlockSpec::col_tile`]-wide tile of samples at a time, so the
+/// tile stays L1/L2-resident while every row of the band evaluates
 /// against it. At industrial n the naive row loop streams the entire
 /// sample set through cache once per row; the tiled walk streams it
 /// once per *band*, which is what makes the build memory-lean enough
-/// to scale. Each row of a tile is one [`Kernel::eval_many`] call
-/// against the panel, and each entry is bitwise the single kernel
+/// to scale. A kernel that packs a [`LanePanel`](edm_linalg::LanePanel)
+/// ([`Kernel::pack_panel`]) has the items packed once per call, and
+/// each row of a tile is one [`Kernel::eval_panel`] call over the
+/// tile's columns; other kernels make one [`Kernel::eval_many`] call
+/// per row of a tile. Each entry is bitwise the single kernel
 /// evaluation `k(items[i], items[j])` in every configuration, so
-/// serial, parallel, and any tile shape give bitwise identical
-/// results.
+/// serial, parallel, packed and any tile shape give bitwise identical
+/// results. The mirror into the lower triangle is itself split across
+/// workers ([`Matrix::mirror_upper_to_lower`]).
 ///
 /// Emits `kernels.gram.tiles` and `kernels.gram.mirrored_cells`
 /// counters when tracing is on.
@@ -45,6 +49,10 @@ where
     if n == 0 {
         return g;
     }
+    let packed = {
+        let refs: Vec<&S> = items.iter().map(Borrow::borrow).collect();
+        kernel.pack_panel(&refs)
+    };
     let spec = BlockSpec::from_env();
     let (band_rows, tile) = (spec.band_rows, spec.col_tile);
     // Phase 1: bands of rows fill their upper-triangle cells tile by
@@ -53,17 +61,23 @@ where
     edm_par::for_each_band(g.as_mut_slice(), n, band_rows, |b, band| {
         let i0 = b * band_rows;
         let mut j0 = i0 - i0 % tile;
-        let mut panel = Vec::with_capacity(tile.min(n));
+        let mut gathered = Vec::with_capacity(tile.min(n));
         while j0 < n {
             let jend = (j0 + tile).min(n);
-            panel.clear();
-            panel.extend(items[j0..jend].iter().map(Borrow::borrow));
+            if packed.is_none() {
+                gathered.clear();
+                gathered.extend(items[j0..jend].iter().map(Borrow::borrow));
+            }
             for (di, row) in band.chunks_mut(n).enumerate() {
                 let i = i0 + di;
                 // A band taller than a tile has rows whose diagonal
-                // lies right of this panel: they own none of its cells.
+                // lies right of this tile: they own none of its cells.
                 let lo = j0.max(i).min(jend);
-                kernel.eval_many(items[i].borrow(), &panel[lo - j0..], &mut row[lo..jend]);
+                let (x, out) = (items[i].borrow(), &mut row[lo..jend]);
+                match &packed {
+                    Some(panel) => kernel.eval_panel(x, panel, lo..jend, out),
+                    None => kernel.eval_many(x, &gathered[lo - j0..], out),
+                }
             }
             j0 = jend;
         }
@@ -88,7 +102,10 @@ where
 /// Long rows are split into chunks scored by worker threads, one
 /// [`Kernel::eval_many`] call per chunk; each entry is bitwise the
 /// single evaluation `k(x, items[i])`, so serial and parallel results
-/// are bitwise identical.
+/// are bitwise identical. The items are gathered, not packed: one row
+/// scores each item once, and packing an item (`d` stores) costs more
+/// than the gathered loads it would save (RBF, 5120 × 32: 15.9 ns per
+/// evaluation gathered, 37.2 packing per call).
 pub fn gram_row<S, K, I>(kernel: &K, x: &S, items: &[I]) -> Vec<f64>
 where
     S: Sync + ?Sized,

@@ -23,6 +23,16 @@
 //! [`NormalizedKernel`]) preserve positive-semidefiniteness by the closure
 //! properties of the PSD cone.
 //!
+//! Scoring one sample against many is the inner loop of every learner
+//! here, so the trait has two batched forms beside [`Kernel::eval`],
+//! each bitwise equal to it: [`Kernel::eval_many`] over gathered
+//! samples, and [`Kernel::eval_panel`] over samples packed once into
+//! an [`edm_linalg::LanePanel`] by [`Kernel::pack_panel`] (groups of
+//! [`edm_linalg::LANES`] samples, feature-major inside a group, so the
+//! lane loop reads one contiguous column per feature). The five dense
+//! lane kernels pack; [`gram_matrix`], the SMO Q-row source and
+//! trained support-vector models use the panel when there is one.
+//!
 //! # Example: the kernel trick of the paper's Figure 3
 //!
 //! ```
@@ -40,6 +50,10 @@
 //! ```
 
 #![forbid(unsafe_code)]
+
+use std::ops::Range;
+
+use edm_linalg::LanePanel;
 
 mod any;
 mod composite;
@@ -77,7 +91,8 @@ pub trait Kernel<S: ?Sized>: Sync {
     ///
     /// Every hot loop that scores a sample against a run of others
     /// (Q-row fills, Gram tiles and rows, support-vector sweeps) calls
-    /// this rather than [`Kernel::eval`] per pair. `out[t]` must be
+    /// this, or [`Kernel::eval_panel`] when the kernel packs a panel,
+    /// rather than [`Kernel::eval`] per pair. `out[t]` must be
     /// bitwise equal to `self.eval(a, bs[t])`; the default body is that
     /// loop. The RBF, linear, polynomial, sigmoid and
     /// histogram-intersection kernels override it to run
@@ -93,6 +108,38 @@ pub trait Kernel<S: ?Sized>: Sync {
             *v = self.eval(a, b);
         }
     }
+
+    /// Packs `items` into the [`LanePanel`] that [`Kernel::eval_panel`]
+    /// scores against, or `None` when this kernel scores pair by pair
+    /// (the default: sequence and composite kernels) or the items
+    /// differ in width.
+    ///
+    /// A caller that scores many samples against the same items packs
+    /// them once (a Gram build, a fit's Q rows, a model's support
+    /// vectors) and then reads each lane group's feature column with
+    /// one load instead of [`edm_linalg::LANES`] gathered ones. The
+    /// linear, polynomial, RBF, sigmoid and histogram-intersection
+    /// kernels pack.
+    fn pack_panel(&self, items: &[&S]) -> Option<LanePanel> {
+        let _ = items;
+        None
+    }
+
+    /// Scores `a` against a run of packed items:
+    /// `out[t] = self.eval(a, items[cols.start + t])`, bitwise, where
+    /// `panel` is what [`Kernel::pack_panel`] returned for `items` (or
+    /// that panel renumbered by [`LanePanel::swap_indices`], scoring
+    /// the correspondingly permuted items).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != cols.len()` or `cols` runs past the
+    /// panel, and wherever `eval` would. The default panics always: it
+    /// is reached only by a kernel whose `pack_panel` returns `None`.
+    fn eval_panel(&self, a: &S, panel: &LanePanel, cols: Range<usize>, out: &mut [f64]) {
+        let _ = (a, panel, cols, out);
+        panic!("this kernel scores pair by pair: it packs no lane panel");
+    }
 }
 
 impl<S: ?Sized, K: Kernel<S> + ?Sized> Kernel<S> for &K {
@@ -102,5 +149,13 @@ impl<S: ?Sized, K: Kernel<S> + ?Sized> Kernel<S> for &K {
 
     fn eval_many(&self, a: &S, bs: &[&S], out: &mut [f64]) {
         K::eval_many(self, a, bs, out)
+    }
+
+    fn pack_panel(&self, items: &[&S]) -> Option<LanePanel> {
+        K::pack_panel(self, items)
+    }
+
+    fn eval_panel(&self, a: &S, panel: &LanePanel, cols: Range<usize>, out: &mut [f64]) {
+        K::eval_panel(self, a, panel, cols, out)
     }
 }

@@ -1,4 +1,8 @@
-use edm_linalg::{dot, dot_lanes, min_sum, min_sum_lanes, sq_dist, sq_dist_lanes, LANES};
+use std::ops::Range;
+
+use edm_linalg::{
+    dot, dot_lanes, min_sum, min_sum_lanes, sq_dist, sq_dist_lanes, LanePanel, LANES,
+};
 use serde::Serialize;
 
 use crate::Kernel;
@@ -22,6 +26,14 @@ impl Kernel<[f64]> for LinearKernel {
 
     fn eval_many(&self, a: &[f64], bs: &[&[f64]], out: &mut [f64]) {
         in_lanes(bs, out, |g| dot_lanes(a, g), |b| self.eval(a, b));
+    }
+
+    fn pack_panel(&self, items: &[&[f64]]) -> Option<LanePanel> {
+        LanePanel::new(items)
+    }
+
+    fn eval_panel(&self, a: &[f64], panel: &LanePanel, cols: Range<usize>, out: &mut [f64]) {
+        panel.dot_into(a, cols, out, |d| d);
     }
 }
 
@@ -83,6 +95,14 @@ impl Kernel<[f64]> for PolyKernel {
     fn eval_many(&self, a: &[f64], bs: &[&[f64]], out: &mut [f64]) {
         in_lanes(bs, out, |g| dot_lanes(a, g).map(|d| self.finish(d)), |b| self.eval(a, b));
     }
+
+    fn pack_panel(&self, items: &[&[f64]]) -> Option<LanePanel> {
+        LanePanel::new(items)
+    }
+
+    fn eval_panel(&self, a: &[f64], panel: &LanePanel, cols: Range<usize>, out: &mut [f64]) {
+        panel.dot_into(a, cols, out, |d| self.finish(d));
+    }
 }
 
 /// The Gaussian RBF kernel `k(x, y) = exp(−γ ‖x − y‖²)`.
@@ -123,6 +143,14 @@ impl Kernel<[f64]> for RbfKernel {
 
     fn eval_many(&self, a: &[f64], bs: &[&[f64]], out: &mut [f64]) {
         in_lanes(bs, out, |g| sq_dist_lanes(a, g).map(|d| self.finish(d)), |b| self.eval(a, b));
+    }
+
+    fn pack_panel(&self, items: &[&[f64]]) -> Option<LanePanel> {
+        LanePanel::new(items)
+    }
+
+    fn eval_panel(&self, a: &[f64], panel: &LanePanel, cols: Range<usize>, out: &mut [f64]) {
+        panel.sq_dist_into(a, cols, out, |d| self.finish(d));
     }
 }
 
@@ -172,6 +200,14 @@ impl Kernel<[f64]> for SigmoidKernel {
     fn eval_many(&self, a: &[f64], bs: &[&[f64]], out: &mut [f64]) {
         in_lanes(bs, out, |g| dot_lanes(a, g).map(|d| self.finish(d)), |b| self.eval(a, b));
     }
+
+    fn pack_panel(&self, items: &[&[f64]]) -> Option<LanePanel> {
+        LanePanel::new(items)
+    }
+
+    fn eval_panel(&self, a: &[f64], panel: &LanePanel, cols: Range<usize>, out: &mut [f64]) {
+        panel.dot_into(a, cols, out, |d| self.finish(d));
+    }
 }
 
 /// The histogram-intersection kernel `k(h, g) = Σᵢ min(hᵢ, gᵢ)`.
@@ -197,6 +233,14 @@ impl Kernel<[f64]> for HistogramIntersectionKernel {
 
     fn eval_many(&self, a: &[f64], bs: &[&[f64]], out: &mut [f64]) {
         in_lanes(bs, out, |g| min_sum_lanes(a, g), |b| self.eval(a, b));
+    }
+
+    fn pack_panel(&self, items: &[&[f64]]) -> Option<LanePanel> {
+        LanePanel::new(items)
+    }
+
+    fn eval_panel(&self, a: &[f64], panel: &LanePanel, cols: Range<usize>, out: &mut [f64]) {
+        panel.min_sum_into(a, cols, out, |s| s);
     }
 }
 

@@ -3,8 +3,11 @@
 //! A small, dependency-light numeric core: a dense row-major [`Matrix`],
 //! vector helpers, the matrix decompositions the learning crates need
 //! (Cholesky, LU, QR, symmetric eigen via cyclic Jacobi), descriptive
-//! statistics, and Gaussian sampling (Box–Muller scalar normals and
-//! Cholesky-based multivariate normals).
+//! statistics, Gaussian sampling (Box–Muller scalar normals and
+//! Cholesky-based multivariate normals), and the lane-parallel
+//! reductions the kernel layer scores with: over gathered rows
+//! ([`sq_dist_lanes`] and siblings) or over a feature-major
+//! [`LanePanel`].
 //!
 //! Everything is `f64`; the learning workloads in this workspace are
 //! numerically small enough (thousands × hundreds) that a cache-tuned BLAS
@@ -33,6 +36,7 @@ mod eigen;
 mod error;
 mod lu;
 mod matrix;
+mod panel;
 mod qr;
 pub mod sample;
 pub mod stats;
@@ -44,6 +48,7 @@ pub use eigen::SymmetricEigen;
 pub use error::LinalgError;
 pub use lu::Lu;
 pub use matrix::Matrix;
+pub use panel::LanePanel;
 pub use qr::Qr;
 pub use sample::{MultivariateNormal, Normal};
 pub use vector::{

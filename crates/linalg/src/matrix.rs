@@ -5,6 +5,12 @@ use serde::Serialize;
 
 use crate::{Cholesky, LinalgError, Lu, Qr, SymmetricEigen};
 
+/// Lower-triangle cells per band of [`Matrix::mirror_upper_to_lower`]:
+/// 64 Ki cells (512 KiB of writes, roughly 100 µs of copying) per
+/// dispatch, so a large mirror forks after its first band and a small
+/// one stays on the caller.
+const MIRROR_BAND_CELLS: usize = 1 << 16;
+
 /// A dense, row-major `f64` matrix.
 ///
 /// This is the one matrix type shared by every crate in the workspace.
@@ -303,28 +309,74 @@ impl Matrix {
     /// Copies the strict upper triangle onto the lower one, making the
     /// matrix exactly symmetric: `a[(i, j)] = a[(j, i)]` for `j < i`.
     ///
-    /// The copy walks square tiles so the column-strided read side
-    /// stays cache-resident; used by the symmetric builders here and in
-    /// `edm-kernels` after filling only one triangle.
+    /// Each row is split at its diagonal: the lower halves (what is
+    /// written) are handed out in bands of whole 64-row blocks, about
+    /// `MIRROR_BAND_CELLS` cells or more each, through
+    /// [`edm_par::for_each_chunk`], while every band reads the upper
+    /// halves (diagonal onwards) through shared borrows. Inside a band
+    /// the copy walks 64 × 64 blocks, each transposed through a small
+    /// stack buffer so that both its reads and its writes are
+    /// contiguous runs. Every cell is one copy, so any band split and
+    /// thread count give the same matrix. Used by the symmetric
+    /// builders here and in `edm-kernels` after filling only one
+    /// triangle.
     ///
     /// # Panics
     ///
     /// Panics if the matrix is not square.
     pub fn mirror_upper_to_lower(&mut self) {
         assert!(self.is_square(), "mirror requires a square matrix");
-        const TILE: usize = 64;
+        const BLOCK: usize = 64;
         let n = self.rows;
-        for i0 in (0..n).step_by(TILE) {
-            let iend = (i0 + TILE).min(n);
-            for j0 in (0..=i0).step_by(TILE) {
-                let jend = (j0 + TILE).min(n);
-                for i in i0..iend {
-                    for j in j0..jend.min(i) {
-                        self.data[i * n + j] = self.data[j * n + i];
+        let mut uppers: Vec<&[f64]> = Vec::with_capacity(n);
+        let mut bands: Vec<Vec<&mut [f64]>> = vec![Vec::new()];
+        let mut cells = 0;
+        for (i, row) in self.data.chunks_exact_mut(n.max(1)).enumerate() {
+            let (lower, upper) = row.split_at_mut(i);
+            uppers.push(upper);
+            // Bands are whole blocks of rows, so every upper-half line
+            // a block reads is used by all the block's rows at once.
+            if cells >= MIRROR_BAND_CELLS && i % BLOCK == 0 {
+                bands.push(Vec::new());
+                cells = 0;
+            }
+            cells += i;
+            bands.last_mut().expect("bands start non-empty").push(lower);
+        }
+        // Bands start at multiples of BLOCK, so a band's row blocks are
+        // the matrix's.
+        let mut i0 = 0;
+        let firsts: Vec<usize> = bands
+            .iter()
+            .map(|band| {
+                let first = i0;
+                i0 += band.len();
+                first
+            })
+            .collect();
+        // One band per chunk: the chunk is the band's row list.
+        edm_par::for_each_chunk(&mut bands, 1, |b, band| {
+            let mut block = [[0.0; BLOCK]; BLOCK];
+            for (t, tile) in band[0].chunks_mut(BLOCK).enumerate() {
+                let (i0, i1) = (firsts[b] + t * BLOCK, firsts[b] + t * BLOCK + tile.len());
+                for j0 in (0..i1 - 1).step_by(BLOCK) {
+                    let j1 = (j0 + BLOCK).min(i1 - 1);
+                    // Transpose through `block`: contiguous runs of the
+                    // upper halves (row j's starts at its diagonal) in,
+                    // contiguous runs of the lower halves out.
+                    for (j, col) in (j0..j1).zip(block.iter_mut()) {
+                        let lo = i0.max(j + 1);
+                        col[lo - i0..i1 - i0].copy_from_slice(&uppers[j][lo - j..i1 - j]);
+                    }
+                    for (ii, lower) in tile.iter_mut().enumerate() {
+                        let run = &mut lower[j0..j1.min(i0 + ii)];
+                        for (v, col) in run.iter_mut().zip(&block) {
+                            *v = col[ii];
+                        }
                     }
                 }
             }
-        }
+        });
     }
 
     /// Element-wise map.

@@ -10,7 +10,7 @@
 ///
 /// Panics if the slices have different lengths.
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "dot product length mismatch");
+    assert_eq!(a.len(), b.len(), "{DOT_MISMATCH}");
     a.iter().zip(b).map(|(&x, &y)| product(x, y)).sum()
 }
 
@@ -21,7 +21,7 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 ///
 /// Panics if any `bs[l]` differs in length from `a`.
 pub fn dot_lanes(a: &[f64], bs: &[&[f64]; LANES]) -> [f64; LANES] {
-    reduce_lanes(a, bs, "dot product length mismatch", product)
+    gathered_lanes(a, bs, DOT_MISMATCH, product)
 }
 
 /// Sum of elements.
@@ -105,7 +105,7 @@ pub fn normalize(a: &[f64]) -> Vec<f64> {
 ///
 /// Panics if the slices have different lengths.
 pub fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "distance length mismatch");
+    assert_eq!(a.len(), b.len(), "{DIST_MISMATCH}");
     a.iter().zip(b).map(|(&x, &y)| sq_diff(x, y)).sum()
 }
 
@@ -116,7 +116,7 @@ pub fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
 ///
 /// Panics if any `bs[l]` differs in length from `a`.
 pub fn sq_dist_lanes(a: &[f64], bs: &[&[f64]; LANES]) -> [f64; LANES] {
-    reduce_lanes(a, bs, "distance length mismatch", sq_diff)
+    gathered_lanes(a, bs, DIST_MISMATCH, sq_diff)
 }
 
 /// Sum of element-wise minima `Σᵢ min(aᵢ, bᵢ)` — the intersection of
@@ -126,7 +126,7 @@ pub fn sq_dist_lanes(a: &[f64], bs: &[&[f64]; LANES]) -> [f64; LANES] {
 ///
 /// Panics if the slices have different lengths.
 pub fn min_sum(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "min-sum length mismatch");
+    assert_eq!(a.len(), b.len(), "{MIN_SUM_MISMATCH}");
     a.iter().zip(b).map(|(&x, &y)| x.min(y)).sum()
 }
 
@@ -137,7 +137,7 @@ pub fn min_sum(a: &[f64], b: &[f64]) -> f64 {
 ///
 /// Panics if any `bs[l]` differs in length from `a`.
 pub fn min_sum_lanes(a: &[f64], bs: &[&[f64]; LANES]) -> [f64; LANES] {
-    reduce_lanes(a, bs, "min-sum length mismatch", f64::min)
+    gathered_lanes(a, bs, MIN_SUM_MISMATCH, f64::min)
 }
 
 /// How many reductions the `*_lanes` functions keep in flight.
@@ -148,20 +148,25 @@ pub fn min_sum_lanes(a: &[f64], bs: &[&[f64]; LANES]) -> [f64; LANES] {
 /// lanes gained less than eight and sixteen no more.
 pub const LANES: usize = 8;
 
-fn product(x: f64, y: f64) -> f64 {
+/// The panic messages of the three reductions, shared by their serial,
+/// gathered and panel forms.
+pub(crate) const DOT_MISMATCH: &str = "dot product length mismatch";
+pub(crate) const DIST_MISMATCH: &str = "distance length mismatch";
+pub(crate) const MIN_SUM_MISMATCH: &str = "min-sum length mismatch";
+
+pub(crate) fn product(x: f64, y: f64) -> f64 {
     x * y
 }
 
-fn sq_diff(x: f64, y: f64) -> f64 {
+pub(crate) fn sq_diff(x: f64, y: f64) -> f64 {
     (x - y) * (x - y)
 }
 
-/// `out[l] = Σᵢ term(a[i], bs[l][i])` for every lane at once. Each lane
-/// adds its terms in index order starting from `-0.0`, exactly as the
-/// serial `.sum()` does, so every lane is bitwise its serial twin; only
-/// the interleaving of independent lanes differs.
+/// [`reduce_lanes`] over [`LANES`] gathered vectors: lane `l` reads
+/// `bs[l]`. The loader behind [`dot_lanes`], [`sq_dist_lanes`] and
+/// [`min_sum_lanes`].
 #[inline(always)]
-fn reduce_lanes(
+fn gathered_lanes(
     a: &[f64],
     bs: &[&[f64]; LANES],
     mismatch: &str,
@@ -171,14 +176,29 @@ fn reduce_lanes(
     for b in bs {
         assert_eq!(n, b.len(), "{mismatch}");
     }
-    // Plain indexing over checked lengths: the bounds checks fold
-    // away and the lanes compile to packed arithmetic, one
-    // independent add chain per lane.
+    // Plain indexing over checked lengths: the bounds checks fold away.
+    reduce_lanes(a, |i| std::array::from_fn(|l| bs[l][i]), term)
+}
+
+/// `out[l] = Σᵢ term(a[i], column(i)[l])` for every lane at once, where
+/// `column(i)` loads feature `i` of each lane's sample: eight gathered
+/// reads ([`dot_lanes`] and its siblings) or one contiguous load from a
+/// [`LanePanel`](crate::LanePanel). Each lane adds its terms in index
+/// order starting from `-0.0`, exactly as the serial `.sum()` does, so
+/// every lane is bitwise its serial twin; only the interleaving of
+/// independent lanes differs, and the lanes compile to packed
+/// arithmetic, one independent add chain per lane.
+#[inline(always)]
+pub(crate) fn reduce_lanes(
+    a: &[f64],
+    column: impl Fn(usize) -> [f64; LANES],
+    term: impl Fn(f64, f64) -> f64,
+) -> [f64; LANES] {
     let mut acc = [-0.0; LANES];
-    for i in 0..n {
-        let x = a[i];
+    for (i, &x) in a.iter().enumerate() {
+        let c = column(i);
         for l in 0..LANES {
-            acc[l] += term(x, bs[l][i]);
+            acc[l] += term(x, c[l]);
         }
     }
     acc

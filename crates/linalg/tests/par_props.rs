@@ -172,3 +172,23 @@ fn large_shapes_fork_and_stay_bitwise_serial() {
     assert_eq!(bits(&c.gram()), bits(&gram_serial(&c)), "gram 96x256");
     assert_eq!(bits(&b.transpose()), bits(&transpose_serial(&b)), "transpose 96x256");
 }
+
+/// `mirror_upper_to_lower` copies each strict-upper cell onto its
+/// transpose and touches nothing else, at sizes below one band and
+/// across many (each band is about 64 Ki lower cells, so n = 1100
+/// splits into several bands that two workers share).
+#[test]
+fn mirror_is_a_bitwise_copy_of_the_upper_triangle() {
+    std::env::set_var("EDM_NUM_THREADS", "2");
+    for n in [0, 1, 2, 63, 64, 65, 130, 1100] {
+        let m = Matrix::from_vec(n, n, fill(0x41 + n as u64, n * n, 6));
+        let mut mirrored = m.clone();
+        mirrored.mirror_upper_to_lower();
+        for i in 0..n {
+            for j in 0..n {
+                let want = if j < i { m[(j, i)] } else { m[(i, j)] };
+                assert_eq!(mirrored[(i, j)].to_bits(), want.to_bits(), "n = {n}, ({i}, {j})");
+            }
+        }
+    }
+}

@@ -10,8 +10,9 @@
 //!   `f(i)`, in parallel, returned in index order.
 //!
 //! Long-lived services (the `edm-serve` HTTP front end) use the
-//! persistent bounded [`pool::WorkerPool`] instead of these fork-join
-//! primitives; see that module's docs for its admission protocol.
+//! persistent bounded `pool::WorkerPool` (built with the `parallel`
+//! feature) instead of these fork-join primitives; see that module's
+//! docs for its admission protocol.
 //!
 //! A computation that makes thousands of calls too small to fork for —
 //! the Q-row fills of one SMO solve — opens a [`team()`] instead: helper
@@ -34,7 +35,7 @@
 //! their first job.
 //!
 //! **No fan-out from owned threads.** A primitive called on a thread
-//! `edm-par` already owns — a [`pool::WorkerPool`] worker, a fork-join
+//! `edm-par` already owns — a `pool::WorkerPool` worker, a fork-join
 //! or team helper, or a caller working beside forked helpers or inside
 //! a team — runs the plain serial loop (and a [`team()`] opened there
 //! has no helpers). The pool was sized for the cores it owns, so a server

@@ -23,7 +23,11 @@
 //! per-call data (row and column lists), and returns each chunk's
 //! values by value. Nothing that lives for one call is ever lent to a
 //! thread that outlives the call, so the helpers can be long-lived
-//! without erasing a lifetime.
+//! without erasing a lifetime. [`Team::map_local`] lets the caller's
+//! own chunks skip the by-value return: the caller runs them through a
+//! second closure that is never posted, so it may write straight into
+//! buffers the call borrows, and only helpers' chunks come back as
+//! values.
 //!
 //! **Determinism.** One result is kept per chunk, and the results come
 //! back in chunk order, so a call returns bitwise what
@@ -143,11 +147,44 @@ impl<'env> Team<'env> {
         T: Send + 'env,
         F: Fn(usize) -> T + Send + Sync + 'env,
     {
+        let job = std::sync::Arc::new(job);
+        let posted = std::sync::Arc::clone(&job);
+        let mut mine: Vec<Option<T>> = (0..chunks).map(|_| None).collect();
+        let theirs = self.map_local(chunks, move |c| posted(c), |c| mine[c] = Some(job(c)));
+        for (c, v) in theirs {
+            mine[c] = Some(v);
+        }
+        mine.into_iter().map(|v| v.expect("every chunk ran on the caller or a helper")).collect()
+    }
+
+    /// [`Team::map`] for jobs whose output the caller can write in
+    /// place: the chunks the caller runs go through `local(c)`, which
+    /// may borrow anything (say, the caller's output buffers), and only
+    /// the chunks helpers ran come back, as `(c, job(c))` in chunk
+    /// order. `local(c)` must leave what storing `job(c)` would, so
+    /// which thread ran a chunk changes no result; a solo team runs
+    /// every chunk through `local` and returns nothing.
+    ///
+    /// # Panics
+    ///
+    /// As [`Team::map`], for panics in `job` and in `local` alike.
+    pub fn map_local<T, F>(
+        &self,
+        chunks: usize,
+        job: F,
+        mut local: impl FnMut(usize),
+    ) -> Vec<(usize, T)>
+    where
+        T: Send + 'env,
+        F: Fn(usize) -> T + Send + Sync + 'env,
+    {
         #[cfg(feature = "parallel")]
         if let Some(shared) = &self.shared {
-            return shared.map(chunks, job);
+            return shared.map_local(chunks, job, &mut local);
         }
-        (0..chunks).map(job).collect()
+        let _ = job;
+        (0..chunks).for_each(&mut local);
+        Vec::new()
     }
 }
 
@@ -189,7 +226,12 @@ impl<'env> Shared<'env> {
         self.post.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn map<T, F>(&self, chunks: usize, job: F) -> Vec<T>
+    fn map_local<T, F>(
+        &self,
+        chunks: usize,
+        job: F,
+        local: &mut dyn FnMut(usize),
+    ) -> Vec<(usize, T)>
     where
         T: Send + 'env,
         F: Fn(usize) -> T + Send + Sync + 'env,
@@ -199,7 +241,7 @@ impl<'env> Shared<'env> {
         }
         // The first chunk runs on the caller and prices the rest.
         let start = Instant::now();
-        let first = job(0);
+        local(0);
         let elapsed = start.elapsed();
         let left = chunks - 1;
         let w = (self.helpers + 1).min(left);
@@ -209,12 +251,10 @@ impl<'env> Shared<'env> {
             || elapsed.as_nanos() * left as u128 * (w - 1) as u128
                 <= HANDOFF_COST.as_nanos() * w as u128
         {
-            let mut out = Vec::with_capacity(chunks);
-            out.push(first);
-            out.extend((1..chunks).map(job));
-            return out;
+            (1..chunks).for_each(local);
+            return Vec::new();
         }
-        let call = Arc::new(Call::new(job, chunks, first));
+        let call = Arc::new(Call::new(job, chunks));
         let generation = {
             let mut post = self.lock();
             post.generation += 1;
@@ -225,7 +265,9 @@ impl<'env> Shared<'env> {
         for _ in 1..w {
             self.wake.notify_one();
         }
-        call.work();
+        while let Some(c) = call.claim() {
+            call.run_local(c, local);
+        }
         {
             // Late helpers find nothing to join.
             let mut post = self.lock();
@@ -233,7 +275,7 @@ impl<'env> Shared<'env> {
                 post.call = None;
             }
         }
-        call.finish(elapsed)
+        call.finish(elapsed, local)
     }
 
     /// A helper's life: join each posted call once, until the team
@@ -262,8 +304,19 @@ impl<'env> Shared<'env> {
     }
 }
 
-/// One [`Team::map`] call once helpers are woken: its job, the chunk
-/// counter, and the finished chunks.
+/// Where a chunk of a [`Call`] stands.
+#[cfg(feature = "parallel")]
+enum Slot<T> {
+    /// Not finished yet.
+    Pending,
+    /// Run by the caller through its `local`, which kept the output.
+    Local,
+    /// Run by a helper: its value, or the panic of either thread.
+    Ran(std::thread::Result<T>),
+}
+
+/// One [`Team::map_local`] call once helpers are woken: its job, the
+/// chunk counter, and the finished chunks.
 #[cfg(feature = "parallel")]
 struct Call<T, F> {
     job: F,
@@ -272,16 +325,16 @@ struct Call<T, F> {
     next: AtomicUsize,
     /// Chunks not yet finished; decremented under the `done` lock.
     left: AtomicUsize,
-    /// Each chunk's value, or its panic, once one thread finished it.
-    done: DbgMutex<Vec<Option<std::thread::Result<T>>>>,
+    /// Each chunk's state; chunk 0 ran on the caller before posting.
+    done: DbgMutex<Vec<Slot<T>>>,
 }
 
 #[cfg(feature = "parallel")]
 impl<T: Send, F: Fn(usize) -> T + Send + Sync> Call<T, F> {
     /// A call whose chunk 0 the caller already ran.
-    fn new(job: F, chunks: usize, first: T) -> Self {
-        let mut done: Vec<_> = (0..chunks).map(|_| None).collect();
-        done[0] = Some(Ok(first));
+    fn new(job: F, chunks: usize) -> Self {
+        let mut done: Vec<_> = (0..chunks).map(|_| Slot::Pending).collect();
+        done[0] = Slot::Local;
         Call {
             job,
             chunks,
@@ -291,31 +344,57 @@ impl<T: Send, F: Fn(usize) -> T + Send + Sync> Call<T, F> {
         }
     }
 
-    fn lock(&self) -> DbgMutexGuard<'_, Vec<Option<std::thread::Result<T>>>> {
+    fn lock(&self) -> DbgMutexGuard<'_, Vec<Slot<T>>> {
         self.done.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Runs chunk `c` and keeps its result unless another thread
-    /// finished the chunk first: every run of a chunk returns the same
-    /// value, so which one is kept changes nothing. A run that ends
-    /// after the caller collected the results finds no slot.
-    fn run(&self, c: usize) {
-        let result = catch_unwind(AssertUnwindSafe(|| (self.job)(c)));
-        if let Some(slot @ None) = self.lock().get_mut(c) {
-            *slot = Some(result);
+    /// The next unclaimed chunk, if any.
+    fn claim(&self) -> Option<usize> {
+        let c = self.next.fetch_add(1, Ordering::Relaxed);
+        (c < self.chunks).then_some(c)
+    }
+
+    /// Keeps `result` for chunk `c` unless another thread finished the
+    /// chunk first: every run of a chunk has the same result, so which
+    /// one is kept changes nothing. A run that ends after the caller
+    /// collected the results finds no slot.
+    fn keep(&self, c: usize, result: Slot<T>) {
+        if let Some(slot @ Slot::Pending) = self.lock().get_mut(c) {
+            *slot = result;
             self.left.fetch_sub(1, Ordering::Release);
         }
     }
 
-    /// Collects the chunks helpers still hold, then returns the values
-    /// in chunk order or rethrows the first chunk's panic. A helper's
-    /// last chunk usually lands within a chunk's time (`chunk`, as
-    /// priced by chunk 0), so the caller spins up to two of those. A
-    /// helper later than that was most likely descheduled mid-chunk, so
-    /// the caller runs the chunks it still holds itself instead of
-    /// waiting for it to be scheduled again: a call never waits on a
-    /// helper for more than about three chunks' time.
-    fn finish(&self, chunk: Duration) -> Vec<T> {
+    /// Runs chunk `c` on a helper.
+    fn run(&self, c: usize) {
+        self.keep(c, Slot::Ran(catch_unwind(AssertUnwindSafe(|| (self.job)(c)))));
+    }
+
+    /// Runs chunk `c` on the caller, through `local`.
+    fn run_local(&self, c: usize, local: &mut dyn FnMut(usize)) {
+        match catch_unwind(AssertUnwindSafe(|| local(c))) {
+            Ok(()) => {
+                // The output is in place: a helper's value for the same
+                // chunk, if one landed meanwhile, is not needed.
+                let mut done = self.lock();
+                if matches!(done[c], Slot::Pending) {
+                    self.left.fetch_sub(1, Ordering::Release);
+                }
+                done[c] = Slot::Local;
+            }
+            Err(payload) => self.keep(c, Slot::Ran(Err(payload))),
+        }
+    }
+
+    /// Collects the chunks helpers still hold, then returns the
+    /// helpers' values in chunk order or rethrows the first chunk's
+    /// panic. A helper's last chunk usually lands within a chunk's time
+    /// (`chunk`, as priced by chunk 0), so the caller spins up to two
+    /// of those. A helper later than that was most likely descheduled
+    /// mid-chunk, so the caller runs the chunks it still holds itself
+    /// instead of waiting for it to be scheduled again: a call never
+    /// waits on a helper for more than about three chunks' time.
+    fn finish(&self, chunk: Duration, local: &mut dyn FnMut(usize)) -> Vec<(usize, T)> {
         let start = Instant::now();
         while self.left.load(Ordering::Acquire) > 0 && start.elapsed() < 2 * chunk {
             std::hint::spin_loop();
@@ -323,30 +402,30 @@ impl<T: Send, F: Fn(usize) -> T + Send + Sync> Call<T, F> {
         if self.left.load(Ordering::Acquire) > 0 {
             let late: Vec<usize> = {
                 let done = self.lock();
-                (0..self.chunks).filter(|&c| done[c].is_none()).collect()
+                (0..self.chunks).filter(|&c| matches!(done[c], Slot::Pending)).collect()
             };
             for c in late {
-                self.run(c);
+                self.run_local(c, local);
             }
         }
         let done = std::mem::take(&mut *self.lock());
-        done.into_iter()
-            .map(|r| match r.expect("every chunk finished by a helper or the caller") {
-                Ok(v) => v,
-                Err(payload) => resume_unwind(payload),
-            })
-            .collect()
+        let mut theirs = Vec::new();
+        for (c, slot) in done.into_iter().enumerate() {
+            match slot {
+                Slot::Local => {}
+                Slot::Ran(Ok(v)) => theirs.push((c, v)),
+                Slot::Ran(Err(payload)) => resume_unwind(payload),
+                Slot::Pending => unreachable!("every chunk finished by a helper or the caller"),
+            }
+        }
+        theirs
     }
 }
 
 #[cfg(feature = "parallel")]
 impl<T: Send, F: Fn(usize) -> T + Send + Sync> Posted for Call<T, F> {
     fn work(&self) {
-        loop {
-            let c = self.next.fetch_add(1, Ordering::Relaxed);
-            if c >= self.chunks {
-                return;
-            }
+        while let Some(c) = self.claim() {
             self.run(c);
         }
     }

@@ -109,6 +109,46 @@ fn chunk_results_come_back_in_order_and_bitwise_serial() {
     }
 }
 
+/// `map_local` runs the caller's chunks through `local` and returns
+/// only the helpers' chunks, in chunk order: together they cover every
+/// chunk once, with the serial values. A solo team runs everything
+/// locally.
+#[test]
+fn map_local_returns_only_the_helpers_chunks() {
+    let _g = setup("4");
+    let me = thread::current().id();
+    let serial: Vec<u64> = (0..40).map(|c| value(c).to_bits()).collect();
+    edm_par::team(|team| {
+        let helper_ran = Arc::new(AtomicBool::new(false));
+        let job = shared_job(me, helper_ran.clone(), 40);
+        let job = Arc::new(job);
+        let posted = Arc::clone(&job);
+        let mut mine: Vec<Option<u64>> = vec![None; 40];
+        let theirs = team.map_local(
+            40,
+            move |c| posted(c).0,
+            |c| {
+                assert_eq!(thread::current().id(), me, "local chunks run on the caller");
+                mine[c] = Some(job(c).0);
+            },
+        );
+        assert!(helper_ran.load(Ordering::SeqCst), "a helper ran a chunk");
+        assert!(!theirs.is_empty(), "a helper's chunk came back");
+        assert!(theirs.windows(2).all(|w| w[0].0 < w[1].0), "helper chunks in chunk order");
+        for &(c, v) in &theirs {
+            assert!(mine[c].is_none(), "chunk {c} ran locally and came back");
+            mine[c] = Some(v);
+        }
+        let all: Vec<u64> = mine.into_iter().map(|v| v.expect("every chunk ran once")).collect();
+        assert_eq!(all, serial);
+    });
+    let mut local = Vec::new();
+    let theirs: Vec<(usize, u64)> =
+        edm_par::Team::solo().map_local(5, |c| value(c).to_bits(), |c| local.push(c));
+    assert!(theirs.is_empty());
+    assert_eq!(local, (0..5).collect::<Vec<_>>());
+}
+
 /// A helper stalled mid-chunk (here: asleep for a second, as if
 /// descheduled) does not hold the call up: the caller reruns the chunk
 /// it holds and returns the same values.

@@ -4,7 +4,7 @@
 //! async runtime, no web framework, no serde on the wire. Models that
 //! implement the facade's object-safe [`edm::Predictor`] trait are
 //! registered by name in a [`ModelRegistry`] and served by a fixed
-//! worker pool ([`edm_par::pool::WorkerPool`]) behind a bounded queue —
+//! worker pool (`edm_par::pool::WorkerPool`) behind a bounded queue —
 //! when the queue is full the server answers `503` with `retry-after`
 //! instead of stalling the client or buffering without limit.
 //!
@@ -38,7 +38,7 @@
 //! Models persisted with the facade's [`edm::PersistentPredictor`]
 //! API (`*.edm` containers, see `edm-model-io`) are served straight
 //! from a **model directory** ([`ModelStore`], configured with
-//! [`ServerConfig::model_dir`] or `EDM_SERVE_MODEL_DIR`): the
+//! `ServerConfig::model_dir` or `EDM_SERVE_MODEL_DIR`): the
 //! directory is scanned at startup and again on every
 //! `POST /v1/admin/reload`, and each scan is published atomically as a
 //! new registry **generation** ([`SharedRegistry`]). In-flight

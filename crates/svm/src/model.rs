@@ -1,5 +1,6 @@
 use edm_kernels::Kernel;
-use serde::Serialize;
+use edm_linalg::LanePanel;
+use serde::{Serialize, Value};
 
 use crate::qmatrix::CacheStats;
 
@@ -79,12 +80,19 @@ pub type OneClassModel<K> = SvModel<K, OneClass>;
 /// vectors `xᵢ`. The family marker `F` ([`Svc`], [`Svr`], [`OneClass`])
 /// only picks the output mapping and the tag; scoring, accessors and
 /// reassembly are one implementation for all three.
-#[derive(Debug, Clone, Serialize)]
+///
+/// Every constructor packs the support vectors into the kernel's
+/// [`LanePanel`] when it has one ([`Kernel::pack_panel`]), so scoring
+/// reads them feature-major; the panel is derived data, left out of
+/// the serialized and persisted forms.
+#[derive(Debug, Clone)]
 pub struct SvModel<K, F> {
     kernel: K,
     family: F,
     n_features: usize,
     support: Vec<Vec<f64>>,
+    /// `support` packed for [`Kernel::eval_panel`], if the kernel packs.
+    panel: Option<LanePanel>,
     /// `cᵢ` per support vector: `yᵢαᵢ` (SVC), `βᵢ` (SVR), `αᵢ`
     /// (one-class).
     coef: Vec<f64>,
@@ -93,7 +101,7 @@ pub struct SvModel<K, F> {
     cache: CacheStats,
 }
 
-impl<K, F: SvFamily> SvModel<K, F> {
+impl<K: Kernel<[f64]>, F: SvFamily> SvModel<K, F> {
     /// Builds a model from a dual solution: `coef[i]` is sample `i`'s
     /// coefficient, and samples with `|cᵢ| ≤ 1e-12` are dropped.
     pub(crate) fn from_dual(
@@ -131,9 +139,23 @@ impl<K, F: SvFamily> SvModel<K, F> {
         cache: CacheStats,
     ) -> Self {
         assert_eq!(support.len(), coef.len(), "one coefficient per support vector");
-        SvModel { kernel, family: F::default(), n_features, support, coef, rho, iterations, cache }
+        let refs: Vec<&[f64]> = support.iter().map(Vec::as_slice).collect();
+        let panel = kernel.pack_panel(&refs);
+        SvModel {
+            kernel,
+            family: F::default(),
+            n_features,
+            support,
+            panel,
+            coef,
+            rho,
+            iterations,
+            cache,
+        }
     }
+}
 
+impl<K, F: SvFamily> SvModel<K, F> {
     /// The kernel the model scores with.
     pub fn kernel(&self) -> &K {
         &self.kernel
@@ -187,30 +209,56 @@ impl<K, F: SvFamily> SvModel<K, F> {
     }
 }
 
-/// Support vectors scored per [`Kernel::eval_many`] call in
-/// [`SvModel::decision_function`]: the stack buffers stay small (1.5
-/// KiB) while each call still runs whole lane groups.
+impl<K: Serialize, F: Serialize> Serialize for SvModel<K, F> {
+    /// The model's parts; the packed panel is derived from `support`.
+    fn to_value(&self) -> Value {
+        let field = |name: &str, v: Value| (name.to_string(), v);
+        Value::Map(vec![
+            field("kernel", self.kernel.to_value()),
+            field("family", self.family.to_value()),
+            field("n_features", self.n_features.to_value()),
+            field("support", self.support.to_value()),
+            field("coef", self.coef.to_value()),
+            field("rho", self.rho.to_value()),
+            field("iterations", self.iterations.to_value()),
+            field("cache", self.cache.to_value()),
+        ])
+    }
+}
+
+/// Support vectors scored per [`Kernel::eval_panel`] (or
+/// [`Kernel::eval_many`]) call in [`SvModel::decision_function`]: the
+/// stack buffers stay small (1.5 KiB) while each call still runs whole
+/// lane groups.
 const SV_CHUNK: usize = 64;
 
 impl<K: Kernel<[f64]>, F: SvFamily> SvModel<K, F> {
     /// The decision value `M(x)`, accumulated serially in
     /// support-vector order.
     ///
-    /// The kernel values come 64 support vectors at a time
-    /// from one [`Kernel::eval_many`] call into a stack buffer, and
-    /// `s += cᵢ·kᵢ` then runs from `-0.0` in support-vector order —
-    /// bitwise the per-pair sum `Σᵢ cᵢ·k(x, xᵢ)`.
+    /// The kernel values come 64 support vectors at a time into a
+    /// stack buffer, from one [`Kernel::eval_panel`] call over the
+    /// packed support vectors (or one [`Kernel::eval_many`] call when
+    /// the kernel packs none), and `s += cᵢ·kᵢ` then runs from `-0.0`
+    /// in support-vector order — bitwise the per-pair sum
+    /// `Σᵢ cᵢ·k(x, xᵢ)`.
     pub fn decision_function(&self, x: &[f64]) -> f64 {
         let mut s = -0.0;
         let mut refs: [&[f64]; SV_CHUNK] = [&[]; SV_CHUNK];
         let mut k = [0.0; SV_CHUNK];
-        for (svs, coef) in self.support.chunks(SV_CHUNK).zip(self.coef.chunks(SV_CHUNK)) {
-            let n = svs.len();
-            for (r, sv) in refs.iter_mut().zip(svs) {
-                *r = sv;
+        for (c, coef) in self.coef.chunks(SV_CHUNK).enumerate() {
+            let cols = c * SV_CHUNK..c * SV_CHUNK + coef.len();
+            let k = &mut k[..coef.len()];
+            match &self.panel {
+                Some(panel) => self.kernel.eval_panel(x, panel, cols, k),
+                None => {
+                    for (r, sv) in refs.iter_mut().zip(&self.support[cols]) {
+                        *r = sv;
+                    }
+                    self.kernel.eval_many(x, &refs[..coef.len()], k);
+                }
             }
-            self.kernel.eval_many(x, &refs[..n], &mut k[..n]);
-            for (&c, &kv) in coef.iter().zip(&k[..n]) {
+            for (&c, &kv) in coef.iter().zip(k.iter()) {
                 s += c * kv;
             }
         }

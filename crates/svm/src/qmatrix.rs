@@ -20,11 +20,15 @@
 //!   is computed once, and the budget's memory is released when the
 //!   cache drops.
 //!
-//! A [`QSource`] computes `Q` values from scratch through one gathered,
-//! batched fill, [`QSource::fill_rows`]:
+//! A [`QSource`] computes `Q` values from scratch through one batched
+//! fill, [`QSource::fill_rows`], and owns the view order the solver's
+//! shrinking renumbers ([`QSource::swap_indices`]):
 //!
 //! * [`KernelQ`] — values computed on demand from a kernel and the raw
-//!   samples, never materializing the n×n matrix (LIBSVM's mode);
+//!   samples, never materializing the n×n matrix (LIBSVM's mode). When
+//!   the kernel packs a [`LanePanel`], the samples are packed once per
+//!   fit and the panel follows the view order, so a fill scores a
+//!   contiguous run of panel columns;
 //! * [`SvrQ`] — the 2m×2m SVR block structure over m samples, computing
 //!   each underlying kernel value at most once per row and mirroring it
 //!   with signs.
@@ -33,20 +37,23 @@
 //! [`QMatrix::rows_prefix`] request to `fill_rows` together, which
 //! evaluates them in *one* sample-major pass over the data (each item
 //! is loaded once per batch instead of once per row, and each row
-//! scores a chunk of items with one `Kernel::eval_many` call). The
-//! chunks are shared with the fit's [`Team`] of parked helper threads
-//! (under the `parallel` feature), which are woken only for fills that
-//! outweigh the wake-up. Every entry is bitwise one independent
-//! kernel evaluation, so caller-only, shared, batched and gathered
-//! fills are bitwise identical, and a cached row is bitwise identical
-//! to a recomputed one — caching can change solver timings but never
-//! results.
+//! scores a chunk of items with one `Kernel::eval_panel` or
+//! `Kernel::eval_many` call). The chunks are shared with the fit's
+//! [`Team`] of parked helper threads (under the `parallel` feature),
+//! which are woken only for fills that outweigh the wake-up; the chunks
+//! the caller runs write straight into the cache's slab. Every entry is
+//! bitwise one independent kernel evaluation, so caller-only, shared,
+//! batched, packed and gathered fills are bitwise identical, and a
+//! cached row is bitwise identical to a recomputed one — caching can
+//! change solver timings but never results.
 
 use std::borrow::Borrow;
 use std::marker::PhantomData;
+use std::ops::Range;
+use std::sync::Arc;
 
 use edm_kernels::Kernel;
-use edm_linalg::Matrix;
+use edm_linalg::{LanePanel, Matrix, LANES};
 use edm_par::Team;
 use serde::Serialize;
 
@@ -153,28 +160,42 @@ pub trait QMatrix {
 
 /// A strategy for computing `Q` values from scratch — what [`CachedQ`]
 /// calls on a cache miss.
+///
+/// A source owns the *view order*: the numbering of variables that the
+/// solver's shrinking permutes through [`QSource::swap_indices`]. Rows
+/// and columns of a fill are view indices, and a fill's columns are
+/// always a contiguous view range, which a source keeping its data in
+/// view order ([`KernelQ`]'s lane panel) scores as one run.
 pub trait QSource {
     /// Problem size.
     fn n(&self) -> usize;
 
-    /// Computes the diagonal `Q(i, i)` for all `i`.
+    /// Computes the diagonal `Q(i, i)` for every view index `i`.
     fn diag(&self) -> Vec<f64>;
 
-    /// Writes `outs[r][t] = Q(rows[r], cols[t])`: the `cols` entries of
-    /// every batch row, in one pass.
+    /// Writes `outs[r][t] = Q(rows[r], cols.start + t)`: the `cols`
+    /// entries of every batch row, in one pass.
     ///
     /// Sources that stream the underlying data ([`KernelQ`], [`SvrQ`])
     /// compute *all* batch rows against each sample while it is
     /// cache-hot, so a B-row batch costs one pass over the data instead
     /// of B. Every cell is one independent evaluation, so batch
-    /// composition, column order, and serial or parallel execution
-    /// never change a value.
+    /// composition, view order, and serial or parallel execution never
+    /// change a value.
     ///
     /// # Panics
     ///
-    /// Panics if `rows.len() != outs.len()` or any output slice is not
-    /// `cols.len()` long.
-    fn fill_rows(&self, rows: &[usize], cols: &[usize], outs: &mut [&mut [f64]]);
+    /// Panics if `rows.len() != outs.len()`, any output slice is not
+    /// `cols.len()` long, or an index is `>= self.n()`.
+    fn fill_rows(&self, rows: &[usize], cols: Range<usize>, outs: &mut [&mut [f64]]);
+
+    /// Renumbers the view by the swaps `(a, b)`, in order, as
+    /// [`QMatrix::swap_indices`] does for the matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any index is `>= self.n()`.
+    fn swap_indices(&mut self, swaps: &[(usize, usize)]);
 }
 
 // ---------------------------------------------------------------------
@@ -277,7 +298,8 @@ impl QMatrix for DenseQ<'_> {
 /// negligible next to its kernel evaluations, small enough that the
 /// chunk's samples (512 × 32 features = 128 KiB) stay cache-resident
 /// while every row of the batch scores them, and that a 5120-column
-/// row splits into ten chunks to share.
+/// row splits into ten chunks to share. A multiple of [`LANES`], so
+/// chunk boundaries fall between lane groups.
 const FILL_CHUNK: usize = 512;
 
 /// Runs `body` with the team a fit's fills over `m` distinct samples
@@ -293,58 +315,73 @@ pub(crate) fn fill_team<'a, R>(m: usize, body: impl FnOnce(&Team<'a>) -> R) -> R
     }
 }
 
-/// Fills `outs[r][t] = k(xs[r], items[cols[t]])`, times
-/// `row_signs[r] · signs[cols[t]]` when signed, through `team`.
+/// Fills the `cols` block of every output row through `team`:
+/// `score(cs, runs)` writes columns `cs` (a sub-range of `cols`) of
+/// every row, `runs[r]` being row `r`'s `cs.len()` cells.
 ///
-/// The block is computed sample-major: each chunk of `FILL_CHUNK`
-/// columns is gathered once and scored against *every* row while it
-/// is cache-hot, one [`Kernel::eval_many`] call per row, so a B-row
-/// batch streams the data once instead of B times. A chunk is one team
-/// job: it borrows only the kernel and the samples, owns the row and
-/// column lists, and returns its values, which are copied into `outs`
-/// here. Each cell is one kernel evaluation (and the same sign
-/// product), so the result is bitwise independent of batch
-/// composition, column order, and which thread ran which chunk.
-fn fill_block<'a, S, K, I>(
+/// The block is computed sample-major: each chunk of about
+/// `FILL_CHUNK` columns (boundaries aligned to lane groups) is scored
+/// against *every* row while it is cache-hot, so a B-row batch streams
+/// the data once instead of B times. A chunk is one team job; `score`
+/// borrows only what outlives the team and owns its per-fill data.
+/// Chunks the caller runs write straight into `outs`; a helper's chunk
+/// returns its values, which are copied in here. Each cell is one
+/// kernel evaluation (and the same sign product), so the result is
+/// bitwise independent of batch composition and of which thread ran
+/// which chunk.
+fn fill_block<'a>(
     team: &Team<'a>,
-    (kernel, items): (&'a K, &'a [I]),
-    xs: Vec<&'a S>,
-    cols: &[usize],
-    signs: Option<(Vec<f64>, &'a [f64])>,
+    cols: Range<usize>,
     outs: &mut [&mut [f64]],
-) where
-    S: Sync + ?Sized,
-    K: Kernel<S>,
-    I: Borrow<S> + Sync,
-{
-    assert_eq!(xs.len(), outs.len(), "one output slice per batch row");
+    score: impl Fn(Range<usize>, &mut [&mut [f64]]) + Send + Sync + 'a,
+) {
     assert!(outs.iter().all(|o| o.len() == cols.len()), "one output cell per column");
-    if xs.is_empty() {
+    if outs.is_empty() || cols.is_empty() {
         return;
     }
-    let owned_cols = cols.to_vec();
-    let chunks = team.map(cols.len().div_ceil(FILL_CHUNK), move |c| {
-        let cs = &owned_cols[c * FILL_CHUNK..owned_cols.len().min((c + 1) * FILL_CHUNK)];
-        let bs: Vec<&S> = cs.iter().map(|&j| items[j].borrow()).collect();
-        let mut values = vec![0.0; xs.len() * cs.len()];
-        for (r, (x, run)) in xs.iter().zip(values.chunks_exact_mut(cs.len())).enumerate() {
-            kernel.eval_many(x, &bs, run);
-            if let Some((row_signs, s)) = &signs {
-                let si = row_signs[r];
-                for (v, &j) in run.iter_mut().zip(cs) {
-                    *v *= si * s[j];
-                }
-            }
-        }
-        values
-    });
-    for (c, values) in chunks.iter().enumerate() {
-        let t0 = c * FILL_CHUNK;
-        let len = values.len() / outs.len();
-        for (out, run) in outs.iter_mut().zip(values.chunks_exact(len)) {
-            out[t0..t0 + len].copy_from_slice(run);
+    let base = cols.start - cols.start % LANES;
+    let chunk = move |c: usize| {
+        (base + c * FILL_CHUNK).max(cols.start)..(base + (c + 1) * FILL_CHUNK).min(cols.end)
+    };
+    let rows = outs.len();
+    let score = Arc::new(score);
+    let posted = Arc::clone(&score);
+    let theirs = team.map_local(
+        (cols.end - base).div_ceil(FILL_CHUNK),
+        move |c| {
+            let cs = chunk(c);
+            let mut values = vec![0.0; rows * cs.len()];
+            let mut runs: Vec<&mut [f64]> = values.chunks_exact_mut(cs.len()).collect();
+            posted(cs, &mut runs);
+            values
+        },
+        |c| {
+            let cs = chunk(c);
+            let at = cs.start - cols.start..cs.end - cols.start;
+            let mut runs: Vec<&mut [f64]> = outs.iter_mut().map(|o| &mut o[at.clone()]).collect();
+            score(cs, &mut runs);
+        },
+    );
+    for (c, values) in theirs {
+        let cs = chunk(c);
+        let at = cs.start - cols.start..cs.end - cols.start;
+        for (out, run) in outs.iter_mut().zip(values.chunks_exact(cs.len())) {
+            out[at.clone()].copy_from_slice(run);
         }
     }
+}
+
+/// What a [`KernelQ`] keeps in view order, shared with the fill jobs
+/// of its team (an [`Arc`]: the jobs outlive the `&self` of a fill,
+/// and a renumbering copies it only if a late helper still holds one).
+#[derive(Clone)]
+struct View {
+    /// `perm[view index] = sample index`.
+    perm: Vec<usize>,
+    /// Label signs by view index.
+    signs: Option<Vec<f64>>,
+    /// The samples packed by view index, when the kernel packs.
+    panel: Option<LanePanel>,
 }
 
 /// [`QSource`] that evaluates the kernel on demand — the Gram matrix is
@@ -352,14 +389,20 @@ fn fill_block<'a, S, K, I>(
 ///
 /// `Q(i, j) = k(xᵢ, xⱼ) · (sᵢ sⱼ)`, or plain `k` when `signs` is `None`.
 /// A fill over `cols` costs `rows.len() · cols.len()` kernel
-/// evaluations. Built [`KernelQ::with_team`], a fill is split into
-/// column chunks shared with the team's parked helpers; otherwise it
-/// runs on the caller. Each evaluation is independent, so both give
-/// bitwise identical rows.
+/// evaluations. When the kernel packs a [`LanePanel`]
+/// ([`Kernel::pack_panel`]), the samples are packed once, kept in the
+/// view order (each renumbering swaps panel columns, `d` values per
+/// swap), and a fill's contiguous view range is scored straight from
+/// the panel ([`Kernel::eval_panel`]); other kernels gather the range's
+/// samples per chunk ([`Kernel::eval_many`]). Built
+/// [`KernelQ::with_team`], a fill is split into column chunks shared
+/// with the team's parked helpers; otherwise it runs on the caller.
+/// Each evaluation is independent, so every path gives bitwise
+/// identical rows.
 pub struct KernelQ<'a, S: ?Sized, K, I> {
     kernel: &'a K,
     items: &'a [I],
-    signs: Option<&'a [f64]>,
+    view: Arc<View>,
     team: Team<'a>,
     _sample: PhantomData<&'a S>,
 }
@@ -371,7 +414,8 @@ where
     I: Borrow<S> + Sync,
 {
     /// Builds the source; `signs`, when given, must be `±1` per sample.
-    /// Fills run on the caller until [`KernelQ::with_team`].
+    /// Packs the samples when the kernel packs a panel. Fills run on
+    /// the caller until [`KernelQ::with_team`].
     ///
     /// # Panics
     ///
@@ -380,7 +424,13 @@ where
         if let Some(s) = signs {
             assert_eq!(s.len(), items.len(), "signs length must match items");
         }
-        KernelQ { kernel, items, signs, team: Team::solo(), _sample: PhantomData }
+        let refs: Vec<&S> = items.iter().map(Borrow::borrow).collect();
+        let view = View {
+            perm: (0..items.len()).collect(),
+            signs: signs.map(<[f64]>::to_vec),
+            panel: kernel.pack_panel(&refs),
+        };
+        KernelQ { kernel, items, view: Arc::new(view), team: Team::solo(), _sample: PhantomData }
     }
 
     /// Fills rows through `team` (builder-style): each fill that
@@ -390,7 +440,7 @@ where
     }
 }
 
-impl<S, K, I> QSource for KernelQ<'_, S, K, I>
+impl<'a, S, K, I> QSource for KernelQ<'a, S, K, I>
 where
     S: Sync + ?Sized,
     K: Kernel<S>,
@@ -401,13 +451,55 @@ where
     }
 
     fn diag(&self) -> Vec<f64> {
-        self.items.iter().map(|x| self.kernel.eval(x.borrow(), x.borrow())).collect()
+        let x = |i: usize| self.items[i].borrow();
+        self.view.perm.iter().map(|&i| self.kernel.eval(x(i), x(i))).collect()
     }
 
-    fn fill_rows(&self, rows: &[usize], cols: &[usize], outs: &mut [&mut [f64]]) {
-        let xs = rows.iter().map(|&i| self.items[i].borrow()).collect();
-        let signs = self.signs.map(|s| (rows.iter().map(|&i| s[i]).collect(), s));
-        fill_block(&self.team, (self.kernel, self.items), xs, cols, signs, outs);
+    fn fill_rows(&self, rows: &[usize], cols: Range<usize>, outs: &mut [&mut [f64]]) {
+        assert_eq!(rows.len(), outs.len(), "one output slice per batch row");
+        let (kernel, items) = (self.kernel, self.items);
+        let view = Arc::clone(&self.view);
+        let xs: Vec<&'a S> = rows.iter().map(|&i| items[view.perm[i]].borrow()).collect();
+        let row_signs: Option<Vec<f64>> =
+            view.signs.as_ref().map(|s| rows.iter().map(|&i| s[i]).collect());
+        fill_block(&self.team, cols, outs, move |cs, runs| {
+            match &view.panel {
+                Some(panel) => {
+                    for (x, run) in xs.iter().zip(runs.iter_mut()) {
+                        kernel.eval_panel(x, panel, cs.clone(), run);
+                    }
+                }
+                None => {
+                    let bs: Vec<&S> =
+                        view.perm[cs.clone()].iter().map(|&j| items[j].borrow()).collect();
+                    for (x, run) in xs.iter().zip(runs.iter_mut()) {
+                        kernel.eval_many(x, &bs, run);
+                    }
+                }
+            }
+            if let (Some(row_signs), Some(s)) = (&row_signs, &view.signs) {
+                for (si, run) in row_signs.iter().zip(runs.iter_mut()) {
+                    for (v, sj) in run.iter_mut().zip(&s[cs.clone()]) {
+                        *v *= si * sj;
+                    }
+                }
+            }
+        });
+    }
+
+    fn swap_indices(&mut self, swaps: &[(usize, usize)]) {
+        let view = Arc::make_mut(&mut self.view);
+        let n = view.perm.len();
+        for &(a, b) in swaps {
+            assert!(a < n && b < n, "swap ({a}, {b}) out of bounds for n = {n}");
+            view.perm.swap(a, b);
+            if let Some(s) = &mut view.signs {
+                s.swap(a, b);
+            }
+        }
+        if let Some(panel) = &mut view.panel {
+            panel.swap_indices(swaps);
+        }
     }
 }
 
@@ -420,13 +512,16 @@ where
 /// `Q(t, u) = s(t) s(u) K(base(t), base(u))` with `base(t) = t mod m`.
 ///
 /// A fill evaluates each distinct base sample among its columns once
-/// per row (through the team set by [`SvrQ::with_team`], as for
-/// [`KernelQ`]) and mirrors the value with signs into every column
-/// sharing that base, so a full `2m`-column row costs `m` kernel
-/// evaluations and the block structure costs no extra kernel work.
+/// per row (gathered, [`Kernel::eval_many`], through the team set by
+/// [`SvrQ::with_team`], as for [`KernelQ`]) and mirrors the value with
+/// signs into every column sharing that base, so a full `2m`-column
+/// row costs `m` kernel evaluations and the block structure costs no
+/// extra kernel work.
 pub struct SvrQ<'a, S: ?Sized, K, I> {
     kernel: &'a K,
     items: &'a [I],
+    /// `perm[view index] = variable index` (`0..2m`).
+    perm: Vec<usize>,
     team: Team<'a>,
     _sample: PhantomData<&'a S>,
 }
@@ -440,7 +535,8 @@ where
     /// Builds the source over `m` samples; the dual has `2m` variables.
     /// Fills run on the caller until [`SvrQ::with_team`].
     pub fn new(kernel: &'a K, items: &'a [I]) -> Self {
-        SvrQ { kernel, items, team: Team::solo(), _sample: PhantomData }
+        let perm = (0..2 * items.len()).collect();
+        SvrQ { kernel, items, perm, team: Team::solo(), _sample: PhantomData }
     }
 
     /// Fills rows through `team` (builder-style), as
@@ -461,33 +557,42 @@ where
     }
 
     fn diag(&self) -> Vec<f64> {
+        let m = self.items.len();
         let d: Vec<f64> =
             self.items.iter().map(|x| self.kernel.eval(x.borrow(), x.borrow())).collect();
-        [d.as_slice(), d.as_slice()].concat()
+        self.perm.iter().map(|&t| d[t % m]).collect()
     }
 
-    fn fill_rows(&self, rows: &[usize], cols: &[usize], outs: &mut [&mut [f64]]) {
+    fn fill_rows(&self, rows: &[usize], cols: Range<usize>, outs: &mut [&mut [f64]]) {
         assert_eq!(rows.len(), outs.len(), "one output slice per batch row");
-        let m = self.items.len();
+        let (kernel, items) = (self.kernel, self.items);
+        let m = items.len();
+        let vars = &self.perm[cols];
         // Columns `u` and `u + m` share one kernel value: evaluate each
         // distinct base once (`slot[base]` = its block column).
         let mut slot = vec![usize::MAX; m];
         let mut bases = Vec::new();
-        for &u in cols {
+        for &u in vars {
             let bu = u % m;
             if slot[bu] == usize::MAX {
                 slot[bu] = bases.len();
                 bases.push(bu);
             }
         }
-        let xs = rows.iter().map(|&t| self.items[t % m].borrow()).collect();
+        let xs: Vec<&S> = rows.iter().map(|&t| items[self.perm[t] % m].borrow()).collect();
         let mut block = vec![vec![0.0; bases.len()]; rows.len()];
         let mut block_rows: Vec<&mut [f64]> = block.iter_mut().map(Vec::as_mut_slice).collect();
-        fill_block(&self.team, (self.kernel, self.items), xs, &bases, None, &mut block_rows);
+        let width = bases.len();
+        fill_block(&self.team, 0..width, &mut block_rows, move |cs, runs| {
+            let bs: Vec<&S> = bases[cs].iter().map(|&j| items[j].borrow()).collect();
+            for (x, run) in xs.iter().zip(runs.iter_mut()) {
+                kernel.eval_many(x, &bs, run);
+            }
+        });
         for ((&t, k), out) in rows.iter().zip(&block).zip(outs.iter_mut()) {
-            assert_eq!(out.len(), cols.len(), "one output cell per column");
-            let st = if t < m { 1.0 } else { -1.0 };
-            for (v, &u) in out.iter_mut().zip(cols) {
+            assert_eq!(out.len(), vars.len(), "one output cell per column");
+            let st = if self.perm[t] < m { 1.0 } else { -1.0 };
+            for (v, &u) in out.iter_mut().zip(vars) {
                 // IEEE negation is exact, so the α* mirror is bitwise
                 // `s(t) s(u) K`.
                 let w = st * k[slot[u % m]];
@@ -495,7 +600,16 @@ where
             }
         }
     }
+
+    fn swap_indices(&mut self, swaps: &[(usize, usize)]) {
+        let n = self.perm.len();
+        for &(a, b) in swaps {
+            assert!(a < n && b < n, "swap ({a}, {b}) out of bounds for n = {n}");
+            self.perm.swap(a, b);
+        }
+    }
 }
+
 // ---------------------------------------------------------------------
 // CachedQ: the LRU row cache.
 // ---------------------------------------------------------------------
@@ -573,7 +687,7 @@ struct Want {
 /// one slot, and an evicted row's slot is reused in place by the row
 /// that evicted it. Fetches lend rows out of the slab: a hit copies
 /// nothing, and a miss is filled straight into its slot by
-/// [`QSource::fill_rows`] over the view's columns `perm[start..len]`
+/// [`QSource::fill_rows`] over the view's columns `start..len`
 /// (`start` is the end of any resident prefix being extended). Rows
 /// that cannot stay resident until the fetch ends — evicted by a later
 /// row of the same batch, or with caching disabled — are lent from
@@ -588,12 +702,11 @@ struct Want {
 /// evictions). A swap's effect on a row depends only on the row's
 /// valid length, so a whole pass is applied in one sweep over the
 /// resident rows, each taking the pass's swaps in order, followed by
-/// one permutation of the row table.
+/// one permutation of the row table; the source renumbers its own view
+/// ([`QSource::swap_indices`]).
 pub struct CachedQ<S> {
     source: S,
     diag: Vec<f64>,
-    /// `perm[view index] = source index`.
-    perm: Vec<usize>,
     budget_rows: usize,
     /// Slots of `n` values: `budget_rows` for resident rows, then
     /// scratch slots for the current fetch.
@@ -606,6 +719,8 @@ pub struct CachedQ<S> {
     hits: u64,
     misses: u64,
     evictions: u64,
+    /// `Q` entries computed by fills: rows × columns per fill.
+    evals: u64,
     /// Where each row of the current fetch starts in the slab.
     starts: Vec<usize>,
 }
@@ -622,7 +737,6 @@ impl<S: QSource> CachedQ<S> {
         CachedQ {
             source,
             diag,
-            perm: (0..n).collect(),
             budget_rows,
             slab: if budget_rows == 0 {
                 Vec::new()
@@ -636,6 +750,7 @@ impl<S: QSource> CachedQ<S> {
             hits: 0,
             misses: 0,
             evictions: 0,
+            evals: 0,
             starts: Vec::new(),
         }
     }
@@ -751,13 +866,14 @@ impl<S: QSource> CachedQ<S> {
         let mut batched_passes = 0u64;
         for group in order.chunk_by(|&a, &b| start_of(&wants[a]) == start_of(&wants[b])) {
             let start = start_of(&wants[group[0]]);
-            let rows: Vec<usize> = group.iter().map(|&w| self.perm[wants[w].i]).collect();
+            let rows: Vec<usize> = group.iter().map(|&w| wants[w].i).collect();
             let slots: Vec<usize> = group.iter().map(|&w| lent_from(&wants[w])).collect();
             let mut tails: Vec<&mut [f64]> = rows_mut(&mut self.slab, n, &slots)
                 .into_iter()
                 .map(|row| &mut row[start..len])
                 .collect();
-            self.source.fill_rows(&rows, &self.perm[start..len], &mut tails);
+            self.source.fill_rows(&rows, start..len, &mut tails);
+            self.evals += (rows.len() * (len - start)) as u64;
             if group.len() > 1 {
                 batched_passes += 1;
             }
@@ -788,13 +904,14 @@ fn rows_mut<'b>(buf: &'b mut [f64], width: usize, which: &[usize]) -> Vec<&'b mu
 impl<S> Drop for CachedQ<S> {
     /// Flushes this cache's lifetime counters into the global trace
     /// registry, so every training run's cache behaviour shows up in
-    /// `svm.qcache.{hits,misses,evictions}` without the caller doing
-    /// anything.
+    /// `svm.qcache.{hits,misses,evictions}` and `svm.q.evals` without
+    /// the caller doing anything.
     fn drop(&mut self) {
         if edm_trace::enabled() && self.hits + self.misses > 0 {
             edm_trace::counter_add("svm.qcache.hits", self.hits);
             edm_trace::counter_add("svm.qcache.misses", self.misses);
             edm_trace::counter_add("svm.qcache.evictions", self.evictions);
+            edm_trace::counter_add("svm.q.evals", self.evals);
         }
     }
 }
@@ -878,10 +995,10 @@ impl<S: QSource> QMatrix for CachedQ<S> {
         self.evictions += dropped.len() as u64;
         self.free.extend(dropped.iter().map(|&(_, _, slot)| slot));
         for &(a, b) in swaps {
-            self.perm.swap(a, b);
             self.diag.swap(a, b);
             self.entries.swap(a, b);
         }
+        self.source.swap_indices(swaps);
     }
 }
 
@@ -896,9 +1013,8 @@ mod tests {
 
     /// Row `i` of `src` over every column, through the one fill.
     fn full_row(src: &impl QSource, i: usize) -> Vec<f64> {
-        let cols: Vec<usize> = (0..src.n()).collect();
-        let mut row = vec![0.0; cols.len()];
-        src.fill_rows(&[i], &cols, &mut [&mut row]);
+        let mut row = vec![0.0; src.n()];
+        src.fill_rows(&[i], 0..src.n(), &mut [&mut row]);
         row
     }
 
@@ -1116,35 +1232,52 @@ mod tests {
 
     #[test]
     fn gather_fill_matches_entry_oracle() {
-        let x = cloud(7);
+        let x = cloud(11);
         let m = x.len();
-        let y: Vec<f64> = (0..7).map(|i| if i < 4 { 1.0 } else { -1.0 }).collect();
+        let y: Vec<f64> = (0..m).map(|i| if i < 4 { 1.0 } else { -1.0 }).collect();
         let k = RbfKernel::new(0.9);
-        let kq = KernelQ::<[f64], _, _>::new(&k, &x, Some(&y));
-        let sq = SvrQ::<[f64], _, _>::new(&k, &x);
-        // KernelQ: gathered (with a repeated column), batched rows.
-        let (rows, idx) = ([2usize, 6, 2], [5usize, 0, 3, 3, 6]);
-        let mut outs = vec![vec![0.0; idx.len()]; rows.len()];
-        kq.fill_rows(&rows, &idx, &mut outs.iter_mut().map(Vec::as_mut_slice).collect::<Vec<_>>());
+        let mut kq = KernelQ::<[f64], _, _>::new(&k, &x, Some(&y));
+        let mut sq = SvrQ::<[f64], _, _>::new(&k, &x);
+        // KernelQ: renumbered, batched rows over a range that starts
+        // and ends inside lane groups.
+        let swaps = [(0, 9), (3, 7), (9, 1), (10, 2)];
+        kq.swap_indices(&swaps);
+        let mut perm: Vec<usize> = (0..m).collect();
+        for &(a, b) in &swaps {
+            perm.swap(a, b);
+        }
+        let (rows, cols) = ([2usize, 6, 2], 3..10);
+        let mut outs = vec![vec![0.0; cols.len()]; rows.len()];
+        let mut slices: Vec<&mut [f64]> = outs.iter_mut().map(Vec::as_mut_slice).collect();
+        kq.fill_rows(&rows, cols.clone(), &mut slices);
         for (&i, out) in rows.iter().zip(&outs) {
-            let want: Vec<f64> =
-                idx.iter().map(|&j| k.eval(&x[i], &x[j]) * (y[i] * y[j])).collect();
+            let (pi, pj) = (perm[i], cols.clone().map(|j| perm[j]));
+            let want: Vec<f64> = pj.map(|j| k.eval(&x[pi], &x[j]) * (y[pi] * y[j])).collect();
             assert_eq!(bits(out), bits(&want), "KernelQ row {i}");
         }
-        // SvrQ: a gather hitting both blocks of one base (1 and 8).
-        let sign = |t: usize| if t < m { 1.0 } else { -1.0 };
-        let (rows2, idx2) = ([9usize, 2], [13usize, 1, 8, 0]);
-        let mut outs2 = vec![vec![0.0; idx2.len()]; rows2.len()];
-        sq.fill_rows(
-            &rows2,
-            &idx2,
-            &mut outs2.iter_mut().map(Vec::as_mut_slice).collect::<Vec<_>>(),
+        assert_eq!(
+            bits(&kq.diag()),
+            bits(&perm.iter().map(|&i| k.eval(&x[i], &x[i])).collect::<Vec<_>>())
         );
+        // SvrQ: a renumbering that puts both blocks of one base (1 and
+        // 12) inside the filled range.
+        let sign = |t: usize| if t < m { 1.0 } else { -1.0 };
+        let swaps2 = [(0, 12), (3, 20), (5, 1)];
+        sq.swap_indices(&swaps2);
+        let mut perm2: Vec<usize> = (0..2 * m).collect();
+        for &(a, b) in &swaps2 {
+            perm2.swap(a, b);
+        }
+        let (rows2, cols2) = ([9usize, 2], 0..6);
+        let mut outs2 = vec![vec![0.0; cols2.len()]; rows2.len()];
+        let mut slices2: Vec<&mut [f64]> = outs2.iter_mut().map(Vec::as_mut_slice).collect();
+        sq.fill_rows(&rows2, cols2.clone(), &mut slices2);
         for (&t, out) in rows2.iter().zip(&outs2) {
             let full = full_row(&sq, t);
-            for (&u, v) in idx2.iter().zip(out) {
-                let want = sign(t) * sign(u) * k.eval(&x[t % m], &x[u % m]);
-                assert_eq!(v.to_bits(), full[u].to_bits(), "SvrQ gather vs full fill");
+            for (u, v) in cols2.clone().zip(out) {
+                let (pt, pu) = (perm2[t], perm2[u]);
+                let want = sign(pt) * sign(pu) * k.eval(&x[pt % m], &x[pu % m]);
+                assert_eq!(v.to_bits(), full[u].to_bits(), "SvrQ range vs full fill");
                 assert_eq!(v.to_bits(), want.to_bits(), "SvrQ Q({t},{u})");
             }
         }

@@ -397,10 +397,24 @@ impl CountingKernel {
     }
 }
 
-/// Runs one `fill_rows` into scratch outputs.
-fn fill(src: &impl QSource, rows: &[usize], cols: &[usize]) {
+/// Renumbers a fresh `src` so view `t` holds variable `cols[t]`
+/// (distinct), then fills the variables `rows` over view columns
+/// `0..cols.len()` into scratch outputs.
+fn fill(src: &mut impl QSource, rows: &[usize], cols: &[usize]) {
+    let mut pos: Vec<usize> = (0..src.n()).collect();
+    let mut at = pos.clone();
+    let mut swaps = Vec::new();
+    for (t, &v) in cols.iter().enumerate() {
+        let p = pos[v];
+        swaps.push((t, p));
+        at.swap(t, p);
+        (pos[at[t]], pos[at[p]]) = (t, p);
+    }
+    src.swap_indices(&swaps);
+    let rows: Vec<usize> = rows.iter().map(|&v| pos[v]).collect();
     let mut outs = vec![vec![0.0; cols.len()]; rows.len()];
-    src.fill_rows(rows, cols, &mut outs.iter_mut().map(Vec::as_mut_slice).collect::<Vec<_>>());
+    let mut slices: Vec<&mut [f64]> = outs.iter_mut().map(Vec::as_mut_slice).collect();
+    src.fill_rows(&rows, 0..cols.len(), &mut slices);
 }
 
 /// Kernel evaluations per fill: a full `KernelQ` row costs `n` and a
@@ -414,20 +428,20 @@ fn row_fills_cost_one_kernel_evaluation_per_distinct_sample() {
     let x = points(0xC0_FFEE, n, 3);
     let k = CountingKernel { inner: RbfKernel::new(0.8), evals: AtomicUsize::new(0) };
     let all: Vec<usize> = (0..n).collect();
-    let kq = KernelQ::<[f64], _, _>::new(&k, &x, None);
-    fill(&kq, &[17], &all);
+    let mut kq = KernelQ::<[f64], _, _>::new(&k, &x, None);
+    fill(&mut kq, &[17], &all);
     assert_eq!(k.take(), n, "full KernelQ row");
     let batch = [0, 5, 5, 999, n - 1];
-    fill(&kq, &batch, &all);
+    fill(&mut kq, &batch, &all);
     assert_eq!(k.take(), batch.len() * n, "B-row KernelQ batch");
 
     let m = n;
     let all2: Vec<usize> = (0..2 * m).collect();
-    let sq = SvrQ::<[f64], _, _>::new(&k, &x);
-    fill(&sq, &[m + 17], &all2);
+    let mut sq = SvrQ::<[f64], _, _>::new(&k, &x);
+    fill(&mut sq, &[m + 17], &all2);
     assert_eq!(k.take(), m, "full SvrQ row over 2m columns");
     let batch2 = [0, m, 3, 2 * m - 1, 640];
-    fill(&sq, &batch2, &all2);
+    fill(&mut sq, &batch2, &all2);
     assert_eq!(k.take(), batch2.len() * m, "B-row SvrQ batch");
     // The same row through the cache: one miss, m evaluations.
     let mut cached = CachedQ::new(SvrQ::<[f64], _, _>::new(&k, &x), 1 << 20);
@@ -452,7 +466,8 @@ fn row_fills_cost_one_kernel_evaluation_per_distinct_sample() {
         let mut distinct: Vec<usize> = cols.iter().map(|&u| u % m).collect();
         distinct.sort_unstable();
         distinct.dedup();
-        fill(&sq, &[next() % (2 * m)], &cols);
+        let row = next() % (2 * m);
+        fill(&mut SvrQ::<[f64], _, _>::new(&k, &x), &[row], &cols);
         assert_eq!(k.take(), distinct.len(), "gathered SvrQ row over {} columns", cols.len());
     }
 }

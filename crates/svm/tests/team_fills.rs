@@ -1,34 +1,50 @@
 //! Q-row fills shared with a team's parked helpers return bitwise what
-//! the caller alone computes: batched `KernelQ` fills with signs, in
-//! any row and column order, equal one `gram_row` per row, and `SvrQ`
-//! fills equal its block formula. A whole fit shares its fills with
-//! its team instead of forking, and returns the one-thread model bit
-//! for bit.
+//! the caller alone computes: batched `KernelQ` fills with signs, after
+//! any renumbering and over any view range, equal one `gram_row` per
+//! row, and `SvrQ` fills equal its block formula. A whole fit shares
+//! its fills with its team instead of forking, and returns the
+//! one-thread model bit for bit.
 //!
-//! The kernel spins about 1 µs per evaluation, so every 512-column
-//! chunk outweighs a hand-off and the helpers take part. Every case
-//! holds one lock and pins `EDM_NUM_THREADS` (4 unless it compares
-//! against 1), so a one-core host still opens a team with helpers.
+//! The kernel spins about 1 µs per evaluation (in its packed and its
+//! gathered forms), so every 512-column chunk outweighs a hand-off and
+//! the helpers take part. Every case holds one lock and pins
+//! `EDM_NUM_THREADS` (4 unless it compares against 1), so a one-core
+//! host still opens a team with helpers.
 
+use std::ops::Range;
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use edm_kernels::{gram_row, Kernel, RbfKernel};
+use edm_linalg::LanePanel;
 use edm_svm::{KernelQ, QSource, SvcParams, SvcTrainer, SvrQ};
 use proptest::prelude::*;
 
 /// RBF kernel that spins about 1 µs per evaluation; its values are the
-/// RBF kernel's bit for bit.
+/// RBF kernel's bit for bit, and it packs lane panels as RBF does.
 #[derive(Clone)]
 struct SlowKernel(RbfKernel);
 
+fn spin(evals: usize) {
+    let t0 = Instant::now();
+    while t0.elapsed() < Duration::from_micros(evals as u64) {
+        std::hint::spin_loop();
+    }
+}
+
 impl Kernel<[f64]> for SlowKernel {
     fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        let t0 = Instant::now();
-        while t0.elapsed() < Duration::from_micros(1) {
-            std::hint::spin_loop();
-        }
+        spin(1);
         self.0.eval(a, b)
+    }
+
+    fn pack_panel(&self, items: &[&[f64]]) -> Option<LanePanel> {
+        self.0.pack_panel(items)
+    }
+
+    fn eval_panel(&self, a: &[f64], panel: &LanePanel, cols: Range<usize>, out: &mut [f64]) {
+        spin(cols.len());
+        self.0.eval_panel(a, panel, cols, out);
     }
 }
 
@@ -53,10 +69,29 @@ fn points(seed: u64, n: usize, d: usize) -> Vec<Vec<f64>> {
     (0..n).map(|_| (0..d).map(|_| next()).collect()).collect()
 }
 
+/// Pseudo-random swaps over `0..n` and the view they leave:
+/// `perm[view] = variable`.
+fn random_swaps(seed: u64, n: usize) -> (Vec<(usize, usize)>, Vec<usize>) {
+    let mut state = seed | 1;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state as usize % n
+    };
+    let swaps: Vec<(usize, usize)> = (0..n).map(|_| (next(), next())).collect();
+    let mut perm: Vec<usize> = (0..n).collect();
+    for &(a, b) in &swaps {
+        perm.swap(a, b);
+    }
+    (swaps, perm)
+}
+
 /// Runs one `fill_rows` into fresh outputs.
-fn fill(src: &impl QSource, rows: &[usize], cols: &[usize]) -> Vec<Vec<f64>> {
+fn fill(src: &impl QSource, rows: &[usize], cols: Range<usize>) -> Vec<Vec<f64>> {
     let mut outs = vec![vec![0.0; cols.len()]; rows.len()];
-    src.fill_rows(rows, cols, &mut outs.iter_mut().map(Vec::as_mut_slice).collect::<Vec<_>>());
+    let mut slices: Vec<&mut [f64]> = outs.iter_mut().map(Vec::as_mut_slice).collect();
+    src.fill_rows(rows, cols, &mut slices);
     outs
 }
 
@@ -67,8 +102,11 @@ fn bits(v: &[f64]) -> Vec<u64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// A batched, signed, gathered fill through a team equals
-    /// `sᵢ sⱼ gram_row(xᵢ)[j]` per cell, for any batch width.
+    /// A batched, signed fill after random swaps, through a solo team
+    /// and through a four-thread team, equals
+    /// `sᵢ sⱼ gram_row(xᵢ)[j]` per cell of the view range, for any
+    /// batch width and a range that may start and end inside a lane
+    /// group.
     #[test]
     fn batched_team_fills_match_gram_row(
         seed in 0u64..1_000_000,
@@ -83,24 +121,35 @@ proptest! {
         let k = RbfKernel::new(gamma);
         let slow = SlowKernel(k);
         let rows: Vec<usize> = (0..b).map(|r| (seed as usize / (r + 1)) % n).collect();
-        // Every column, in an order that is not the sample order.
-        let cols: Vec<usize> = (0..n).map(|t| (t * 7 + seed as usize) % n).collect();
-        let cols = if n % 7 == 0 { (0..n).rev().collect() } else { cols };
-        let got = edm_par::team(|team| {
+        let (swaps, perm) = random_swaps(seed, n);
+        let start = (seed as usize / 7) % n % 19;
+        let cols = start.min(n)..n;
+        let solo = {
+            let mut src = KernelQ::<[f64], _, _>::new(&slow, &x, Some(&y));
+            src.swap_indices(&swaps);
+            fill(&src, &rows, cols.clone())
+        };
+        let shared = edm_par::team(|team| {
             if edm_par::parallel_enabled() {
                 assert!(team.helpers() >= 1, "four threads configured");
             }
-            let src = KernelQ::<[f64], _, _>::new(&slow, &x, Some(&y)).with_team(team);
-            fill(&src, &rows, &cols)
+            let mut src = KernelQ::<[f64], _, _>::new(&slow, &x, Some(&y)).with_team(team);
+            src.swap_indices(&swaps);
+            fill(&src, &rows, cols.clone())
         });
-        for (&i, out) in rows.iter().zip(&got) {
-            let lone = gram_row(&k, x[i].as_slice(), &x);
-            let want: Vec<f64> = cols.iter().map(|&j| lone[j] * (y[i] * y[j])).collect();
+        for ((&i, out), solo) in rows.iter().zip(&shared).zip(&solo) {
+            let pi = perm[i];
+            let lone = gram_row(&k, x[pi].as_slice(), &x);
+            let want: Vec<f64> =
+                cols.clone().map(|j| lone[perm[j]] * (y[pi] * y[perm[j]])).collect();
             prop_assert_eq!(bits(out), bits(&want), "row {}", i);
+            prop_assert_eq!(bits(solo), bits(&want), "solo row {}", i);
         }
     }
 
-    /// `SvrQ` through a team: `Q(t, u) = s(t) s(u) k(x[t mod m], x[u mod m])`.
+    /// `SvrQ` through a team, after random swaps:
+    /// `Q(t, u) = s(t) s(u) k(x[t mod m], x[u mod m])` of the
+    /// variables the view holds.
     #[test]
     fn svr_team_fills_match_block_formula(
         seed in 0u64..1_000_000,
@@ -114,14 +163,18 @@ proptest! {
         let slow = SlowKernel(k);
         let sign = |u: usize| if u < m { 1.0 } else { -1.0 };
         let rows: Vec<usize> = (0..b).map(|r| (seed as usize * (r + 3)) % (2 * m)).collect();
-        let cols: Vec<usize> = (0..2 * m).rev().collect();
+        let (swaps, perm) = random_swaps(seed, 2 * m);
         let got = edm_par::team(|team| {
-            let src = SvrQ::<[f64], _, _>::new(&slow, &x).with_team(team);
-            fill(&src, &rows, &cols)
+            let mut src = SvrQ::<[f64], _, _>::new(&slow, &x).with_team(team);
+            src.swap_indices(&swaps);
+            fill(&src, &rows, 0..2 * m)
         });
         for (&t, out) in rows.iter().zip(&got) {
-            let want: Vec<f64> =
-                cols.iter().map(|&u| sign(t) * sign(u) * k.eval(&x[t % m], &x[u % m])).collect();
+            let pt = perm[t];
+            let want: Vec<f64> = perm
+                .iter()
+                .map(|&u| sign(pt) * sign(u) * k.eval(&x[pt % m], &x[u % m]))
+                .collect();
             prop_assert_eq!(bits(out), bits(&want), "svr row {}", t);
         }
     }

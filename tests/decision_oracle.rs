@@ -1,10 +1,13 @@
-//! `SvModel::decision_function` scores its support vectors through
-//! `Kernel::eval_many`, 64 at a time. It must stay bitwise equal to the
-//! per-pair expansion `Σᵢ cᵢ·k(x, xᵢ) − ρ` summed in support-vector
-//! order, for every family and every kernel, at support-vector counts
-//! on both sides of each lane group (8) and chunk (64) boundary, and
-//! for models reloaded from a saved container (kernel as
-//! `AnyKernel`).
+//! `SvModel::decision_function` scores its support vectors 64 at a
+//! time: through `Kernel::eval_panel` over the lane panel every
+//! constructor packs, or through `Kernel::eval_many` for a kernel that
+//! packs none (χ²). It must stay bitwise equal to the per-pair
+//! expansion `Σᵢ cᵢ·k(x, xᵢ) − ρ` summed in support-vector order, for
+//! every family and every kernel, at support-vector counts on both
+//! sides of each lane group (8) and chunk (64) boundary, and for models
+//! reloaded from a saved container (kernel as `AnyKernel`), whose
+//! panels are packed again by the loader; batched and scalar
+//! predictions agree bit for bit, before and after the round trip.
 
 use edm::kernels::{
     AnyKernel, Chi2Kernel, HistogramIntersectionKernel, Kernel, LinearKernel, PolyKernel,
@@ -86,12 +89,25 @@ where
             F::TAG
         );
 
+        let want_out: Vec<f64> = want.iter().map(|&v| F::output(v)).collect();
+        let scalar: Vec<f64> = probes.iter().map(|x| concrete.predict(x)).collect();
+        assert_eq!(bits(&scalar), bits(&want_out), "{name} {} predict: n_sv {n_sv}", F::TAG);
+        assert_eq!(
+            bits(&concrete.predict_batch(&probes)),
+            bits(&want_out),
+            "{name} {} predict_batch: n_sv {n_sv}",
+            F::TAG
+        );
+
         let mut bytes = Vec::new();
         concrete.save(&mut bytes).expect("in-memory save cannot fail");
         let loaded = load_predictor_from_bytes(&bytes).expect("fresh container loads");
         let got = loaded.model.predict_batch(&probes).expect("probes have the model's width");
-        let want_out: Vec<f64> = want.iter().map(|&v| F::output(v)).collect();
         assert_eq!(bits(&got), bits(&want_out), "{name} {} reloaded: n_sv {n_sv}", F::TAG);
+        for (x, &w) in probes.iter().zip(&want_out) {
+            let one = loaded.model.predict_batch(std::slice::from_ref(x)).expect("one probe");
+            assert_eq!(bits(&one), bits(&[w]), "{name} {} reloaded scalar: n_sv {n_sv}", F::TAG);
+        }
     }
 }
 
